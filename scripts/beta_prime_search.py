@@ -20,7 +20,7 @@ import itertools
 from freebraid import BraidWord, GaussianScheme, Parity
 from freebraid import bracket, chord_diagram, closure_components
 from freebraid import gaussian_parity, is_cyclic, linked, permutation, serialize, strand_trace
-from freebraid.scenarios import brunnian_word, shifted_brunnian_letters
+from freebraid.scenarios import brunnian_word, shifted_brunnian_letters, trivial_components
 
 
 def evaluate(word, added, original_pairs):
@@ -33,20 +33,14 @@ def evaluate(word, added, original_pairs):
     ncomp, cycles = closure_components(br.word)
     if ncomp != 3:
         return None
-    trace = strand_trace(br.word)
-    crossed = set()
-    kept_pairs = []
-    for t, x in enumerate(br.word.letters):
-        if x > 0:
-            crossed |= set(trace[t])
-            kept_pairs.append(tuple(sorted(trace[t])))
-    trivial = [c for c in cycles if not (set(c) & crossed)]
+    trivial = trivial_components(br.word, cycles)
     if not trivial:
         return None
+    kept_pairs = [pair for pair, x in zip(strand_trace(br.word), br.word.letters) if x > 0]
     d = chord_diagram(word)
     return {
         "cycles": cycles,
-        "trivial": trivial,
+        "trivial": list(trivial),
         "added_linked": linked(d, added[0], added[1]),
         "original_pairs_intact": sorted(kept_pairs) == original_pairs,
     }

@@ -13,7 +13,6 @@ from .words import (
     is_cyclic,
     is_virtual,
     letter_index,
-    letter_kind,
     parse_word,
     permutation,
     serialize,
@@ -62,7 +61,6 @@ from .parity import (
     gaussian_parity,
     linked,
     parse_scheme,
-    permutation_braid,
     q_gaussian_parity,
 )
 from .bracket import (

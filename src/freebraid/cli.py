@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import scenarios
-from .bracket import bracket, brackets_equal, verify_reproduction
+from .bracket import bracket, verify_reproduction
 from .moves import MoveSet, format_history, scramble
 from .normalform import canonical_code, f_equal, irreducible_form, strongly_equal
 from .oracle import oracle_equal
@@ -119,8 +119,8 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_reduce(args) -> int:
     word = _load_word(args.word)
-    _emit(args, serialize(irreducible_form(word)),
-          {"word": serialize(irreducible_form(word))})
+    text = serialize(irreducible_form(word))
+    _emit(args, text, {"word": text})
     return 0
 
 
@@ -144,11 +144,11 @@ def _cmd_eq(args, decide) -> int:
 def _cmd_distinguish(args) -> int:
     w1, w2 = _load_word(args.word1), _load_word(args.word2)
     scheme = parse_scheme(args.parity, w1.n)
-    b1 = bracket(w1, scheme)
-    b2 = bracket(w2, scheme)
-    c1 = canonical_code(irreducible_form(b1.word))
-    c2 = canonical_code(irreducible_form(b2.word))
-    differ = not brackets_equal(w1, w2, scheme)
+    c1 = canonical_code(irreducible_form(bracket(w1, scheme).word))
+    c2 = canonical_code(irreducible_form(bracket(w2, scheme).word))
+    if w1.n != w2.n:
+        raise PreconditionError(f"strand counts differ: {w1.n} vs {w2.n}")
+    differ = c1 != c2
     verdict = ("not equivalent (certified by parity bracket)" if differ else "inconclusive")
     human = "\n".join(["bracket 1:", c1.format(), "bracket 2:", c2.format(), verdict])
     _emit(args, human, {

@@ -180,15 +180,6 @@ class LetterCorrespondence:
             return None
         return pos - (self.result_window - self.source_window)
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """All mapped (source, result) pairs, in source order."""
-        out = []
-        for s in range(self.source_length):
-            r = self.image_of(s)
-            if r is not None:
-                out.append((s, r))
-        return tuple(out)
-
 
 def _match_instances(letters: tuple[int, ...], rels: frozenset[Relation]) -> list[MoveInstance]:
     """Non-insertion instances whose source side matches, in scan order."""

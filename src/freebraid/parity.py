@@ -4,12 +4,15 @@ When the closure of a word is a single circle, walking it (down each
 strand, then from bottom endpoint j to top endpoint j) visits every
 classical crossing twice; connecting the two visits gives the chord
 diagram.  Virtual crossings are disregarded.  A crossing's Gaussian parity
-is the number of chords linked with its chord, mod 2.
+is the number of chords linked with its chord, mod 2.  Every chord nested
+inside a chord with ends a < b contributes two endpoints between them, so
+that count is congruent to b - a - 1: the crossing is odd iff the
+endpoint gap b - a is even.
 
 Two further schemes avoid the cyclicity requirement: the component scheme
 marks a crossing odd when its strands lie in different parts of a fixed
-partition, and the completed-closure scheme appends a virtual-only word
-realizing a completing permutation before reading off Gaussian parities.
+partition, and the completed-closure scheme closes the word through a
+completing permutation before reading off Gaussian parities.
 
 `check_parity_axioms` verifies, on a concrete (word, move) pair, the seven
 compatibility conditions a parity must satisfy: spectator crossings keep
@@ -32,7 +35,6 @@ from .words import (
     is_cyclic,
     permutation,
     strand_trace,
-    virtual,
 )
 
 
@@ -74,26 +76,33 @@ def linked(d: ChordDiagram, a: int, b: int) -> bool:
     return (a1 < b1 < a2) != (a1 < b2 < a2)
 
 
-def chord_diagram(word: BraidWord) -> ChordDiagram:
-    """Chord diagram of the closure; crossings are identified by letter position."""
-    p = permutation(word)
-    cycles = p.cycles()
-    if len(cycles) != 1:
-        raise PreconditionError(
-            f"closure has {len(cycles)} components; the chord diagram requires a cyclic permutation")
-    trace = strand_trace(word)
+def _gauss_sequence(word: BraidWord, walk: Permutation, failure: str) -> tuple[int, ...]:
+    """Positions of the classical letters met walking strands 1, walk(1), walk(walk(1)), ...
+
+    `failure` is the diagnostic, formatted with the cycle count, raised when
+    walk is not a single n-cycle.
+    """
+    count = len(walk.cycles())
+    if count != 1:
+        raise PreconditionError(failure.format(count))
     on_strand: list[list[int]] = [[] for _ in range(word.n + 1)]
-    for t, x in enumerate(word.letters):
+    for t, (x, (a, b)) in enumerate(zip(word.letters, strand_trace(word))):
         if x > 0:
-            a, b = trace[t]
             on_strand[a].append(t)
             on_strand[b].append(t)
     gauss: list[int] = []
     strand = 1
     for _ in range(word.n):
-        gauss.extend(on_strand[strand])
-        strand = p(strand)
-    return ChordDiagram(tuple(gauss))
+        gauss += on_strand[strand]
+        strand = walk(strand)
+    return tuple(gauss)
+
+
+def chord_diagram(word: BraidWord) -> ChordDiagram:
+    """Chord diagram of the closure; crossings are identified by letter position."""
+    return ChordDiagram(_gauss_sequence(
+        word, permutation(word),
+        "closure has {} components; the chord diagram requires a cyclic permutation"))
 
 
 @dataclass(frozen=True)
@@ -126,60 +135,32 @@ class ParityAssignment:
         return all(v is Parity.ODD for v in self.parities.values())
 
 
-def permutation_braid(q: Permutation) -> BraidWord:
-    """A virtual-only word realizing q, built by selection sort.
-
-    The strand destined for the leftmost unfinished slot is walked there by
-    adjacent virtual transpositions, which makes the representative
-    deterministic.
-    """
-    arrangement = list(range(1, q.n + 1))
-    inv = q.inverse()
-    letters: list[int] = []
-    for slot in range(1, q.n + 1):
-        target = inv(slot)
-        c = arrangement.index(target) + 1
-        for pos in range(c - 1, slot - 1, -1):
-            letters.append(virtual(pos))
-            arrangement[pos - 1], arrangement[pos] = arrangement[pos], arrangement[pos - 1]
-    return BraidWord(q.n, tuple(letters))
-
-
-def _linking_parities(d: ChordDiagram) -> dict[int, Parity]:
-    ids = list(d.chord_of)
-    out = {}
-    for a in ids:
-        count = sum(1 for b in ids if b != a and linked(d, a, b))
-        out[a] = Parity.ODD if count % 2 else Parity.EVEN
-    return out
+def _linking_parities(gauss: tuple[int, ...]) -> dict[int, Parity]:
+    # Each chord nested inside a chord with ends a < b puts two endpoints
+    # between them, so its linked count is congruent to b - a - 1 (mod 2).
+    return {c: Parity.EVEN if (b - a) % 2 else Parity.ODD
+            for c, (a, b) in ChordDiagram(gauss).chord_of.items()}
 
 
 def gaussian_parity(word: BraidWord) -> ParityAssignment:
     """Parity by chord linking on the closure; needs a one-circle closure."""
-    p = permutation(word)
-    cycles = p.cycles()
-    if len(cycles) != 1:
-        raise PreconditionError(
-            f"closure has {len(cycles)} components; Gaussian parity requires a cyclic permutation")
-    return ParityAssignment("gaussian", _linking_parities(chord_diagram(word)))
+    return ParityAssignment("gaussian", _linking_parities(_gauss_sequence(
+        word, permutation(word),
+        "closure has {} components; Gaussian parity requires a cyclic permutation")))
 
 
 def q_gaussian_parity(word: BraidWord, q: Permutation) -> ParityAssignment:
-    """Gaussian parity of word extended by the virtual braid realizing q.
+    """Gaussian parity of the closure joining bottom endpoint j to top endpoint q(j).
 
-    The extension contributes no chords, so the assignment restricts to the
-    word's own classical letters.
+    This is the closure of word extended by a virtual braid realizing q;
+    the extension contributes no chords, so the walk follows the composite
+    permutation over the word's own classical letters.
     """
     if word.n != q.n:
         raise PreconditionError(f"completion acts on {q.n} strands, word has {word.n}")
-    composite = permutation(word).compose(q)
-    cycles = composite.cycles()
-    if len(cycles) != 1:
-        raise PreconditionError(
-            f"completed permutation has {len(cycles)} cycles; the completion must make it cyclic")
-    extended = word * permutation_braid(q)
-    parities = _linking_parities(chord_diagram(extended))
-    assert set(parities) == {t for t, x in enumerate(word.letters) if x > 0}
+    parities = _linking_parities(_gauss_sequence(
+        word, permutation(word).compose(q),
+        "completed permutation has {} cycles; the completion must make it cyclic"))
     return ParityAssignment(f"qgaussian:Q={','.join(map(str, q.image))}", parities)
 
 

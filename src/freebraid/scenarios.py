@@ -194,6 +194,14 @@ def locate_added_crossings(word: BraidWord) -> tuple[int, int]:
     return leftovers[0], leftovers[1]
 
 
+def trivial_components(word: BraidWord,
+                       cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The closure cycles of word whose strands meet no classical crossing."""
+    trace = strand_trace(word)
+    crossed = {s for t, x in enumerate(word.letters) if x > 0 for s in trace[t]}
+    return tuple(c for c in cycles if crossed.isdisjoint(c))
+
+
 def scenario_beta_prime(word: BraidWord | None = None,
                         added: tuple[int, int] | None = None) -> BetaPrimeReport:
     """Evaluate the transformed-braid findings on a candidate word.
@@ -221,12 +229,7 @@ def scenario_beta_prime(word: BraidWord | None = None,
     assignment = gaussian_parity(word)
     br = bracket(word, GaussianScheme())
     ncomp, cycles = closure_components(br.word)
-    trace = strand_trace(br.word)
-    crossed = set()
-    for t, x in enumerate(br.word.letters):
-        if x > 0:
-            crossed |= set(trace[t])
-    trivial = tuple(c for c in cycles if not (set(c) & crossed))
+    trivial = trivial_components(br.word, cycles)
     note = ("built-in word is one reading of a braid usually given as a diagram; "
             "supply a candidate word to test alternatives"
             if builtin else "user-supplied candidate")

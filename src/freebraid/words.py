@@ -51,10 +51,6 @@ def letter_index(letter: int) -> int:
     return abs(letter)
 
 
-def letter_kind(letter: int) -> str:
-    return CLASSICAL if letter > 0 else VIRTUAL
-
-
 @dataclass(frozen=True, slots=True)
 class BraidWord:
     """An n-strand braid word.  The empty sequence is the identity braid."""
@@ -65,10 +61,12 @@ class BraidWord:
     def __post_init__(self):
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
+        if type(self.n) is not int:
+            raise ValueError(f"strand count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"strand count must be >= 1, got {self.n}")
         for x in self.letters:
-            if not isinstance(x, int) or x == 0 or not (1 <= abs(x) <= self.n - 1):
+            if type(x) is not int or x == 0 or not (1 <= abs(x) <= self.n - 1):
                 raise ValueError(f"letter {x!r} is not valid on {self.n} strands")
 
     def __len__(self) -> int:
@@ -200,7 +198,7 @@ def _parse_word_json(s: str) -> BraidWord:
         obj = json.loads(s)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON word: {e}") from e
-    if not isinstance(obj, dict) or not isinstance(obj.get("n"), int):
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise ParseError("JSON word must be an object with an integer field 'n'")
     raw = obj.get("letters", [])
     if not isinstance(raw, list):
@@ -213,7 +211,7 @@ def _parse_word_json(s: str) -> BraidWord:
         if not isinstance(entry, dict) or entry.get("kind") not in (CLASSICAL, VIRTUAL):
             raise ParseError(f"bad letter entry {entry!r}")
         idx = entry.get("i")
-        if not isinstance(idx, int) or idx < 1:
+        if type(idx) is not int or idx < 1:
             raise ParseError(f"bad letter index in {entry!r}")
         if idx > n - 1:
             raise ParseError(f"letter index {idx} out of range for n={n}")
@@ -230,7 +228,8 @@ def serialize(word: BraidWord, format: str = TEXT) -> str:
     if format == JSON:
         return json.dumps({
             "n": word.n,
-            "letters": [{"kind": letter_kind(x), "i": abs(x)} for x in word.letters],
+            "letters": [{"kind": CLASSICAL if x > 0 else VIRTUAL, "i": abs(x)}
+                        for x in word.letters],
         })
     raise ValueError(f"unknown format {format!r}")
 

@@ -13,7 +13,29 @@ from freebraid import (
     StrandPartition,
     is_cyclic,
     permutation,
+    virtual,
 )
+
+
+def permutation_braid(q: Permutation) -> BraidWord:
+    """A virtual-only word realizing q, built by selection sort.
+
+    The strand destined for the leftmost unfinished slot is walked there by
+    adjacent virtual transpositions, which makes the representative
+    deterministic.  Concatenating it to a word gives the completed closure
+    that `q_gaussian_parity` walks directly; the tests use it as the
+    reference.
+    """
+    arrangement = list(range(1, q.n + 1))
+    inv = q.inverse()
+    letters: list[int] = []
+    for slot in range(1, q.n + 1):
+        target = inv(slot)
+        c = arrangement.index(target) + 1
+        for pos in range(c - 1, slot - 1, -1):
+            letters.append(virtual(pos))
+            arrangement[pos - 1], arrangement[pos] = arrangement[pos], arrangement[pos - 1]
+    return BraidWord(q.n, tuple(letters))
 
 
 def random_word(rng: random.Random, n: int, length: int) -> BraidWord:

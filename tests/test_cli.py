@@ -118,6 +118,13 @@ def test_distinguish_wording(capsys):
     assert "inconclusive" in out
 
 
+def test_distinguish_rejects_mismatched_strand_counts(capsys):
+    code, out, err = run(capsys, "distinguish", "--parity", "gaussian", "n=2; z1", "n=3; z1 z2")
+    assert code == 2
+    assert out == ""
+    assert err == "freebraid: strand counts differ: 2 vs 3\n"
+
+
 def test_scramble_deterministic(capsys):
     args = ("scramble", "--steps", "50", "--seed", "9", "--max-length", "30", "n=3; z1 z2")
     code, out1, _ = run(capsys, *args)

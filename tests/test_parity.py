@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freebraid import (
     BraidWord,
@@ -19,17 +20,18 @@ from freebraid import (
     chord_diagram,
     component_parity,
     gaussian_parity,
+    is_cyclic,
     linked,
     parse_scheme,
     parse_word,
     permutation,
-    permutation_braid,
     q_gaussian_parity,
 )
 from freebraid.scenarios import BRUNNIAN_TEXT
 
 from helpers import (
     completion_for,
+    permutation_braid,
     random_cycle,
     random_cyclic_word,
     random_partition,
@@ -80,7 +82,8 @@ def test_chord_diagram_brunnian_shape():
 
 
 def test_chord_diagram_needs_cyclic_closure():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=(
+            "closure has 3 components; the chord diagram requires a cyclic permutation")):
         chord_diagram(parse_word("n=3; z1 z1"))
 
 
@@ -123,7 +126,8 @@ def test_gaussian_parity_brunnian_all_odd():
 
 
 def test_gaussian_parity_diagnostic_message():
-    with pytest.raises(PreconditionError, match="closure has 3 components"):
+    with pytest.raises(PreconditionError, match=(
+            "closure has 3 components; Gaussian parity requires a cyclic permutation")):
         gaussian_parity(parse_word("n=3; z1 z1"))
 
 
@@ -139,6 +143,29 @@ def _linking_counts(seq):
                 cnt += 1
         out[c] = cnt % 2
     return out
+
+
+def _reference_parities(word, q=None):
+    """Pairwise linking counts on the chord diagram of word, extended by q's virtual braid."""
+    extended = word if q is None else word * permutation_braid(q)
+    counts = _linking_counts(chord_diagram(extended).gauss_sequence)
+    return {c: Parity.ODD if k else Parity.EVEN for c, k in counts.items()}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 40), st.randoms(use_true_random=False))
+def test_endpoint_gap_parities_match_pairwise_linking_reference(n, length, rng):
+    word = random_word(rng, n, length)
+    q = completion_for(rng, word)
+    expected = _reference_parities(word, q)
+    for got in (q_gaussian_parity(word, q), gaussian_parity(word * permutation_braid(q))):
+        assert got.parities == expected
+        assert list(got.parities) == list(expected)
+    if is_cyclic(permutation(word)):
+        expected = _reference_parities(word)
+        got = gaussian_parity(word)
+        assert got.parities == expected
+        assert list(got.parities) == list(expected)
 
 
 def test_gaussian_parity_is_rotation_invariant():
@@ -164,7 +191,8 @@ def test_q_gaussian_two_crossings_odd():
 
 
 def test_q_gaussian_identity_completion_requires_cyclic_composite():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=(
+            "completed permutation has 2 cycles; the completion must make it cyclic")):
         q_gaussian_parity(BraidWord(2, (1, 1)), Permutation.identity(2))
 
 

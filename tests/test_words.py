@@ -34,7 +34,11 @@ def test_parse_brunnian_word():
     assert w.classical_count == 8
 
 
-@pytest.mark.parametrize("text", ["n=3; z3", "n=2; q1", "z0", "n=2; z1 x", "n=0;"])
+@pytest.mark.parametrize("text", [
+    "n=3; z3", "n=2; q1", "z0", "n=2; z1 x", "n=0;",
+    '{"n": true, "letters": []}',
+    '{"n": 2, "letters": [{"kind": "classical", "i": true}]}',
+])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_word(text)
@@ -45,6 +49,10 @@ def test_letters_validated_on_construction():
         BraidWord(2, (2,))
     with pytest.raises(ValueError):
         BraidWord(1, (1,))
+    with pytest.raises(ValueError, match="not valid on 3 strands"):
+        BraidWord(3, (True,))
+    with pytest.raises(ValueError, match="strand count must be an integer"):
+        BraidWord(True)
 
 
 def test_serialize_examples():
