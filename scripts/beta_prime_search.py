@@ -17,8 +17,9 @@ appended-block family the repository ships as its default reading.
 import argparse
 import itertools
 
-from freebraid import BraidWord, GaussianScheme, Parity
-from freebraid import bracket, chord_diagram, closure_components
+from freebraid import BraidWord, Parity
+from freebraid import chord_diagram, closure_components
+from freebraid.bracket import _bracket_with
 from freebraid import gaussian_parity, is_cyclic, linked, permutation, serialize, strand_trace
 from freebraid.scenarios import brunnian_word, shifted_brunnian_letters, trivial_components
 
@@ -29,7 +30,7 @@ def evaluate(word, added, original_pairs):
     parities = gaussian_parity(word)
     if not all(parities.parity_of(t) is Parity.EVEN for t in added):
         return None
-    br = bracket(word, GaussianScheme())
+    br = _bracket_with(word, parities)
     ncomp, cycles = closure_components(br.word)
     if ncomp != 3:
         return None

@@ -21,7 +21,7 @@ from .normalform import (
     irreducible_form_tracked,
     strongly_equal,
 )
-from .parity import ParityScheme
+from .parity import ParityAssignment, ParityScheme
 from .words import BraidWord, PreconditionError, permutation
 
 
@@ -35,10 +35,14 @@ class BracketResult:
 
 def bracket(word: BraidWord, scheme: ParityScheme) -> BracketResult:
     """Delete even classical letters; virtual and odd classical letters survive in order."""
-    assignment = scheme.assignment(word)
-    kept = tuple(t for t, x in enumerate(word.letters)
-                 if x < 0 or assignment.is_odd(t))
-    return BracketResult(BraidWord(word.n, tuple(word.letters[t] for t in kept)), kept)
+    return _bracket_with(word, scheme.assignment(word))
+
+
+def _bracket_with(word: BraidWord, assignment: ParityAssignment) -> BracketResult:
+    """The bracket under an assignment already computed for word."""
+    kept = tuple([t for t, x in enumerate(word.letters)
+                  if x < 0 or assignment.is_odd(t)])
+    return BracketResult(BraidWord(word.n, tuple([word.letters[t] for t in kept])), kept)
 
 
 def brackets_equal(w1: BraidWord, w2: BraidWord, scheme: ParityScheme) -> bool:

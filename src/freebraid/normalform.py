@@ -6,6 +6,14 @@ word's class under the move set F.  Iterated deletion terminates, and all
 maximal reduction orders agree up to strong equivalence, so irreducible
 forms plus the canonical code below decide F-equality.
 
+Reduction runs in O(L log L) for a word of L letters: one strand trace, one
+pass that links every classical letter to its neighbours on both of its
+strands, and a min-heap of bigon first letters, popped leftmost first.
+Deleting a bigon p, q changes no other classical letter's strand pair and no
+order along any strand (a virtual letter between p and q only has the pair's
+two strands swapped), so the deletion is a splice of both strands' links, and
+only the two splice points, p's predecessors, can start a new bigon.
+
 Strong equivalence (all F moves except classical pair cancellation) is
 decided by canonicalizing the crossing graph: virtual crossings are
 invisible to it, so the data is just which crossings each strand meets, in
@@ -17,8 +25,9 @@ which canonicalizes structure-preserving graph isomorphism in linear time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .words import BraidWord, Permutation, PreconditionError, permutation, strand_trace
+from .words import BraidWord, PreconditionError, permutation, strand_trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,43 +36,57 @@ class Bigon:
     strands: frozenset[int]
 
 
-def _classical_strand_sequences(word: BraidWord) -> tuple[dict[int, tuple[int, int]], list[list[int]]]:
-    """Per classical letter its strand pair; per strand its classical letters in order."""
+def _strand_links(word: BraidWord) -> tuple[tuple[tuple[int, int], ...], list[int], list[int], list[int]]:
+    """Doubly linked classical letters along every strand, plus the bigon starts.
+
+    Classical letter t with strand pair a < b is node 2t on strand a and node
+    2t + 1 on strand b; nxt and prv hold each node's neighbour on its strand,
+    or -1.  A bigon is fixed by its first letter p: both of p's nodes have
+    successors on the same letter q.  Returns the strand trace, nxt, prv and
+    the sorted bigon first letters.
+    """
     trace = strand_trace(word)
-    pair_of = {}
-    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]  # 1-based
+    nxt = [-1] * (2 * len(trace))
+    prv = nxt.copy()
+    last = [-1] * (word.n + 1)  # 1-based: the last node seen on each strand
+    starts = []
     for t, x in enumerate(word.letters):
         if x > 0:
             a, b = trace[t]
-            pair_of[t] = (a, b)
-            seqs[a].append(t)
-            seqs[b].append(t)
-    return pair_of, seqs
+            la, lb = last[a], last[b]
+            if la >= 0:
+                nxt[la] = 2 * t
+                prv[2 * t] = la
+            if lb >= 0:
+                nxt[lb] = 2 * t + 1
+                prv[2 * t + 1] = lb
+                if la >> 1 == lb >> 1:
+                    starts.append(lb >> 1)
+            last[a] = 2 * t
+            last[b] = 2 * t + 1
+    starts.sort()
+    return trace, nxt, prv, starts
+
+
+def _bigon_end(nxt: list[int], p: int) -> int | None:
+    """The last letter of the bigon that letter p starts, or None."""
+    q = nxt[2 * p] >> 1
+    return q if q >= 0 and nxt[2 * p + 1] >> 1 == q else None
 
 
 def find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
     """All bigons, sorted by positions.  Virtual letters never block one."""
-    pair_of, seqs = _classical_strand_sequences(word)
-    index_on: list[dict[int, int]] = [{t: k for k, t in enumerate(seq)} for seq in seqs]
-    found = set()
-    for s in range(1, word.n + 1):
-        seq = seqs[s]
-        for k in range(len(seq) - 1):
-            p, q = seq[k], seq[k + 1]
-            if pair_of[p] != pair_of[q]:
-                continue
-            a, b = pair_of[p]
-            other = b if s == a else a
-            if index_on[other][q] == index_on[other][p] + 1:
-                found.add((p, q))
-    return tuple(Bigon((p, q), frozenset(pair_of[p])) for p, q in sorted(found))
+    trace, nxt, _, starts = _strand_links(word)
+    return tuple([Bigon((p, _bigon_end(nxt, p)), frozenset(trace[p])) for p in starts])
 
 
 def reduce_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
     """Delete the bigon's two letters; the classical count drops by two."""
-    if bigon not in find_bigons(word):
-        raise PreconditionError(f"stale bigon {bigon}: not present in the word")
+    trace, nxt, _, _ = _strand_links(word)
     p, q = bigon.positions
+    if not (0 <= p < len(trace) and _bigon_end(nxt, p) == q
+            and bigon.strands == frozenset(trace[p])):
+        raise PreconditionError(f"stale bigon {bigon}: not present in the word")
     letters = word.letters
     return BraidWord(word.n, letters[:p] + letters[p + 1:q] + letters[q + 1:])
 
@@ -74,18 +97,31 @@ def irreducible_form(word: BraidWord) -> BraidWord:
 
 
 def irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tuple[int, ...]]:
-    """Irreducible form plus the surviving letters' positions in the input."""
-    current = word
-    kept = list(range(len(word.letters)))
-    while True:
-        bigons = find_bigons(current)
-        if not bigons:
-            return current, tuple(kept)
-        p, q = bigons[0].positions
-        letters = current.letters
-        current = BraidWord(word.n, letters[:p] + letters[p + 1:q] + letters[q + 1:])
-        del kept[q]
-        del kept[p]
+    """Irreducible form plus the surviving letters' positions in the input.
+
+    Pops candidate first letters from a min-heap, so the leftmost bigon of
+    the current word is always the one deleted.  A popped letter is skipped
+    if it is gone or no longer starts a bigon.  After a deletion only the two
+    splice points, p's predecessors on its strands, can start a new bigon.
+    """
+    _, nxt, prv, heap = _strand_links(word)
+    alive = bytearray(b"\x01") * len(word.letters)
+    while heap:
+        p = heappop(heap)
+        q = _bigon_end(nxt, p) if alive[p] else None
+        if q is None:
+            continue
+        alive[p] = alive[q] = 0
+        for side in (0, 1):
+            before, after = prv[2 * p + side], nxt[2 * q + side]
+            if after >= 0:
+                prv[after] = before
+            if before >= 0:
+                nxt[before] = after
+                heappush(heap, before >> 1)
+    kept = tuple([t for t in range(len(alive)) if alive[t]])
+    letters = word.letters
+    return BraidWord(word.n, tuple([letters[t] for t in kept])), kept
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +145,13 @@ class CanonicalCode:
 
 
 def canonical_code(word: BraidWord) -> CanonicalCode:
-    _, seqs = _classical_strand_sequences(word)
+    trace = strand_trace(word)
+    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]  # 1-based
+    for t, x in enumerate(word.letters):
+        if x > 0:
+            a, b = trace[t]
+            seqs[a].append(t)
+            seqs[b].append(t)
     label: dict[int, int] = {}
     for s in range(1, word.n + 1):
         for t in seqs[s]:
@@ -119,7 +161,8 @@ def canonical_code(word: BraidWord) -> CanonicalCode:
         n=word.n,
         permutation=permutation(word).image,
         crossing_count=len(label),
-        strand_sequences=tuple(tuple(label[t] for t in seqs[s]) for s in range(1, word.n + 1)),
+        strand_sequences=tuple([tuple([label[t] for t in seqs[s]])
+                                for s in range(1, word.n + 1)]),
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bracket import bracket, verify_reproduction
+from .bracket import _bracket_with, verify_reproduction
 from .moves import MoveSet, scramble
 from .normalform import find_bigons
 from .parity import GaussianScheme, Parity, gaussian_parity
@@ -114,7 +114,7 @@ def scenario_brunnian(seed: int = 0, steps: int = 1000, max_length: int = 200) -
     cyclic = is_cyclic(permutation(word))
     assignment = gaussian_parity(word)
     bigons = find_bigons(word)
-    br = bracket(word, GaussianScheme())
+    br = _bracket_with(word, assignment)
     scrambled, _ = scramble(word, steps, MoveSet.FB, seed, max_length)
     rep = verify_reproduction(word, scrambled, GaussianScheme())
     return BrunnianReport(
@@ -227,7 +227,7 @@ def scenario_beta_prime(word: BraidWord | None = None,
         if not (0 <= t < len(word.letters)) or word.letters[t] <= 0:
             raise PreconditionError(f"position {t} is not a classical letter of the word")
     assignment = gaussian_parity(word)
-    br = bracket(word, GaussianScheme())
+    br = _bracket_with(word, assignment)
     ncomp, cycles = closure_components(br.word)
     trivial = trivial_components(br.word, cycles)
     note = ("built-in word is one reading of a braid usually given as a diagram; "

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from freebraid import (
+    Bigon,
     BraidWord,
     ComponentScheme,
     GaussianScheme,
@@ -13,6 +14,7 @@ from freebraid import (
     StrandPartition,
     is_cyclic,
     permutation,
+    strand_trace,
     virtual,
 )
 
@@ -36,6 +38,59 @@ def permutation_braid(q: Permutation) -> BraidWord:
             letters.append(virtual(pos))
             arrangement[pos - 1], arrangement[pos] = arrangement[pos], arrangement[pos - 1]
     return BraidWord(q.n, tuple(letters))
+
+
+def _classical_strand_sequences(word: BraidWord) -> tuple[dict[int, tuple[int, int]], list[list[int]]]:
+    """Per classical letter its strand pair; per strand its classical letters in order."""
+    trace = strand_trace(word)
+    pair_of = {}
+    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]  # 1-based
+    for t, x in enumerate(word.letters):
+        if x > 0:
+            a, b = trace[t]
+            pair_of[t] = (a, b)
+            seqs[a].append(t)
+            seqs[b].append(t)
+    return pair_of, seqs
+
+
+def reference_find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
+    """`find_bigons` by scanning every strand's classical sequence.
+
+    The reference for the linked builder in `normalform`.
+    """
+    pair_of, seqs = _classical_strand_sequences(word)
+    index_on: list[dict[int, int]] = [{t: k for k, t in enumerate(seq)} for seq in seqs]
+    found = set()
+    for s in range(1, word.n + 1):
+        seq = seqs[s]
+        for k in range(len(seq) - 1):
+            p, q = seq[k], seq[k + 1]
+            if pair_of[p] != pair_of[q]:
+                continue
+            a, b = pair_of[p]
+            other = b if s == a else a
+            if index_on[other][q] == index_on[other][p] + 1:
+                found.add((p, q))
+    return tuple(Bigon((p, q), frozenset(pair_of[p])) for p, q in sorted(found))
+
+
+def reference_irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tuple[int, ...]]:
+    """`irreducible_form_tracked` by rescanning the whole word after every deletion.
+
+    The reference for the heap-and-splice reduction in `normalform`.
+    """
+    current = word
+    kept = list(range(len(word.letters)))
+    while True:
+        bigons = reference_find_bigons(current)
+        if not bigons:
+            return current, tuple(kept)
+        p, q = bigons[0].positions
+        letters = current.letters
+        current = BraidWord(word.n, letters[:p] + letters[p + 1:q] + letters[q + 1:])
+        del kept[q]
+        del kept[p]
 
 
 def random_word(rng: random.Random, n: int, length: int) -> BraidWord:

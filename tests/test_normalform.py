@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,13 @@ from freebraid import (
 )
 from freebraid.scenarios import BRUNNIAN_TEXT
 
-from helpers import random_word
-from strategies import braid_words
+from helpers import (
+    random_cyclic_word,
+    random_word,
+    reference_find_bigons,
+    reference_irreducible_form_tracked,
+)
+from strategies import bigon_rich_words, braid_words
 
 
 def test_find_bigons_pair_cancellation_case():
@@ -75,6 +81,44 @@ def test_irreducible_form_tracked_positions():
     reduced, kept = irreducible_form_tracked(word)
     assert reduced == parse_word("n=2; t1 t1")
     assert kept == (1, 3)
+
+
+@settings(max_examples=500)
+@given(bigon_rich_words(max_n=8, max_len=60))
+def test_reduction_matches_rescan_reference(word):
+    assert irreducible_form_tracked(word) == reference_irreducible_form_tracked(word)
+    assert find_bigons(word) == reference_find_bigons(word)
+
+
+def test_reduction_matches_rescan_reference_on_long_words():
+    rng = random.Random(1600)
+    for length in (1599, 1599, 1799):
+        letters = list(random_cyclic_word(rng, 8, length).letters)
+        for _ in range(length // 40):
+            i = rng.randint(1, 7)
+            at = rng.randint(0, len(letters))
+            letters[at:at] = [i] + [-rng.randint(1, 7) for _ in range(rng.randint(0, 2))] + [i]
+        word = BraidWord(8, tuple(letters))
+        reduced, kept = irreducible_form_tracked(word)
+        assert (reduced, kept) == reference_irreducible_form_tracked(word)
+        assert len(kept) < len(letters)
+        assert find_bigons(word) == reference_find_bigons(word)
+
+
+def test_canonical_code_leaves_no_tuples_behind():
+    # Tuples built from a generator are resized as they grow and, once freed,
+    # pile up on the free list of their final size: about 480 KiB here.
+    word = parse_word("n=4; z1 z2 z3 z1 z2 z3 z1 t2 z3 z2 z1")
+    canonical_code(word)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5000):
+            canonical_code(word)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024
 
 
 @given(braid_words(min_n=2, max_n=4, max_len=10))
