@@ -52,6 +52,9 @@ def brackets_equal(w1: BraidWord, w2: BraidWord, scheme: ParityScheme) -> bool:
     return f_equal(bracket(w1, scheme).word, bracket(w2, scheme).word)
 
 
+_NOT_ODD_IRREDUCIBLE = "the target word is not odd and irreducible under the scheme"
+
+
 def is_odd_irreducible(word: BraidWord, scheme: ParityScheme) -> bool:
     """True iff every classical letter is odd and no bigon reduction applies."""
     return scheme.assignment(word).all_odd() and not find_bigons(word)
@@ -91,7 +94,12 @@ def verify_reproduction(beta: BraidWord, beta_prime: BraidWord,
     if beta.n != beta_prime.n:
         raise PreconditionError(f"strand counts differ: {beta.n} vs {beta_prime.n}")
     if not is_odd_irreducible(beta, scheme):
-        raise PreconditionError("the target word is not odd and irreducible under the scheme")
+        raise PreconditionError(_NOT_ODD_IRREDUCIBLE)
+    return _reproduce(beta, beta_prime, scheme)
+
+
+def _reproduce(beta: BraidWord, beta_prime: BraidWord, scheme: ParityScheme) -> ReproductionReport:
+    """`verify_reproduction` for a beta already known to be odd and irreducible."""
     if permutation(beta_prime) != permutation(beta):
         return ReproductionReport(
             success=False, witness_positions=None, reduced_code=None,

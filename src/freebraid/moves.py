@@ -5,14 +5,26 @@ commutativity, and the virtual / semivirtual / classical triple slides
 (R3).  The move set F admits everything except the classical R3; FB admits
 all of it; STRONG is F without the classical R2.  Every relation preserves
 the endpoint permutation.
+
+One matcher, `_match_at`, finds the non-insertion move whose source
+starts at a given offset; `scramble`, `bfs_ball` and `applicable_moves`
+all read it.  A match at offset q reads only letters q..q+2, so a move at
+p with source length s and target length t changes only the matches at
+offsets [p-2, p+t) of the new word.  `scramble` keeps one flag per offset
+saying whether a move matches there, rescans just that window and splices
+its flags over the old [p-2, p+s); the tail's flags carry no offset, so
+they shift as they are.  Prefix sums of the flags locate the drawn match,
+and only that offset is matched again to read it.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .words import BraidWord, ParseError, PreconditionError
 
@@ -109,6 +121,13 @@ def relation_sides(relation: Relation, i: int, j: int | None = None) -> tuple[tu
     raise ValueError(f"unknown relation {relation!r}")
 
 
+def _oriented_sides(relation: Relation, i: int, direction: Direction,
+                   j: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(source, target) of a relation instance applied in direction."""
+    left, right = relation_sides(relation, i, j)
+    return (left, right) if direction is Direction.LEFT_TO_RIGHT else (right, left)
+
+
 @dataclass(frozen=True, slots=True)
 class MoveInstance:
     """One relation applied at a letter offset, in one of the two directions.
@@ -126,8 +145,7 @@ class MoveInstance:
 
     def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(source, target) letter sequences, oriented by direction."""
-        left, right = relation_sides(self.relation, self.i, self.j)
-        return (left, right) if self.direction is Direction.LEFT_TO_RIGHT else (right, left)
+        return _oriented_sides(self.relation, self.i, self.direction, self.j)
 
     def inverse(self) -> "MoveInstance":
         flipped = (Direction.RIGHT_TO_LEFT
@@ -181,84 +199,97 @@ class LetterCorrespondence:
         return pos - (self.result_window - self.source_window)
 
 
-def _match_instances(letters: tuple[int, ...], rels: frozenset[Relation]) -> list[MoveInstance]:
-    """Non-insertion instances whose source side matches, in scan order."""
-    R = Relation
-    L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
-    out = []
-    L = len(letters)
-    for p in range(L - 1):
-        a, b = letters[p], letters[p + 1]
-        if a == b:
-            if a < 0 and R.VIRTUAL_R2 in rels:
-                out.append(MoveInstance(R.VIRTUAL_R2, -a, p, L2R))
-            elif a > 0 and R.CLASSICAL_R2 in rels:
-                out.append(MoveInstance(R.CLASSICAL_R2, a, p, L2R))
-        if b == -a and R.VIRTUALIZATION in rels:
-            out.append(MoveInstance(R.VIRTUALIZATION, abs(a), p, L2R if a < 0 else R2L))
-        ia, ib = abs(a), abs(b)
-        if abs(ia - ib) >= 2:
-            if a > 0 and b > 0 and R.FAR_COMM_ZZ in rels:
-                out.append(MoveInstance(R.FAR_COMM_ZZ, min(a, b), p,
-                                        L2R if a < b else R2L, j=max(a, b)))
-            elif a < 0 and b < 0 and R.FAR_COMM_TT in rels:
-                out.append(MoveInstance(R.FAR_COMM_TT, min(ia, ib), p,
-                                        L2R if ia < ib else R2L, j=max(ia, ib)))
-            elif (a > 0) != (b > 0) and R.FAR_COMM_ZT in rels:
-                if a > 0:
-                    out.append(MoveInstance(R.FAR_COMM_ZT, a, p, L2R, j=ib))
-                else:
-                    out.append(MoveInstance(R.FAR_COMM_ZT, b, p, R2L, j=ia))
-        if p + 2 < L:
-            c = letters[p + 2]
-            if a == c:
-                if a < 0 and b < 0 and R.VIRTUAL_R3 in rels:
-                    if ib == ia + 1:
-                        out.append(MoveInstance(R.VIRTUAL_R3, ia, p, L2R))
-                    elif ib == ia - 1:
-                        out.append(MoveInstance(R.VIRTUAL_R3, ib, p, R2L))
-                elif a > 0 and R.CLASSICAL_R3 in rels:
-                    if b == a + 1:
-                        out.append(MoveInstance(R.CLASSICAL_R3, a, p, L2R))
-                    elif b == a - 1:
-                        out.append(MoveInstance(R.CLASSICAL_R3, b, p, R2L))
-            if R.SEMIVIRTUAL_R3 in rels:
-                if a < 0 and b == a - 1 and c == ia:
-                    out.append(MoveInstance(R.SEMIVIRTUAL_R3, ia, p, L2R))
-                elif a > 1 and b == -(a - 1) and c == -a:
-                    out.append(MoveInstance(R.SEMIVIRTUAL_R3, a - 1, p, R2L))
-    return out
+(_VIRTUAL_R2, _CLASSICAL_R2, _VIRTUALIZATION, _FAR_COMM_ZZ, _FAR_COMM_ZT, _FAR_COMM_TT,
+ _VIRTUAL_R3, _SEMIVIRTUAL_R3, _CLASSICAL_R3) = _ALL_RELATIONS
+_FWD, _REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
 
-def _insertion_instances(word_len: int, n: int, rels: frozenset[Relation]) -> list[MoveInstance]:
-    out = []
-    for p in range(word_len + 1):
-        for rel in _R2_RELATIONS:
-            if rel in rels:
-                for i in range(1, n):
-                    out.append(MoveInstance(rel, i, p, Direction.RIGHT_TO_LEFT))
-    return out
+def _relation_flags(rels: frozenset[Relation]) -> tuple[bool, ...]:
+    """One bool per relation, in declaration order: the switches of `_match_at`."""
+    return tuple(rel in rels for rel in _ALL_RELATIONS)
+
+
+def _match_at(letters: tuple[int, ...], p: int,
+              flags: tuple[bool, ...]) -> tuple[Relation, int, Direction, int | None] | None:
+    """The non-insertion move whose source side starts at offset p, or None.
+
+    The move is a `(relation, i, direction, j)` tuple that depends only on
+    letters[p:p + 3].  At most one relation matches at an offset: pair
+    cancellation needs b == a, virtualization b == -a, far commutativity
+    |a| and |b| at least 2 apart and every triple slide |a| and |b|
+    adjacent, and among the slides c == -a sets the semivirtual one apart.
+    Offsets 0, 1, ... in turn therefore give the scan order that `scramble`
+    draws from and `bfs_ball` discovers in.
+    """
+    if p + 1 >= len(letters):
+        return None
+    virtual_r2, classical_r2, virtualization, zz, zt, tt, virtual_r3, semivirtual_r3, classical_r3 = flags
+    a, b = letters[p], letters[p + 1]
+    ia, ib = abs(a), abs(b)
+    if a == b:
+        if a < 0:
+            return (_VIRTUAL_R2, ia, _FWD, None) if virtual_r2 else None
+        return (_CLASSICAL_R2, a, _FWD, None) if classical_r2 else None
+    if b == -a:
+        return (_VIRTUALIZATION, ia, _FWD if a < 0 else _REV, None) if virtualization else None
+    if abs(ia - ib) >= 2:
+        if a > 0 and b > 0:
+            return (_FAR_COMM_ZZ, min(a, b), _FWD if a < b else _REV, max(a, b)) if zz else None
+        if a < 0 and b < 0:
+            return (_FAR_COMM_TT, min(ia, ib), _FWD if ia < ib else _REV, max(ia, ib)) if tt else None
+        if not zt:
+            return None
+        return (_FAR_COMM_ZT, a, _FWD, ib) if a > 0 else (_FAR_COMM_ZT, b, _REV, ia)
+    if p + 2 >= len(letters):
+        return None
+    c = letters[p + 2]
+    if c == a:
+        if a < 0 and b < 0 and virtual_r3:
+            return (_VIRTUAL_R3, ia, _FWD, None) if ib == ia + 1 else (_VIRTUAL_R3, ib, _REV, None)
+        if a > 0 and b > 0 and classical_r3:
+            return (_CLASSICAL_R3, a, _FWD, None) if b == a + 1 else (_CLASSICAL_R3, b, _REV, None)
+        return None
+    if semivirtual_r3:
+        if a < 0 and b == a - 1 and c == ia:
+            return (_SEMIVIRTUAL_R3, ia, _FWD, None)
+        if a > 1 and b == -(a - 1) and c == -a:
+            return (_SEMIVIRTUAL_R3, a - 1, _REV, None)
+    return None
 
 
 def applicable_moves(word: BraidWord, moveset: MoveSet = MoveSet.FB) -> tuple[MoveInstance, ...]:
     """Every applicable instance, insertions included, sorted by
     (position, relation, direction, indices)."""
     rels = relations_in(moveset)
-    out = _match_instances(word.letters, rels)
-    out += _insertion_instances(len(word.letters), word.n, rels)
+    flags = _relation_flags(rels)
+    letters = word.letters
+    out = []
+    for p in range(len(letters)):
+        match = _match_at(letters, p, flags)
+        if match is not None:
+            rel, i, direction, j = match
+            out.append(MoveInstance(rel, i, p, direction, j))
+    out += [MoveInstance(rel, i, p, _REV)
+            for p in range(len(letters) + 1)
+            for rel in _R2_RELATIONS if rel in rels
+            for i in range(1, word.n)]
     out.sort(key=MoveInstance.sort_key)
     return tuple(out)
 
 
-def _apply_to_letters(letters: tuple[int, ...], m: MoveInstance) -> tuple[int, ...]:
-    source, target = m.sides()
-    p = m.position
+def _rewrite(letters: tuple[int, ...], p: int, source: tuple[int, ...], target: tuple[int, ...],
+             relation: Relation, direction: Direction) -> tuple[int, ...]:
+    """letters with source, which must sit at offset p, replaced by target."""
     if not (0 <= p <= len(letters) - len(source)):
         raise PreconditionError(f"move position {p} out of range")
     if letters[p:p + len(source)] != source:
         raise PreconditionError(
-            f"{m.relation.value} ({m.direction.value}) does not match at position {p}")
+            f"{relation.value} ({direction.value}) does not match at position {p}")
     return letters[:p] + target + letters[p + len(source):]
+
+
+def _apply_to_letters(letters: tuple[int, ...], m: MoveInstance) -> tuple[int, ...]:
+    return _rewrite(letters, m.position, *m.sides(), m.relation, m.direction)
 
 
 def apply_move_word(word: BraidWord, m: MoveInstance) -> BraidWord:
@@ -292,7 +323,8 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     Each step draws uniformly from the applicable instances, except that
     insertions are excluded whenever they would push the word past
     max_length.  The result is equivalent to the input in the chosen move
-    set.
+    set.  Whether a move matches is kept per offset and only the window a
+    move touches is rescanned (see the module docstring).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -300,27 +332,37 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         raise ValueError("max_length must be at least the current word length")
     rng = random.Random(seed)
     rels = relations_in(moveset)
+    flags = _relation_flags(rels)
     ins_kinds = [rel for rel in _R2_RELATIONS if rel in rels]
     letters = word.letters
     n = word.n
+    matched = [_match_at(letters, p, flags) is not None for p in range(len(letters))]
     history: list[MoveInstance] = []
     for _ in range(steps):
-        matches = _match_instances(letters, rels)
         L = len(letters)
+        ends = list(accumulate(matched))
+        n_matches = ends[-1] if ends else 0
         per_kind = (n - 1) * (L + 1)
         ins_total = per_kind * len(ins_kinds) if (L + 2 <= max_length and n >= 2) else 0
-        total = len(matches) + ins_total
+        total = n_matches + ins_total
         if total == 0:
             break
         r = rng.randrange(total)
-        if r < len(matches):
-            m = matches[r]
+        if r < n_matches:
+            p = bisect_right(ends, r)
+            rel, i, direction, j = _match_at(letters, p, flags)
+            m = MoveInstance(rel, i, p, direction, j)
         else:
-            q = r - len(matches)
+            q = r - n_matches
             rel = ins_kinds[q // per_kind]
             q %= per_kind
-            m = MoveInstance(rel, q // (L + 1) + 1, q % (L + 1), Direction.RIGHT_TO_LEFT)
-        letters = _apply_to_letters(letters, m)
+            p = q % (L + 1)
+            m = MoveInstance(rel, q // (L + 1) + 1, p, _REV)
+        source, target = m.sides()
+        letters = _rewrite(letters, p, source, target, m.relation, m.direction)
+        lo = max(p - 2, 0)
+        matched[lo:p + len(source)] = [_match_at(letters, q, flags) is not None
+                                       for q in range(lo, p + len(target))]
         history.append(m)
     return BraidWord(n, letters), tuple(history)
 

@@ -13,7 +13,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .moves import MoveSet, _apply_to_letters, _insertion_instances, _match_instances, relations_in
+from .moves import (
+    _R2_RELATIONS,
+    MoveSet,
+    _match_at,
+    _oriented_sides,
+    _relation_flags,
+    _rewrite,
+    relation_sides,
+    relations_in,
+)
 from .words import BraidWord, PreconditionError
 
 
@@ -54,18 +63,33 @@ def bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
     if length_bound < len(word.letters):
         raise PreconditionError("length bound must be at least the origin's length")
     rels = relations_in(moveset)
+    flags = _relation_flags(rels)
     n = word.n
+    inserted = [relation_sides(rel, i)[0] for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
+    # The match at offset p depends only on letters[p:p + 3], so it and its
+    # oriented sides are computed once per distinct window.
+    rewrites: dict[tuple[int, ...], tuple | None] = {}
     seen: set[tuple[int, ...]] = {word.letters}
     order: list[tuple[int, ...]] = [word.letters]
     queue: deque[tuple[int, ...]] = deque([word.letters])
     cap_exceeded = False
     while queue:
         letters = queue.popleft()
-        instances = _match_instances(letters, rels)
+        neighbors = []
+        for p in range(len(letters) - 1):
+            window = letters[p:p + 3]
+            if window not in rewrites:
+                match = _match_at(window, 0, flags)
+                rewrites[window] = None if match is None else (
+                    *_oriented_sides(*match), match[0], match[2])
+            rewrite = rewrites[window]
+            if rewrite is not None:
+                neighbors.append(_rewrite(letters, p, *rewrite))
         if len(letters) + 2 <= length_bound:
-            instances += _insertion_instances(len(letters), n, rels)
-        for m in instances:
-            neighbor = _apply_to_letters(letters, m)
+            for p in range(len(letters) + 1):
+                head, tail = letters[:p], letters[p:]
+                neighbors += [head + pair + tail for pair in inserted]
+        for neighbor in neighbors:
             if neighbor in seen:
                 continue
             if len(seen) >= node_cap:

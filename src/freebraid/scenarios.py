@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bracket import _bracket_with, verify_reproduction
+from .bracket import _NOT_ODD_IRREDUCIBLE, _bracket_with, _reproduce
 from .moves import MoveSet, scramble
 from .normalform import find_bigons
 from .parity import GaussianScheme, Parity, gaussian_parity
@@ -114,9 +114,11 @@ def scenario_brunnian(seed: int = 0, steps: int = 1000, max_length: int = 200) -
     cyclic = is_cyclic(permutation(word))
     assignment = gaussian_parity(word)
     bigons = find_bigons(word)
+    if not assignment.all_odd() or bigons:
+        raise PreconditionError(_NOT_ODD_IRREDUCIBLE)
     br = _bracket_with(word, assignment)
     scrambled, _ = scramble(word, steps, MoveSet.FB, seed, max_length)
-    rep = verify_reproduction(word, scrambled, GaussianScheme())
+    rep = _reproduce(word, scrambled, GaussianScheme())
     return BrunnianReport(
         word=word,
         cyclic=cyclic,

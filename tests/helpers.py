@@ -3,20 +3,29 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from freebraid import (
     Bigon,
     BraidWord,
     ComponentScheme,
+    Direction,
+    EquivalenceBall,
     GaussianScheme,
+    MoveInstance,
+    MoveSet,
     Permutation,
+    PreconditionError,
     QGaussianScheme,
+    Relation,
     StrandPartition,
     is_cyclic,
     permutation,
+    relations_in,
     strand_trace,
     virtual,
 )
+from freebraid.moves import _apply_to_letters
 
 
 def permutation_braid(q: Permutation) -> BraidWord:
@@ -147,3 +156,139 @@ def random_scheme(rng: random.Random, word: BraidWord):
     if kind == "qgaussian" and word.n >= 1:
         return QGaussianScheme(completion_for(rng, word))
     return ComponentScheme(random_partition(rng, word.n))
+
+
+def reference_match_instances(letters: tuple[int, ...], rels: frozenset[Relation]) -> list[MoveInstance]:
+    """Non-insertion instances whose source side matches, by rescanning the whole word.
+
+    The reference for the per-position matcher in `moves`.
+    """
+    R = Relation
+    L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
+    out = []
+    L = len(letters)
+    for p in range(L - 1):
+        a, b = letters[p], letters[p + 1]
+        if a == b:
+            if a < 0 and R.VIRTUAL_R2 in rels:
+                out.append(MoveInstance(R.VIRTUAL_R2, -a, p, L2R))
+            elif a > 0 and R.CLASSICAL_R2 in rels:
+                out.append(MoveInstance(R.CLASSICAL_R2, a, p, L2R))
+        if b == -a and R.VIRTUALIZATION in rels:
+            out.append(MoveInstance(R.VIRTUALIZATION, abs(a), p, L2R if a < 0 else R2L))
+        ia, ib = abs(a), abs(b)
+        if abs(ia - ib) >= 2:
+            if a > 0 and b > 0 and R.FAR_COMM_ZZ in rels:
+                out.append(MoveInstance(R.FAR_COMM_ZZ, min(a, b), p,
+                                        L2R if a < b else R2L, j=max(a, b)))
+            elif a < 0 and b < 0 and R.FAR_COMM_TT in rels:
+                out.append(MoveInstance(R.FAR_COMM_TT, min(ia, ib), p,
+                                        L2R if ia < ib else R2L, j=max(ia, ib)))
+            elif (a > 0) != (b > 0) and R.FAR_COMM_ZT in rels:
+                if a > 0:
+                    out.append(MoveInstance(R.FAR_COMM_ZT, a, p, L2R, j=ib))
+                else:
+                    out.append(MoveInstance(R.FAR_COMM_ZT, b, p, R2L, j=ia))
+        if p + 2 < L:
+            c = letters[p + 2]
+            if a == c:
+                if a < 0 and b < 0 and R.VIRTUAL_R3 in rels:
+                    if ib == ia + 1:
+                        out.append(MoveInstance(R.VIRTUAL_R3, ia, p, L2R))
+                    elif ib == ia - 1:
+                        out.append(MoveInstance(R.VIRTUAL_R3, ib, p, R2L))
+                elif a > 0 and R.CLASSICAL_R3 in rels:
+                    if b == a + 1:
+                        out.append(MoveInstance(R.CLASSICAL_R3, a, p, L2R))
+                    elif b == a - 1:
+                        out.append(MoveInstance(R.CLASSICAL_R3, b, p, R2L))
+            if R.SEMIVIRTUAL_R3 in rels:
+                if a < 0 and b == a - 1 and c == ia:
+                    out.append(MoveInstance(R.SEMIVIRTUAL_R3, ia, p, L2R))
+                elif a > 1 and b == -(a - 1) and c == -a:
+                    out.append(MoveInstance(R.SEMIVIRTUAL_R3, a - 1, p, R2L))
+    return out
+
+
+_R2_RELATIONS = (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2)
+
+
+def reference_insertion_instances(word_len: int, n: int, rels: frozenset[Relation]) -> list[MoveInstance]:
+    out = []
+    for p in range(word_len + 1):
+        for rel in _R2_RELATIONS:
+            if rel in rels:
+                for i in range(1, n):
+                    out.append(MoveInstance(rel, i, p, Direction.RIGHT_TO_LEFT))
+    return out
+
+
+def reference_scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
+                       max_length: int) -> tuple[BraidWord, tuple[MoveInstance, ...]]:
+    """`scramble` by rescanning the whole word on every step.
+
+    The reference for the windowed rescan in `moves`.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if max_length < len(word.letters):
+        raise ValueError("max_length must be at least the current word length")
+    rng = random.Random(seed)
+    rels = relations_in(moveset)
+    ins_kinds = [rel for rel in _R2_RELATIONS if rel in rels]
+    letters = word.letters
+    n = word.n
+    history: list[MoveInstance] = []
+    for _ in range(steps):
+        matches = reference_match_instances(letters, rels)
+        L = len(letters)
+        per_kind = (n - 1) * (L + 1)
+        ins_total = per_kind * len(ins_kinds) if (L + 2 <= max_length and n >= 2) else 0
+        total = len(matches) + ins_total
+        if total == 0:
+            break
+        r = rng.randrange(total)
+        if r < len(matches):
+            m = matches[r]
+        else:
+            q = r - len(matches)
+            rel = ins_kinds[q // per_kind]
+            q %= per_kind
+            m = MoveInstance(rel, q // (L + 1) + 1, q % (L + 1), Direction.RIGHT_TO_LEFT)
+        letters = _apply_to_letters(letters, m)
+        history.append(m)
+    return BraidWord(n, letters), tuple(history)
+
+
+def reference_bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
+                       node_cap: int = 1_000_000) -> EquivalenceBall:
+    """`bfs_ball` through `MoveInstance` objects from a full rescan of every node.
+
+    The reference for the object-free neighbours in `oracle`.
+    """
+    if length_bound < len(word.letters):
+        raise PreconditionError("length bound must be at least the origin's length")
+    rels = relations_in(moveset)
+    n = word.n
+    seen: set[tuple[int, ...]] = {word.letters}
+    order: list[tuple[int, ...]] = [word.letters]
+    queue: deque[tuple[int, ...]] = deque([word.letters])
+    cap_exceeded = False
+    while queue:
+        letters = queue.popleft()
+        instances = reference_match_instances(letters, rels)
+        if len(letters) + 2 <= length_bound:
+            instances += reference_insertion_instances(len(letters), n, rels)
+        for m in instances:
+            neighbor = _apply_to_letters(letters, m)
+            if neighbor in seen:
+                continue
+            if len(seen) >= node_cap:
+                cap_exceeded = True
+                queue.clear()
+                break
+            seen.add(neighbor)
+            order.append(neighbor)
+            queue.append(neighbor)
+    members = tuple(BraidWord(n, ls) for ls in order)
+    return EquivalenceBall(word, moveset, length_bound, members, cap_exceeded)

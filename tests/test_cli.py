@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +190,13 @@ def test_scenario_beta_prime_rejects_nine_strands(capsys):
     code, _, err = run(capsys, "scenario", "beta-prime", BRUNNIAN_TEXT)
     assert code == 2
     assert "10 strands" in err
+
+
+@pytest.mark.parametrize("moveset", ["F", "FB", "strong"])
+def test_scramble_history_golden(capsys, moveset):
+    # Recorded from the full-rescan scramble: a change in match order or in the draw fails here.
+    golden = Path(__file__).parent / "golden" / f"scramble_brunnian_{moveset}.txt"
+    code, out, err = run(capsys, "scramble", "--history", "--steps", "300", "--max-length", "200",
+                         "--seed", "3", "--moveset", moveset, BRUNNIAN_TEXT)
+    assert (code, err) == (0, "")
+    assert out == golden.read_text()

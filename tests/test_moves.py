@@ -22,6 +22,7 @@ from freebraid import (
     scramble,
 )
 
+from helpers import random_word, reference_match_instances, reference_scramble
 from strategies import braid_words
 
 FWD, REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
@@ -179,3 +180,34 @@ def test_history_serialization_round_trip():
     assert parse_history(text) == history
     for line in text.splitlines():
         assert " pos=" in line and " dir=" in line
+
+
+def test_applicable_moves_match_reference():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        word = random_word(rng, n, rng.randint(0, 12))
+        for moveset in MoveSet:
+            rels = relations_in(moveset)
+            found = [m for m in applicable_moves(word, moveset)
+                     if m.direction is FWD or m.relation not in (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2)]
+            assert found == sorted(reference_match_instances(word.letters, rels), key=MoveInstance.sort_key)
+
+
+def test_scramble_matches_full_rescan_reference():
+    """The windowed rescan replays the full rescan's draws exactly.
+
+    Short words, words already at max_length and long walks drive deletions
+    at offsets 0 and L-2 and insertions at L through the splice boundaries.
+    """
+    rng = random.Random(41)
+    for _ in range(1200):
+        n = rng.randint(1, 6)
+        length = rng.randint(0, 3) if rng.random() < 0.3 else rng.randint(0, 40)
+        word = random_word(rng, n, length)
+        max_length = len(word) + (0 if rng.random() < 0.2 else rng.randint(0, 12))
+        moveset = rng.choice((MoveSet.F, MoveSet.FB, MoveSet.STRONG))
+        seed = rng.getrandbits(32)
+        steps = rng.randint(0, 60)
+        assert scramble(word, steps, moveset, seed, max_length) == \
+            reference_scramble(word, steps, moveset, seed, max_length), (word, moveset, seed, max_length)

@@ -108,3 +108,22 @@ def test_mini_agreement_sweep_strong_and_f():
             for b in words:
                 assert decide(a, b) == (class_of[a.letters] == class_of[b.letters]), \
                     (moveset, a, b)
+
+
+def test_bfs_ball_matches_reference():
+    """Object-free neighbours keep the reference's discovery order and cut-off."""
+    from helpers import random_word, reference_bfs_ball
+    rng = random.Random(17)
+    capped = 0
+    for k in range(240):
+        n = rng.randint(1, 4)
+        word = random_word(rng, n, rng.randint(0, 5))
+        moveset = (MoveSet.F, MoveSet.FB, MoveSet.STRONG)[k % 3]
+        bound = len(word) + rng.randint(0, 3)
+        node_cap = (10, 50, 1_000_000)[k // 3 % 3]
+        ball = bfs_ball(word, moveset, bound, node_cap)
+        ref = reference_bfs_ball(word, moveset, bound, node_cap)
+        assert ball.members == ref.members, (word, moveset, bound, node_cap)
+        assert ball.cap_exceeded == ref.cap_exceeded
+        capped += ball.cap_exceeded
+    assert capped > 0
