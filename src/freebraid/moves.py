@@ -327,9 +327,9 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     move touches is rescanned (see the module docstring).
     """
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise PreconditionError("steps must be >= 0")
     if max_length < len(word.letters):
-        raise ValueError("max_length must be at least the current word length")
+        raise PreconditionError("max_length must be at least the current word length")
     rng = random.Random(seed)
     rels = relations_in(moveset)
     flags = _relation_flags(rels)

@@ -5,6 +5,8 @@ stay within a length bound.  Membership is literal letter-sequence
 identity, so the oracle makes no assumptions shared with the deciders it
 cross-checks.  It can certify equality but never inequality: a word missing
 from a bounded ball may still be reachable through longer intermediates.
+`oracle_equal` walks the same discovery order as `bfs_ball` but stops as
+soon as it discovers the partner, and builds no ball.
 """
 
 from __future__ import annotations
@@ -53,38 +55,47 @@ class EquivalenceBall:
         return len(self.members)
 
 
-def bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
-             node_cap: int = 1_000_000) -> EquivalenceBall:
-    """Exhaustive bounded BFS; members come back in discovery order.
+def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,
+              target: tuple[int, ...] | None = None) -> tuple[list[tuple[int, ...]], bool]:
+    """Bounded BFS from word: (letters in discovery order, cap exceeded).
 
-    Exceeding node_cap aborts the search and flags the ball rather than
-    failing silently.
+    The search stops as soon as target is discovered, which is then the last
+    word of the order; the origin counts as discovered first.  Discovering
+    one word beyond node_cap aborts the search and reports the cap.
     """
     if length_bound < len(word.letters):
         raise PreconditionError("length bound must be at least the origin's length")
+    origin = word.letters
+    order: list[tuple[int, ...]] = [origin]
+    if origin == target:
+        return order, False
     rels = relations_in(moveset)
     flags = _relation_flags(rels)
-    n = word.n
-    inserted = [relation_sides(rel, i)[0] for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
-    # The match at offset p depends only on letters[p:p + 3], so it and its
-    # oriented sides are computed once per distinct window.
-    rewrites: dict[tuple[int, ...], tuple | None] = {}
-    seen: set[tuple[int, ...]] = {word.letters}
-    order: list[tuple[int, ...]] = [word.letters]
-    queue: deque[tuple[int, ...]] = deque([word.letters])
-    cap_exceeded = False
+    inserted = [relation_sides(rel, i)[0] for rel in _R2_RELATIONS if rel in rels for i in range(1, word.n)]
+    # The match at offset p depends only on letters[p:p + 3], so it is found,
+    # oriented and checked against the window once per distinct window; the
+    # source then sits at p of every word holding that window.
+    rewrites: dict[tuple[int, ...], tuple[int, tuple[int, ...]] | None] = {}
+    seen: set[tuple[int, ...]] = {origin}
+    queue: deque[tuple[int, ...]] = deque([origin])
     while queue:
         letters = queue.popleft()
         neighbors = []
         for p in range(len(letters) - 1):
             window = letters[p:p + 3]
-            if window not in rewrites:
+            if window in rewrites:
+                rewrite = rewrites[window]
+            else:
                 match = _match_at(window, 0, flags)
-                rewrites[window] = None if match is None else (
-                    *_oriented_sides(*match), match[0], match[2])
-            rewrite = rewrites[window]
+                rewrite = None
+                if match is not None:
+                    source, replacement = _oriented_sides(*match)
+                    _rewrite(window, 0, source, replacement, match[0], match[2])
+                    rewrite = (len(source), replacement)
+                rewrites[window] = rewrite
             if rewrite is not None:
-                neighbors.append(_rewrite(letters, p, *rewrite))
+                size, replacement = rewrite
+                neighbors.append(letters[:p] + replacement + letters[p + size:])
         if len(letters) + 2 <= length_bound:
             for p in range(len(letters) + 1):
                 head, tail = letters[:p], letters[p:]
@@ -93,13 +104,24 @@ def bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
             if neighbor in seen:
                 continue
             if len(seen) >= node_cap:
-                cap_exceeded = True
-                queue.clear()
-                break
+                return order, True
             seen.add(neighbor)
             order.append(neighbor)
+            if neighbor == target:
+                return order, False
             queue.append(neighbor)
-    members = tuple(BraidWord(n, ls) for ls in order)
+    return order, False
+
+
+def bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
+             node_cap: int = 1_000_000) -> EquivalenceBall:
+    """Exhaustive bounded BFS; members come back in discovery order.
+
+    Exceeding node_cap aborts the search and flags the ball rather than
+    failing silently.
+    """
+    order, cap_exceeded = _discover(word, moveset, length_bound, node_cap)
+    members = tuple(BraidWord(word.n, ls) for ls in order)
     return EquivalenceBall(word, moveset, length_bound, members, cap_exceeded)
 
 
@@ -107,13 +129,16 @@ def oracle_equal(w1: BraidWord, w2: BraidWord, moveset: MoveSet, length_bound: i
                  node_cap: int = 1_000_000) -> OracleVerdict:
     """Tri-state equality: found, not found within the bound, or search aborted.
 
+    The search from w1 stops as soon as it discovers w2, so the verdict is
+    EQUAL exactly when w2 is among the first node_cap words of
+    `bfs_ball(w1, ...)`, and otherwise CAP_EXCEEDED if that ball was capped.
     NOT_FOUND_WITHIN_BOUND is not a proof of inequality.
     """
     if w1.n != w2.n:
         raise PreconditionError(f"strand counts differ: {w1.n} vs {w2.n}")
-    ball = bfs_ball(w1, moveset, length_bound, node_cap)
-    if w2 in ball:
+    order, cap_exceeded = _discover(w1, moveset, length_bound, node_cap, target=w2.letters)
+    if order[-1] == w2.letters:
         return OracleVerdict.EQUAL
-    if ball.cap_exceeded:
+    if cap_exceeded:
         return OracleVerdict.CAP_EXCEEDED
     return OracleVerdict.NOT_FOUND_WITHIN_BOUND

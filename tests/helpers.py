@@ -14,6 +14,7 @@ from freebraid import (
     GaussianScheme,
     MoveInstance,
     MoveSet,
+    OracleVerdict,
     Permutation,
     PreconditionError,
     QGaussianScheme,
@@ -292,3 +293,19 @@ def reference_bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
             queue.append(neighbor)
     members = tuple(BraidWord(n, ls) for ls in order)
     return EquivalenceBall(word, moveset, length_bound, members, cap_exceeded)
+
+
+def reference_oracle_equal(w1: BraidWord, w2: BraidWord, moveset: MoveSet, length_bound: int,
+                           node_cap: int = 1_000_000) -> OracleVerdict:
+    """`oracle_equal` as membership in the whole reference ball, then its cap flag.
+
+    The reference for the early exit in `oracle`.
+    """
+    if w1.n != w2.n:
+        raise PreconditionError(f"strand counts differ: {w1.n} vs {w2.n}")
+    ball = reference_bfs_ball(w1, moveset, length_bound, node_cap)
+    if w2 in ball:
+        return OracleVerdict.EQUAL
+    if ball.cap_exceeded:
+        return OracleVerdict.CAP_EXCEEDED
+    return OracleVerdict.NOT_FOUND_WITHIN_BOUND

@@ -144,6 +144,17 @@ def test_scramble_history_lines(capsys):
     assert all(" dir=" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize("option, message", [
+    (("--steps", "-1"), "steps must be >= 0"),
+    (("--max-length", "1"), "max_length must be at least the current word length"),
+])
+def test_scramble_rejects_bad_bounds(capsys, option, message):
+    code, out, err = run(capsys, "scramble", *option, "n=3; z1 z2")
+    assert code == 2
+    assert out == ""
+    assert err == f"freebraid: {message}\n"
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--moveset", "FB", "--bound", "5",
                        "n=3; z1 z2 z1", "n=3; z2 z1 z2")

@@ -11,6 +11,8 @@ from freebraid import (
     f_equal,
     oracle_equal,
     parse_word,
+    relation_sides,
+    scramble,
     strongly_equal,
 )
 
@@ -127,3 +129,56 @@ def test_bfs_ball_matches_reference():
         assert ball.cap_exceeded == ref.cap_exceeded
         capped += ball.cap_exceeded
     assert capped > 0
+
+
+def test_oracle_equal_matches_reference():
+    """The early exit keeps the verdict of membership in the whole ball, then its cap."""
+    from helpers import random_word, reference_oracle_equal
+    rng = random.Random(29)
+    verdicts = set()
+    for k in range(1500):
+        n = rng.randint(1, 4)
+        w1 = random_word(rng, n, rng.randint(0, 5))
+        moveset = (MoveSet.F, MoveSet.FB, MoveSet.STRONG)[k % 3]
+        bound = len(w1) + rng.randint(0, 3)
+        node_cap = rng.choice((1, 5, 10, 50, 1_000_000))
+        if rng.random() < 0.5:
+            w2, _ = scramble(w1, rng.randint(0, 6), moveset, rng.getrandbits(32), bound)
+        else:
+            w2 = random_word(rng, n, rng.randint(0, bound))
+        verdict = oracle_equal(w1, w2, moveset, bound, node_cap)
+        assert verdict is reference_oracle_equal(w1, w2, moveset, bound, node_cap), \
+            (w1, w2, moveset, bound, node_cap)
+        verdicts.add(verdict)
+    assert verdicts == set(OracleVerdict)
+
+
+def test_oracle_cap_boundary_in_discovery_order():
+    w = parse_word("n=3; z1 t2")
+    members = bfs_ball(w, MoveSet.F, 6).members
+    node_cap = 40
+    assert len(members) > node_cap + 1
+    assert oracle_equal(w, members[node_cap - 1], MoveSet.F, 6, node_cap) is OracleVerdict.EQUAL
+    assert oracle_equal(w, members[node_cap], MoveSet.F, 6, node_cap) is OracleVerdict.CAP_EXCEEDED
+    assert oracle_equal(w, w, MoveSet.F, 6, node_cap=1) is OracleVerdict.EQUAL
+
+
+def test_oracle_bound_checked_before_identity():
+    w = parse_word("n=2; z1 z1")
+    with pytest.raises(PreconditionError, match="length bound"):
+        oracle_equal(w, w, MoveSet.F, 1)
+
+
+def test_window_rewrite_check_still_fires(monkeypatch):
+    import freebraid.oracle
+
+    def mismatched(relation, i, direction, j=None):
+        source, target = relation_sides(relation, i, j)
+        return tuple(-x for x in source), target
+
+    monkeypatch.setattr(freebraid.oracle, "_oriented_sides", mismatched)
+    w = parse_word("n=3; z1 z1 t2")
+    with pytest.raises(PreconditionError, match="does not match at position"):
+        bfs_ball(w, MoveSet.F, 5)
+    with pytest.raises(PreconditionError, match="does not match at position"):
+        oracle_equal(w, parse_word("n=3; t2"), MoveSet.F, 5)
