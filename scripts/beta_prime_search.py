@@ -17,10 +17,9 @@ appended-block family the repository ships as its default reading.
 import argparse
 import itertools
 
-from freebraid import BraidWord, Parity
-from freebraid import chord_diagram, closure_components
+from freebraid.words import BraidWord, closure_components, is_cyclic, permutation, serialize, strand_trace
+from freebraid.parity import Parity, chord_diagram, gaussian_parity, linked
 from freebraid.bracket import _bracket_with
-from freebraid import gaussian_parity, is_cyclic, linked, permutation, serialize, strand_trace
 from freebraid.scenarios import brunnian_word, shifted_brunnian_letters, trivial_components
 
 

@@ -9,7 +9,9 @@ equivalent subword again.  Prints per-seed word growth and witness size.
 import argparse
 import time
 
-from freebraid import GaussianScheme, MoveSet, scramble, verify_reproduction
+from freebraid.moves import MoveSet, scramble
+from freebraid.parity import GaussianScheme
+from freebraid.bracket import verify_reproduction
 from freebraid.scenarios import brunnian_word
 
 

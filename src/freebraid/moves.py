@@ -20,13 +20,12 @@ and only that offset is matched again to read it.
 from __future__ import annotations
 
 import random
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-from .words import BraidWord, ParseError, PreconditionError
+from .words import BraidWord, PreconditionError
 
 
 class Relation(Enum):
@@ -53,8 +52,6 @@ class MoveSet(Enum):
 
 
 _ALL_RELATIONS = tuple(Relation)
-_REL_ORDER = {rel: k for k, rel in enumerate(_ALL_RELATIONS)}
-_DIR_ORDER = {Direction.LEFT_TO_RIGHT: 0, Direction.RIGHT_TO_LEFT: 1}
 
 _MOVESET_RELATIONS = {
     MoveSet.F: frozenset(_ALL_RELATIONS) - {Relation.CLASSICAL_R3},
@@ -147,16 +144,6 @@ class MoveInstance:
         """(source, target) letter sequences, oriented by direction."""
         return _oriented_sides(self.relation, self.i, self.direction, self.j)
 
-    def inverse(self) -> "MoveInstance":
-        flipped = (Direction.RIGHT_TO_LEFT
-                   if self.direction is Direction.LEFT_TO_RIGHT
-                   else Direction.LEFT_TO_RIGHT)
-        return MoveInstance(self.relation, self.i, self.position, flipped, self.j)
-
-    def sort_key(self):
-        return (self.position, _REL_ORDER[self.relation], _DIR_ORDER[self.direction],
-                self.i, self.j if self.j is not None else 0)
-
 
 @dataclass(frozen=True, slots=True)
 class LetterCorrespondence:
@@ -185,18 +172,6 @@ class LetterCorrespondence:
                     return r
             return None
         return pos + (self.result_window - self.source_window)
-
-    def preimage_of(self, pos: int) -> int | None:
-        if not (0 <= pos < self.result_length):
-            raise ValueError(f"result position {pos} out of range")
-        if pos < self.window_start:
-            return pos
-        if pos < self.window_start + self.result_window:
-            for s, r in self.window_pairs:
-                if r == pos:
-                    return s
-            return None
-        return pos - (self.result_window - self.source_window)
 
 
 (_VIRTUAL_R2, _CLASSICAL_R2, _VIRTUALIZATION, _FAR_COMM_ZZ, _FAR_COMM_ZT, _FAR_COMM_TT,
@@ -258,22 +233,28 @@ def _match_at(letters: tuple[int, ...], p: int,
 
 
 def applicable_moves(word: BraidWord, moveset: MoveSet = MoveSet.FB) -> tuple[MoveInstance, ...]:
-    """Every applicable instance, insertions included, sorted by
-    (position, relation, direction, indices)."""
+    """Every applicable instance, insertions included, in the order of
+    (position, relation, direction, indices).
+
+    Each offset lists the R2 relations first, in declaration order, each
+    with its forward match (a deletion) before its reverse insertions, and
+    then any other match.
+    """
     rels = relations_in(moveset)
     flags = _relation_flags(rels)
     letters = word.letters
     out = []
-    for p in range(len(letters)):
+    for p in range(len(letters) + 1):
         match = _match_at(letters, p, flags)
+        for rel in _R2_RELATIONS:
+            if match is not None and match[0] is rel:
+                out.append(MoveInstance(rel, match[1], p, _FWD))
+                match = None
+            if rel in rels:
+                out += [MoveInstance(rel, i, p, _REV) for i in range(1, word.n)]
         if match is not None:
             rel, i, direction, j = match
             out.append(MoveInstance(rel, i, p, direction, j))
-    out += [MoveInstance(rel, i, p, _REV)
-            for p in range(len(letters) + 1)
-            for rel in _R2_RELATIONS if rel in rels
-            for i in range(1, word.n)]
-    out.sort(key=MoveInstance.sort_key)
     return tuple(out)
 
 
@@ -367,10 +348,6 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     return BraidWord(n, letters), tuple(history)
 
 
-_HISTORY_RE = re.compile(
-    r"\A(?P<rel>\w+) i=(?P<i>\d+)(?: j=(?P<j>\d+))? pos=(?P<pos>\d+) dir=(?P<dir>fwd|rev)\Z")
-
-
 def format_history(history: tuple[MoveInstance, ...]) -> str:
     """One line per step: `<relation-id> i=<i> [j=<j>] pos=<offset> dir=<fwd|rev>`."""
     lines = []
@@ -378,23 +355,3 @@ def format_history(history: tuple[MoveInstance, ...]) -> str:
         j_part = f" j={m.j}" if m.j is not None else ""
         lines.append(f"{m.relation.value} i={m.i}{j_part} pos={m.position} dir={m.direction.value}")
     return "\n".join(lines)
-
-
-def parse_history(text: str) -> tuple[MoveInstance, ...]:
-    by_value = {rel.value: rel for rel in Relation}
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        m = _HISTORY_RE.match(line)
-        if not m or m.group("rel") not in by_value:
-            raise ParseError(f"bad history line {line!r}")
-        out.append(MoveInstance(
-            relation=by_value[m.group("rel")],
-            i=int(m.group("i")),
-            position=int(m.group("pos")),
-            direction=Direction.LEFT_TO_RIGHT if m.group("dir") == "fwd" else Direction.RIGHT_TO_LEFT,
-            j=int(m.group("j")) if m.group("j") else None,
-        ))
-    return tuple(out)

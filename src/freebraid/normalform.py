@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .words import BraidWord, PreconditionError, permutation, strand_trace
+from .words import BraidWord, PreconditionError, crossings_by_strand, permutation, strand_trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,13 +145,7 @@ class CanonicalCode:
 
 
 def canonical_code(word: BraidWord) -> CanonicalCode:
-    trace = strand_trace(word)
-    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]  # 1-based
-    for t, x in enumerate(word.letters):
-        if x > 0:
-            a, b = trace[t]
-            seqs[a].append(t)
-            seqs[b].append(t)
+    seqs = crossings_by_strand(word)
     label: dict[int, int] = {}
     for s in range(1, word.n + 1):
         for t in seqs[s]:

@@ -65,6 +65,8 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     """
     if length_bound < len(word.letters):
         raise PreconditionError("length bound must be at least the origin's length")
+    if node_cap < 1:
+        raise PreconditionError("node_cap must be >= 1")
     origin = word.letters
     order: list[tuple[int, ...]] = [origin]
     if origin == target:

@@ -32,6 +32,7 @@ from .words import (
     BraidWord,
     Permutation,
     PreconditionError,
+    crossings_by_strand,
     is_cyclic,
     permutation,
     strand_trace,
@@ -85,11 +86,7 @@ def _gauss_sequence(word: BraidWord, walk: Permutation, failure: str) -> tuple[i
     count = len(walk.cycles())
     if count != 1:
         raise PreconditionError(failure.format(count))
-    on_strand: list[list[int]] = [[] for _ in range(word.n + 1)]
-    for t, (x, (a, b)) in enumerate(zip(word.letters, strand_trace(word))):
-        if x > 0:
-            on_strand[a].append(t)
-            on_strand[b].append(t)
+    on_strand = crossings_by_strand(word)
     gauss: list[int] = []
     strand = 1
     for _ in range(word.n):
@@ -127,9 +124,6 @@ class ParityAssignment:
 
     def odd_positions(self) -> tuple[int, ...]:
         return tuple(t for t in sorted(self.parities) if self.parities[t] is Parity.ODD)
-
-    def even_positions(self) -> tuple[int, ...]:
-        return tuple(t for t in sorted(self.parities) if self.parities[t] is Parity.EVEN)
 
     def all_odd(self) -> bool:
         return all(v is Parity.ODD for v in self.parities.values())
@@ -254,24 +248,24 @@ class QGaussianScheme:
 ParityScheme = GaussianScheme | ComponentScheme | QGaussianScheme
 
 
+def _ascii_int_list(body: str, failure: str) -> list[int]:
+    """The integers of a comma list of ASCII digit strings; empty items are skipped."""
+    tokens = [tok for tok in body.split(",") if tok != ""]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise PreconditionError(failure)
+    return [int(tok) for tok in tokens]
+
+
 def parse_scheme(text: str, n: int) -> ParityScheme:
     """Parse a scheme designation: `gaussian`, `component:N1=...`, `qgaussian:Q=...`."""
     s = text.strip()
     if s == "gaussian":
         return GaussianScheme()
     if s.startswith("component:N1="):
-        body = s[len("component:N1="):]
-        try:
-            members = [int(tok) for tok in body.split(",") if tok != ""]
-        except ValueError:
-            raise PreconditionError(f"bad partition list in {text!r}") from None
+        members = _ascii_int_list(s[len("component:N1="):], f"bad partition list in {text!r}")
         return ComponentScheme(StrandPartition.from_first(n, members))
     if s.startswith("qgaussian:Q="):
-        body = s[len("qgaussian:Q="):]
-        try:
-            image = tuple(int(tok) for tok in body.split(",") if tok != "")
-        except ValueError:
-            raise PreconditionError(f"bad permutation image in {text!r}") from None
+        image = tuple(_ascii_int_list(s[len("qgaussian:Q="):], f"bad permutation image in {text!r}"))
         if len(image) != n:
             raise PreconditionError(f"completion image has {len(image)} entries, expected {n}")
         return QGaussianScheme(Permutation(image))

@@ -39,18 +39,6 @@ def virtual(i: int) -> int:
     return -i
 
 
-def is_classical(letter: int) -> bool:
-    return letter > 0
-
-
-def is_virtual(letter: int) -> bool:
-    return letter < 0
-
-
-def letter_index(letter: int) -> int:
-    return abs(letter)
-
-
 @dataclass(frozen=True, slots=True)
 class BraidWord:
     """An n-strand braid word.  The empty sequence is the identity braid."""
@@ -128,9 +116,6 @@ class Permutation:
             inv[v - 1] = k
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(v == k for k, v in enumerate(self.image, start=1))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition; each cycle starts at its least element, cycles sorted."""
         seen = [False] * self.n
@@ -152,8 +137,9 @@ class Permutation:
 # identities meeting at it.
 StrandTrace = tuple[tuple[int, int], ...]
 
-_LETTER_RE = re.compile(r"([zt])(\d+)\Z")
-_HEADER_RE = re.compile(r"\An=(\d+)\s*;")
+# Indices are ASCII digits only: `\d` and `int` would also take other scripts' digits.
+_LETTER_RE = re.compile(r"([zt])([0-9]+)\Z")
+_HEADER_RE = re.compile(r"\An=([0-9]+)\s*;")
 
 
 def parse_word(text: str) -> BraidWord:
@@ -277,3 +263,18 @@ def strand_trace(word: BraidWord) -> StrandTrace:
         out.append((a, b) if a < b else (b, a))
         pos[i - 1], pos[i] = b, a
     return tuple(out)
+
+
+def crossings_by_strand(word: BraidWord) -> list[list[int]]:
+    """For each strand s, the positions of the classical letters on it, in order, at index s.
+
+    Index 0 is an unused empty list, so strands are 1-based.
+    """
+    trace = strand_trace(word)
+    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
+    for t, x in enumerate(word.letters):
+        if x > 0:
+            a, b = trace[t]
+            seqs[a].append(t)
+            seqs[b].append(t)
+    return seqs

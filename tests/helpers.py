@@ -5,28 +5,19 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from freebraid import (
-    Bigon,
+from freebraid.words import (
     BraidWord,
-    ComponentScheme,
-    Direction,
-    EquivalenceBall,
-    GaussianScheme,
-    MoveInstance,
-    MoveSet,
-    OracleVerdict,
     Permutation,
     PreconditionError,
-    QGaussianScheme,
-    Relation,
-    StrandPartition,
     is_cyclic,
     permutation,
-    relations_in,
     strand_trace,
     virtual,
 )
-from freebraid.moves import _apply_to_letters
+from freebraid.moves import Direction, MoveInstance, MoveSet, Relation, _apply_to_letters, relations_in
+from freebraid.normalform import Bigon
+from freebraid.parity import ComponentScheme, GaussianScheme, QGaussianScheme, StrandPartition
+from freebraid.oracle import EquivalenceBall, OracleVerdict
 
 
 def permutation_braid(q: Permutation) -> BraidWord:
@@ -108,6 +99,20 @@ def random_word(rng: random.Random, n: int, length: int) -> BraidWord:
         return BraidWord(n)
     letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
     return BraidWord(n, letters)
+
+
+def triple_slide_rich_word(rng: random.Random, n: int, length: int, windows: int) -> BraidWord:
+    """A random word on n >= 3 strands with classical triple-slide windows planted.
+
+    Each window, z_i z_{i+1} z_i or z_{i+1} z_i z_{i+1}, goes in at a random
+    offset, so a later one may split an earlier one.
+    """
+    letters = list(random_word(rng, n, length).letters)
+    for _ in range(windows):
+        i = rng.randint(1, n - 2)
+        at = rng.randint(0, len(letters))
+        letters[at:at] = [i, i + 1, i] if rng.random() < 0.5 else [i + 1, i, i + 1]
+    return BraidWord(n, tuple(letters))
 
 
 def random_cyclic_word(rng: random.Random, n: int, length: int, extra: int = 200) -> BraidWord:
@@ -212,6 +217,17 @@ def reference_match_instances(letters: tuple[int, ...], rels: frozenset[Relation
 
 
 _R2_RELATIONS = (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2)
+_REL_ORDER = {rel: k for k, rel in enumerate(Relation)}
+_DIR_ORDER = {Direction.LEFT_TO_RIGHT: 0, Direction.RIGHT_TO_LEFT: 1}
+
+
+def move_sort_key(m: MoveInstance):
+    """(position, relation, direction, indices): the order `applicable_moves` builds in.
+
+    The reference for the in-order construction in `moves`.
+    """
+    return (m.position, _REL_ORDER[m.relation], _DIR_ORDER[m.direction],
+            m.i, m.j if m.j is not None else 0)
 
 
 def reference_insertion_instances(word_len: int, n: int, rels: frozenset[Relation]) -> list[MoveInstance]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from freebraid import BraidWord, Permutation, permutation
+from freebraid.words import BraidWord, Permutation, permutation
 
 from helpers import permutation_braid
 

@@ -7,33 +7,19 @@ import itertools
 import random
 import time
 
-from freebraid import (
-    BraidWord,
+from freebraid.words import BraidWord, closure_components, is_cyclic, parse_word, permutation
+from freebraid.moves import MoveSet, applicable_moves, scramble
+from freebraid.normalform import canonical_code, f_equal, find_bigons, reduce_bigon, strongly_equal
+from freebraid.parity import (
     ComponentScheme,
     GaussianScheme,
-    MoveSet,
-    OracleVerdict,
     Parity,
     QGaussianScheme,
-    applicable_moves,
-    bfs_ball,
-    bracket,
-    brackets_equal,
-    canonical_code,
     check_parity_axioms,
-    closure_components,
-    f_equal,
-    find_bigons,
     gaussian_parity,
-    is_cyclic,
-    oracle_equal,
-    parse_word,
-    permutation,
-    reduce_bigon,
-    scramble,
-    strongly_equal,
-    verify_reproduction,
 )
+from freebraid.bracket import bracket, brackets_equal, verify_reproduction
+from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
 from freebraid.scenarios import BETA_PRIME_ADDED, beta_prime_word, brunnian_word
 
 from helpers import (
@@ -209,7 +195,7 @@ def test_c6_oracle_agreement():
         if moveset is MoveSet.STRONG:
             key = lambda w: canonical_code(w).format()
         else:
-            from freebraid import irreducible_form
+            from freebraid.normalform import irreducible_form
             key = lambda w: canonical_code(irreducible_form(w)).format()
         decider_class = {}
         for w in words:

@@ -3,25 +3,11 @@ import random
 
 import pytest
 
-from freebraid import (
-    BraidWord,
-    ComponentScheme,
-    GaussianScheme,
-    MoveSet,
-    Permutation,
-    PreconditionError,
-    QGaussianScheme,
-    StrandPartition,
-    applicable_moves,
-    apply_move,
-    bracket,
-    brackets_equal,
-    f_equal,
-    is_odd_irreducible,
-    parse_word,
-    scramble,
-    verify_reproduction,
-)
+from freebraid.words import BraidWord, Permutation, PreconditionError, parse_word
+from freebraid.moves import MoveSet, applicable_moves, apply_move, scramble
+from freebraid.normalform import f_equal
+from freebraid.parity import ComponentScheme, GaussianScheme, QGaussianScheme, StrandPartition
+from freebraid.bracket import bracket, brackets_equal, is_odd_irreducible, verify_reproduction
 from freebraid.scenarios import BRUNNIAN_TEXT, brunnian_word
 
 from helpers import random_scheme, random_word
@@ -133,7 +119,7 @@ def test_verify_reproduction_after_scramble():
     assert report.witness_positions is not None
     # the witness is a subword of the scrambled word
     sub = tuple(scrambled.letters[t] for t in report.witness_positions)
-    from freebraid import canonical_code
+    from freebraid.normalform import canonical_code
     assert canonical_code(BraidWord(9, sub)) == canonical_code(word)
 
 

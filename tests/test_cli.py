@@ -155,6 +155,26 @@ def test_scramble_rejects_bad_bounds(capsys, option, message):
     assert err == f"freebraid: {message}\n"
 
 
+@pytest.mark.parametrize("node_cap", ["0", "-3"])
+def test_oracle_rejects_bad_node_cap(capsys, node_cap):
+    code, out, err = run(capsys, "oracle", "--node-cap", node_cap, "n=2; z1 z1", "n=2; z1 z1")
+    assert code == 2
+    assert out == ""
+    assert err == "freebraid: node_cap must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("perm", "z\u0661"), 1, "unknown token"),
+    (("parse", "n=\u0663; z1 t2"), 1, "unknown token"),
+    (("parity", "--parity", "component:N1=\u0661", "n=2; z1"), 2, "bad partition list"),
+    (("parity", "--parity", "qgaussian:Q=\u0662,1", "n=2; z1"), 2, "bad permutation image"),
+])
+def test_non_ascii_digits_rejected(capsys, argv, code, message):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("freebraid: ") and message in err
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--moveset", "FB", "--bound", "5",
                        "n=3; z1 z2 z1", "n=3; z2 z1 z2")

@@ -1,28 +1,30 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from freebraid import (
-    BraidWord,
+from freebraid.words import BraidWord, PreconditionError, parse_word, permutation
+from freebraid.moves import (
     Direction,
     MoveInstance,
     MoveSet,
-    PreconditionError,
     Relation,
     applicable_moves,
     apply_move,
     apply_move_word,
-    f_equal,
-    format_history,
-    parse_history,
-    parse_word,
-    permutation,
     relations_in,
     scramble,
 )
+from freebraid.normalform import f_equal
 
-from helpers import random_word, reference_match_instances, reference_scramble
+from helpers import (
+    move_sort_key,
+    random_word,
+    reference_insertion_instances,
+    reference_match_instances,
+    reference_scramble,
+)
 from strategies import braid_words
 
 FWD, REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
@@ -88,7 +90,7 @@ def test_apply_rejects_stale_instance():
 def test_applicable_moves_sorted_deterministically():
     w = parse_word("n=3; z1 z1 t2")
     moves = applicable_moves(w, MoveSet.FB)
-    assert list(moves) == sorted(moves, key=MoveInstance.sort_key)
+    assert list(moves) == sorted(moves, key=move_sort_key)
     assert moves == applicable_moves(w, MoveSet.FB)
 
 
@@ -98,7 +100,8 @@ def test_every_move_preserves_permutation_and_inverts(word):
     for m in applicable_moves(word, MoveSet.FB):
         result, corr = apply_move(word, m)
         assert permutation(result) == permutation(word)
-        restored, _ = apply_move(result, m.inverse())
+        flipped = dataclasses.replace(m, direction=REV if m.direction is FWD else FWD)
+        restored, _ = apply_move(result, flipped)
         assert restored == word
         src, tgt = m.sides()
         shift = len(tgt) - len(src)
@@ -115,7 +118,6 @@ def test_correspondence_window_pairings():
     m = MoveInstance(Relation.CLASSICAL_R3, 1, 0, FWD)
     _, corr = apply_move(word, m)
     assert corr.image_of(0) == 2 and corr.image_of(1) == 1 and corr.image_of(2) == 0
-    assert corr.preimage_of(0) == 2
     # virtualization transposes
     word = parse_word("n=2; t1 z1")
     _, corr = apply_move(word, MoveInstance(Relation.VIRTUALIZATION, 1, 0, FWD))
@@ -157,7 +159,7 @@ def test_scramble_preserves_f_class():
 
 
 def test_scramble_with_strong_moves_preserves_canonical_code():
-    from freebraid import canonical_code
+    from freebraid.normalform import canonical_code
     rng = random.Random(23)
     for _ in range(8):
         n = rng.randint(2, 4)
@@ -173,25 +175,17 @@ def test_scramble_on_single_strand_terminates_early():
     assert out == BraidWord(1) and history == ()
 
 
-def test_history_serialization_round_trip():
-    w = parse_word("n=4; z1 t3 z1 z2")
-    _, history = scramble(w, 40, MoveSet.FB, seed=2, max_length=24)
-    text = format_history(history)
-    assert parse_history(text) == history
-    for line in text.splitlines():
-        assert " pos=" in line and " dir=" in line
-
-
 def test_applicable_moves_match_reference():
+    """Built in order, the whole tuple equals the sorted reference, insertions included."""
     rng = random.Random(29)
     for _ in range(300):
         n = rng.randint(1, 6)
         word = random_word(rng, n, rng.randint(0, 12))
         for moveset in MoveSet:
             rels = relations_in(moveset)
-            found = [m for m in applicable_moves(word, moveset)
-                     if m.direction is FWD or m.relation not in (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2)]
-            assert found == sorted(reference_match_instances(word.letters, rels), key=MoveInstance.sort_key)
+            reference = (reference_match_instances(word.letters, rels)
+                         + reference_insertion_instances(len(word), n, rels))
+            assert applicable_moves(word, moveset) == tuple(sorted(reference, key=move_sort_key))
 
 
 def test_scramble_matches_full_rescan_reference():

@@ -4,20 +4,15 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from freebraid import (
+from freebraid.words import BraidWord, PreconditionError, parse_word
+from freebraid.moves import MoveSet, Relation, applicable_moves, apply_move
+from freebraid.normalform import (
     Bigon,
-    BraidWord,
-    MoveSet,
-    PreconditionError,
-    Relation,
-    applicable_moves,
-    apply_move,
     canonical_code,
     f_equal,
     find_bigons,
     irreducible_form,
     irreducible_form_tracked,
-    parse_word,
     reduce_bigon,
     strongly_equal,
 )
@@ -123,7 +118,7 @@ def test_canonical_code_leaves_no_tuples_behind():
 
 @given(braid_words(min_n=2, max_n=4, max_len=10))
 def test_irreducible_form_has_no_bigons_and_preserves_permutation(word):
-    from freebraid import permutation
+    from freebraid.words import permutation
     reduced = irreducible_form(word)
     assert find_bigons(reduced) == ()
     assert permutation(reduced) == permutation(word)

@@ -1,20 +1,11 @@
 import pytest
 
-from freebraid import (
-    BraidWord,
-    GaussianScheme,
-    MoveSet,
-    OracleVerdict,
-    PreconditionError,
-    bfs_ball,
-    brackets_equal,
-    f_equal,
-    oracle_equal,
-    parse_word,
-    relation_sides,
-    scramble,
-    strongly_equal,
-)
+from freebraid.words import BraidWord, PreconditionError, parse_word
+from freebraid.moves import MoveSet, relation_sides, scramble
+from freebraid.normalform import f_equal, strongly_equal
+from freebraid.parity import GaussianScheme
+from freebraid.bracket import brackets_equal
+from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
 
 from helpers import random_scheme
 import random
@@ -167,6 +158,15 @@ def test_oracle_bound_checked_before_identity():
     w = parse_word("n=2; z1 z1")
     with pytest.raises(PreconditionError, match="length bound"):
         oracle_equal(w, w, MoveSet.F, 1)
+
+
+@pytest.mark.parametrize("node_cap", [0, -3])
+def test_node_cap_below_one_is_rejected(node_cap):
+    w = parse_word("n=2; z1 z1")
+    with pytest.raises(PreconditionError, match="node_cap must be >= 1"):
+        oracle_equal(w, w, MoveSet.F, 5, node_cap=node_cap)
+    with pytest.raises(PreconditionError, match="node_cap must be >= 1"):
+        bfs_ball(w, MoveSet.F, 5, node_cap=node_cap)
 
 
 def test_window_rewrite_check_still_fires(monkeypatch):

@@ -1,30 +1,32 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebraid import (
+from freebraid.words import (
     BraidWord,
+    Permutation,
+    PreconditionError,
+    is_cyclic,
+    parse_word,
+    permutation,
+)
+from freebraid.moves import MoveSet, Relation, applicable_moves
+from freebraid.parity import (
     ChordDiagram,
     ComponentScheme,
     GaussianScheme,
-    MoveSet,
     Parity,
-    Permutation,
-    PreconditionError,
     QGaussianScheme,
     StrandPartition,
-    applicable_moves,
     check_parity_axioms,
     chord_diagram,
     component_parity,
     gaussian_parity,
-    is_cyclic,
     linked,
     parse_scheme,
-    parse_word,
-    permutation,
     q_gaussian_parity,
 )
 from freebraid.scenarios import BRUNNIAN_TEXT
@@ -37,6 +39,7 @@ from helpers import (
     random_partition,
     random_scheme,
     random_word,
+    triple_slide_rich_word,
 )
 from strategies import braid_words, cyclic_braid_words, permutations
 
@@ -230,6 +233,10 @@ def test_parse_scheme_designations():
         parse_scheme("nonsense", 3)
     with pytest.raises(PreconditionError):
         parse_scheme("qgaussian:Q=2,1", 3)
+    with pytest.raises(PreconditionError, match="bad partition list"):
+        parse_scheme("component:N1=\u0661", 2)
+    with pytest.raises(PreconditionError, match="bad permutation image"):
+        parse_scheme("qgaussian:Q=\u0662,1", 2)
 
 
 def test_axioms_on_virtualization_instance():
@@ -289,3 +296,31 @@ def test_triple_slide_odd_count_is_even_under_every_scheme():
             assert odd % 2 == 0
             assert check_parity_axioms(scheme, word, m).passed
             seen += 1
+
+
+def test_axioms_on_planted_triple_slides():
+    """Axiom 5 on at least 1000 classical triple slides per scheme, both directions.
+
+    Uniform draws from `applicable_moves` rarely give a triple slide, so the
+    words get planted windows; each Gaussian word is closed to one circle by
+    a virtual permutation braid.
+    """
+    rng = random.Random(5005)
+    for kind in ("gaussian", "component", "qgaussian"):
+        directions = Counter()
+        while sum(directions.values()) < 1000:
+            n = rng.randint(3, 6)
+            word = triple_slide_rich_word(rng, n, rng.randint(0, 10), rng.randint(1, 3))
+            if kind == "gaussian":
+                word = word * permutation_braid(completion_for(rng, word))
+                scheme = GaussianScheme()
+            elif kind == "component":
+                scheme = ComponentScheme(random_partition(rng, n))
+            else:
+                scheme = QGaussianScheme(completion_for(rng, word))
+            for move in applicable_moves(word, MoveSet.FB):
+                if move.relation is Relation.CLASSICAL_R3:
+                    report = check_parity_axioms(scheme, word, move)
+                    assert report.passed, (kind, word, move, report)
+                    directions[move.direction] += 1
+        assert len(directions) == 2, (kind, directions)

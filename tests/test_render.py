@@ -1,6 +1,7 @@
 from pathlib import Path
 
-from freebraid import BraidWord, RenderFormat, parse_word, render, render_ascii, render_svg
+from freebraid.words import BraidWord, parse_word
+from freebraid.render import RenderFormat, render, render_ascii, render_svg
 from freebraid.scenarios import brunnian_word
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,6 +1,7 @@
 import pytest
 
-from freebraid import Parity, PreconditionError, parse_word
+from freebraid.words import PreconditionError, parse_word
+from freebraid.parity import Parity
 from freebraid.scenarios import (
     BETA_PRIME_ADDED,
     beta_prime_word,

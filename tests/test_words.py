@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
-from freebraid import (
+from freebraid.words import (
     BraidWord,
     JSON,
     ParseError,
@@ -36,6 +41,8 @@ def test_parse_brunnian_word():
 
 @pytest.mark.parametrize("text", [
     "n=3; z3", "n=2; q1", "z0", "n=2; z1 x", "n=0;",
+    # Digits of other scripts are not coerced: Arabic-Indic one and three.
+    "z\u0661", "n=\u0663; z1 t2", "n=3; z\u0661",
     '{"n": true, "letters": []}',
     '{"n": 2, "letters": [{"kind": "classical", "i": true}]}',
 ])
@@ -126,11 +133,19 @@ def test_strand_trace_is_deterministic_with_distinct_strands(word):
 
 @given(permutations())
 def test_permutation_inverse_and_cycles(p):
-    assert p.compose(p.inverse()).is_identity()
+    assert p.compose(p.inverse()) == Permutation.identity(p.n)
     assert sorted(s for c in p.cycles() for s in c) == list(range(1, p.n + 1))
 
 
 def test_concatenation_requires_matching_strand_count():
-    from freebraid import PreconditionError
+    from freebraid.words import PreconditionError
     with pytest.raises(PreconditionError):
         BraidWord(2) * BraidWord(3)
+
+
+def test_importing_words_loads_no_other_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, freebraid.words; print(sorted(m for m in sys.modules if m.split('.')[0] == 'freebraid'))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "['freebraid', 'freebraid.words']\n"
