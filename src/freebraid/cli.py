@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when an operation
 is invoked outside its domain (for example Gaussian parity of a word whose
 closure is not a single circle).
+
+Each handler imports the modules it uses, so the top level stays at
+`argparse`, `json`, `sys` and `words` and a command loads only its own
+dependencies.
 """
 
 from __future__ import annotations
@@ -11,13 +15,6 @@ import argparse
 import json
 import sys
 
-from . import scenarios
-from .bracket import bracket, verify_reproduction
-from .moves import MoveSet, format_history, scramble
-from .normalform import canonical_code, f_equal, irreducible_form, strongly_equal
-from .oracle import oracle_equal
-from .parity import chord_diagram, parse_scheme
-from .render import RenderFormat, render
 from .words import (
     BraidWord,
     JSON,
@@ -29,10 +26,24 @@ from .words import (
     serialize,
 )
 
+# The values of moves.MoveSet and render.RenderFormat, in order; a test keeps them equal.
+_MOVESETS = ("F", "FB", "strong")
+_FORMATS = ("ascii", "svg")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _ascii_int(text: str) -> int:
+    """argparse type: `int()` of ASCII text only, so that digits of other scripts are refused."""
+    try:
+        if text.isascii():
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _load_word(source: str) -> BraidWord:
@@ -51,33 +62,31 @@ def _emit(args, human: str, payload: dict) -> None:
     print(json.dumps(payload) if args.json else human)
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> None:
     word = _load_word(args.word)
     if args.json:
         print(serialize(word, JSON))
     else:
         print(serialize(word))
-    return 0
 
 
-def _cmd_perm(args) -> int:
+def _cmd_perm(args) -> None:
     word = _load_word(args.word)
     p = permutation(word)
     human = " ".join(f"{k}->{p(k)}" for k in range(1, word.n + 1))
     _emit(args, human, {"n": word.n, "image": list(p.image)})
-    return 0
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> None:
     word = _load_word(args.word)
     count, cycles = closure_components(word)
     lines = [f"components: {count}"]
     lines += ["cycle: " + " ".join(map(str, c)) for c in cycles]
     _emit(args, "\n".join(lines), {"components": count, "cycles": [list(c) for c in cycles]})
-    return 0
 
 
-def _cmd_chords(args) -> int:
+def _cmd_chords(args) -> None:
+    from .parity import chord_diagram
     word = _load_word(args.word)
     d = chord_diagram(word)
     lines = [f"crossings: {len(d.chord_of)}",
@@ -88,10 +97,10 @@ def _cmd_chords(args) -> int:
         "gauss": list(d.gauss_sequence),
         "chords": [[c, a, b] for c, (a, b) in sorted(d.chord_of.items())],
     })
-    return 0
 
 
-def _cmd_parity(args) -> int:
+def _cmd_parity(args) -> None:
+    from .parity import parse_scheme
     word = _load_word(args.word)
     scheme = parse_scheme(args.parity, word.n)
     assignment = scheme.assignment(word)
@@ -103,10 +112,11 @@ def _cmd_parity(args) -> int:
                       "parity": assignment.parity_of(t).value}
                      for t in assignment.positions],
     })
-    return 0
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(args) -> None:
+    from .bracket import bracket
+    from .parity import parse_scheme
     word = _load_word(args.word)
     scheme = parse_scheme(args.parity, word.n)
     result = bracket(word, scheme)
@@ -114,34 +124,36 @@ def _cmd_bracket(args) -> int:
         "word": serialize(result.word),
         "kept_positions": list(result.kept_positions),
     })
-    return 0
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> None:
+    from .normalform import irreducible_form
     word = _load_word(args.word)
     text = serialize(irreducible_form(word))
     _emit(args, text, {"word": text})
-    return 0
 
 
-def _cmd_canon(args) -> int:
+def _cmd_canon(args) -> None:
+    from .normalform import canonical_code
     word = _load_word(args.word)
     code = canonical_code(word)
     _emit(args, code.format(), {
         "n": code.n, "perm": list(code.permutation), "m": code.crossing_count,
         "strands": [list(s) for s in code.strand_sequences],
     })
-    return 0
 
 
-def _cmd_eq(args, decide) -> int:
+def _cmd_eq(args, decider: str) -> None:
+    from . import normalform
     w1, w2 = _load_word(args.word1), _load_word(args.word2)
-    equal = decide(w1, w2)
+    equal = getattr(normalform, decider)(w1, w2)
     _emit(args, "equal" if equal else "not equal", {"equal": equal})
-    return 0
 
 
-def _cmd_distinguish(args) -> int:
+def _cmd_distinguish(args) -> None:
+    from .bracket import bracket
+    from .normalform import canonical_code, irreducible_form
+    from .parity import parse_scheme
     w1, w2 = _load_word(args.word1), _load_word(args.word2)
     scheme = parse_scheme(args.parity, w1.n)
     c1 = canonical_code(irreducible_form(bracket(w1, scheme).word))
@@ -155,10 +167,10 @@ def _cmd_distinguish(args) -> int:
         "bracket1": c1.format(), "bracket2": c2.format(),
         "distinct": differ, "verdict": verdict,
     })
-    return 0
 
 
-def _cmd_scramble(args) -> int:
+def _cmd_scramble(args) -> None:
+    from .moves import MoveSet, format_history, scramble
     word = _load_word(args.word)
     max_length = args.max_length if args.max_length is not None else max(len(word.letters) * 2, len(word.letters) + 20)
     result, history = scramble(word, args.steps, MoveSet(args.moveset), args.seed, max_length)
@@ -171,18 +183,20 @@ def _cmd_scramble(args) -> int:
         print(serialize(result))
         if args.history and history:
             print(format_history(history))
-    return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> None:
+    from .moves import MoveSet
+    from .oracle import oracle_equal
     w1, w2 = _load_word(args.word1), _load_word(args.word2)
     bound = args.bound if args.bound is not None else max(len(w1.letters), len(w2.letters)) + 4
     verdict = oracle_equal(w1, w2, MoveSet(args.moveset), bound, args.node_cap)
     _emit(args, verdict.value, {"verdict": verdict.value})
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
+    from .bracket import verify_reproduction
+    from .parity import parse_scheme
     beta, beta_prime = _load_word(args.word1), _load_word(args.word2)
     scheme = parse_scheme(args.parity, beta.n)
     report = verify_reproduction(beta, beta_prime, scheme)
@@ -193,32 +207,31 @@ def _cmd_verify(args) -> int:
             print("reproduced: witness positions " + " ".join(map(str, report.witness_positions)))
         else:
             print(f"not reproduced: {report.reason}")
-    return 0
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> None:
+    from .render import RenderFormat, render
     word = _load_word(args.word)
     print(render(word, RenderFormat(args.format)))
-    return 0
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args) -> None:
+    from . import scenarios
     if args.which == "brunnian":
         report = scenarios.scenario_brunnian(seed=args.seed, steps=args.steps,
                                              max_length=args.max_length)
         print(report.to_json() if args.json else report.format_text())
-        return 0
+        return
     word = _load_word(args.word) if args.word is not None else None
     added = None
     if args.added is not None:
         try:
-            a, b = (int(tok) for tok in args.added.split(","))
-        except ValueError:
+            a, b = (_ascii_int(tok) for tok in args.added.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
             raise ParseError(f"--added expects two comma-separated positions, got {args.added!r}") from None
         added = (a, b)
     report = scenarios.scenario_beta_prime(word, added)
     print(report.to_json() if args.json else report.format_text())
-    return 0
 
 
 def _add_word_arg(p, name="word", help="braid word (inline, @file, or - for stdin)"):
@@ -267,11 +280,11 @@ def build_parser() -> _Parser:
     p = add("canon", _cmd_canon, "canonical code (decides strong equality)")
     _add_word_arg(p)
 
-    p = add("eq-f", lambda a: _cmd_eq(a, f_equal), "word equality under all moves but the triple slide")
+    p = add("eq-f", lambda a: _cmd_eq(a, "f_equal"), "word equality under all moves but the triple slide")
     _add_word_arg(p, "word1")
     _add_word_arg(p, "word2")
 
-    p = add("eq-strong", lambda a: _cmd_eq(a, strongly_equal), "strong equality (no pair cancellation)")
+    p = add("eq-strong", lambda a: _cmd_eq(a, "strongly_equal"), "strong equality (no pair cancellation)")
     _add_word_arg(p, "word1")
     _add_word_arg(p, "word2")
 
@@ -286,22 +299,22 @@ def build_parser() -> _Parser:
     _add_word_arg(p, "word2")
 
     p = add("scramble", _cmd_scramble, "random walk over applicable moves")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--moveset", choices=[m.value for m in MoveSet], default="FB")
+    p.add_argument("--steps", type=_ascii_int, default=100)
+    p.add_argument("--seed", type=_ascii_int, default=0)
+    p.add_argument("--max-length", type=_ascii_int, default=None)
+    p.add_argument("--moveset", choices=_MOVESETS, default="FB")
     p.add_argument("--history", action="store_true", help="also print the move history")
     _add_word_arg(p)
 
     p = add("oracle", _cmd_oracle, "breadth-first equality oracle")
-    p.add_argument("--moveset", choices=[m.value for m in MoveSet], default="F")
-    p.add_argument("--bound", type=int, default=None, help="length bound for intermediate words")
-    p.add_argument("--node-cap", type=int, default=1_000_000)
+    p.add_argument("--moveset", choices=_MOVESETS, default="F")
+    p.add_argument("--bound", type=_ascii_int, default=None, help="length bound for intermediate words")
+    p.add_argument("--node-cap", type=_ascii_int, default=1_000_000)
     _add_word_arg(p, "word1")
     _add_word_arg(p, "word2")
 
     p = add("render", _cmd_render, "emit a diagram")
-    p.add_argument("--format", choices=[f.value for f in RenderFormat], default="ascii")
+    p.add_argument("--format", choices=_FORMATS, default="ascii")
     _add_word_arg(p)
 
     p = sub.add_parser("scenario", help="built-in experiments")
@@ -309,9 +322,9 @@ def build_parser() -> _Parser:
     pb = scen.add_parser("brunnian", help="the 9-strand odd irreducible example")
     pb.set_defaults(func=_cmd_scenario, which="brunnian")
     _add_json_flag(pb)
-    pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--steps", type=int, default=1000)
-    pb.add_argument("--max-length", type=int, default=200)
+    pb.add_argument("--seed", type=_ascii_int, default=0)
+    pb.add_argument("--steps", type=_ascii_int, default=1000)
+    pb.add_argument("--max-length", type=_ascii_int, default=200)
     pp = scen.add_parser("beta-prime", help="the transformed 10-strand braid")
     pp.set_defaults(func=_cmd_scenario, which="beta-prime")
     _add_json_flag(pp)
@@ -330,13 +343,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except ParseError as e:
         print(f"freebraid: {e}", file=sys.stderr)
         return 1
     except PreconditionError as e:
         print(f"freebraid: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,13 +8,8 @@ the endpoint permutation.
 
 One matcher, `_match_at`, finds the non-insertion move whose source
 starts at a given offset; `scramble`, `bfs_ball` and `applicable_moves`
-all read it.  A match at offset q reads only letters q..q+2, so a move at
-p with source length s and target length t changes only the matches at
-offsets [p-2, p+t) of the new word.  `scramble` keeps one flag per offset
-saying whether a move matches there, rescans just that window and splices
-its flags over the old [p-2, p+s); the tail's flags carry no offset, so
-they shift as they are.  Prefix sums of the flags locate the drawn match,
-and only that offset is matched again to read it.
+all read it.  `scramble` keeps one flag per offset saying whether a move
+matches there, and rescans only the window a move changes.
 """
 
 from __future__ import annotations
@@ -341,6 +336,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
             m = MoveInstance(rel, q // (L + 1) + 1, p, _REV)
         source, target = m.sides()
         letters = _rewrite(letters, p, source, target, m.relation, m.direction)
+        # A match at q reads only letters q..q+2, so only offsets [p-2, p+len(target)) change.
         lo = max(p - 2, 0)
         matched[lo:p + len(source)] = [_match_at(letters, q, flags) is not None
                                        for q in range(lo, p + len(target))]

@@ -6,13 +6,10 @@ word's class under the move set F.  Iterated deletion terminates, and all
 maximal reduction orders agree up to strong equivalence, so irreducible
 forms plus the canonical code below decide F-equality.
 
-Reduction runs in O(L log L) for a word of L letters: one strand trace, one
-pass that links every classical letter to its neighbours on both of its
-strands, and a min-heap of bigon first letters, popped leftmost first.
-Deleting a bigon p, q changes no other classical letter's strand pair and no
-order along any strand (a virtual letter between p and q only has the pair's
-two strands swapped), so the deletion is a splice of both strands' links, and
-only the two splice points, p's predecessors, can start a new bigon.
+Reduction runs in O(L log L) for a word of L letters.  Deleting a bigon p, q
+changes no other classical letter's strand pair and no order along any strand
+(a virtual letter between p and q only has the pair's two strands swapped), so
+it is a splice of both strands' links (see `irreducible_form_tracked`).
 
 Strong equivalence (all F moves except classical pair cancellation) is
 decided by canonicalizing the crossing graph: virtual crossings are

@@ -5,8 +5,6 @@ stay within a length bound.  Membership is literal letter-sequence
 identity, so the oracle makes no assumptions shared with the deciders it
 cross-checks.  It can certify equality but never inequality: a word missing
 from a bounded ball may still be reachable through longer intermediates.
-`oracle_equal` walks the same discovery order as `bfs_ball` but stops as
-soon as it discovers the partner, and builds no ball.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .moves import Direction, MoveInstance, Relation, apply_move
 from .words import (
     BraidWord,
     Permutation,
@@ -130,8 +129,6 @@ class ParityAssignment:
 
 
 def _linking_parities(gauss: tuple[int, ...]) -> dict[int, Parity]:
-    # Each chord nested inside a chord with ends a < b puts two endpoints
-    # between them, so its linked count is congruent to b - a - 1 (mod 2).
     return {c: Parity.EVEN if (b - a) % 2 else Parity.ODD
             for c, (a, b) in ChordDiagram(gauss).chord_of.items()}
 
@@ -263,12 +260,18 @@ def parse_scheme(text: str, n: int) -> ParityScheme:
         return GaussianScheme()
     if s.startswith("component:N1="):
         members = _ascii_int_list(s[len("component:N1="):], f"bad partition list in {text!r}")
-        return ComponentScheme(StrandPartition.from_first(n, members))
+        try:
+            return ComponentScheme(StrandPartition.from_first(n, members))
+        except ValueError as e:
+            raise PreconditionError(f"bad partition in {text!r}: {e}") from None
     if s.startswith("qgaussian:Q="):
         image = tuple(_ascii_int_list(s[len("qgaussian:Q="):], f"bad permutation image in {text!r}"))
         if len(image) != n:
             raise PreconditionError(f"completion image has {len(image)} entries, expected {n}")
-        return QGaussianScheme(Permutation(image))
+        try:
+            return QGaussianScheme(Permutation(image))
+        except ValueError as e:
+            raise PreconditionError(f"bad completion in {text!r}: {e}") from None
     raise PreconditionError(f"unknown parity scheme {text!r}")
 
 
@@ -285,6 +288,7 @@ def check_parity_axioms(scheme: ParityScheme, word: BraidWord, move: MoveInstanc
     Returns a pass, or the first violated axiom by number (5 splits into
     its even-count part `5a` and the three pairings `5b`-`5d`).
     """
+    from .moves import Direction, Relation, apply_move
     if not scheme.applicable(word):
         raise PreconditionError(f"scheme {scheme.designation()!r} is not applicable to the word")
     result, corr = apply_move(word, move)

@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from freebraid.cli import main
+from freebraid.cli import _FORMATS, _MOVESETS, main
+from freebraid.moves import MoveSet
+from freebraid.render import RenderFormat
 from freebraid.scenarios import BRUNNIAN_TEXT
 
 
@@ -34,6 +39,14 @@ def test_parity_other_scheme_designations(capsys):
     code, out, _ = run(capsys, "parity", "--parity", "component:N1=1,2", "n=4; z2")
     assert code == 0
     assert "parity=odd" in out
+
+
+@pytest.mark.parametrize("scheme, word, message", [
+    ("component:N1=9", "n=4; z2", "bad partition in 'component:N1=9': part [9] is not a subset of 1..4"),
+    ("qgaussian:Q=1,1", "n=2; z1", "bad completion in 'qgaussian:Q=1,1': (1, 1) is not a bijection of 1..2"),
+])
+def test_parity_rejects_out_of_range_scheme_lists(capsys, scheme, word, message):
+    assert run(capsys, "parity", "--parity", scheme, word) == (2, "", f"freebraid: {message}\n")
 
 
 def test_parse_error_exit_code(capsys):
@@ -168,11 +181,47 @@ def test_oracle_rejects_bad_node_cap(capsys, node_cap):
     (("parse", "n=\u0663; z1 t2"), 1, "unknown token"),
     (("parity", "--parity", "component:N1=\u0661", "n=2; z1"), 2, "bad partition list"),
     (("parity", "--parity", "qgaussian:Q=\u0662,1", "n=2; z1"), 2, "bad permutation image"),
+    (("scenario", "beta-prime", "--added", "\u0661,2"), 1, "--added expects two comma-separated positions"),
 ])
 def test_non_ascii_digits_rejected(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("freebraid: ") and message in err
+
+
+@pytest.mark.parametrize("command, option, words", [
+    (("scramble",), "--steps", ("n=3; z1",)),
+    (("scramble",), "--seed", ("n=3; z1",)),
+    (("scramble",), "--max-length", ("n=3; z1",)),
+    (("oracle",), "--bound", ("n=2; z1", "n=2; z1")),
+    (("oracle",), "--node-cap", ("n=2; z1", "n=2; z1")),
+    (("scenario", "brunnian"), "--steps", ()),
+])
+def test_non_ascii_digits_rejected_in_integer_options(capsys, command, option, words):
+    expected = f"freebraid {' '.join(command)}: error: argument {option}: invalid int value: '\u0663'\n"
+    assert run(capsys, *command, option, "\u0663", *words) == (1, "", expected)
+
+
+def test_option_choices_follow_the_enums():
+    assert list(_MOVESETS) == [m.value for m in MoveSet]
+    assert list(_FORMATS) == [f.value for f in RenderFormat]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["parse", "n=2; z1"], []),
+    (["reduce", "n=2; z1"], ["normalform"]),
+    (["render", "n=2; z1"], ["render"]),
+    (["parity", "--parity", "gaussian", "n=2; z1"], ["parity"]),
+])
+def test_subcommand_imports_only_its_modules(argv, loaded):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import contextlib, io, json, sys; from freebraid.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()): status = main(sys.argv[1:])\n"
+            "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'freebraid')]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    expected = sorted(["freebraid", "freebraid.cli", "freebraid.words", *(f"freebraid.{m}" for m in loaded)])
+    assert json.loads(proc.stdout) == [0, expected]
 
 
 def test_oracle_command(capsys):

@@ -237,6 +237,10 @@ def test_parse_scheme_designations():
         parse_scheme("component:N1=\u0661", 2)
     with pytest.raises(PreconditionError, match="bad permutation image"):
         parse_scheme("qgaussian:Q=\u0662,1", 2)
+    with pytest.raises(PreconditionError, match="not a subset of 1..4"):
+        parse_scheme("component:N1=9", 4)
+    with pytest.raises(PreconditionError, match="not a bijection"):
+        parse_scheme("qgaussian:Q=1,1", 2)
 
 
 def test_axioms_on_virtualization_instance():
