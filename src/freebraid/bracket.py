@@ -19,7 +19,6 @@ from .normalform import (
     f_equal,
     find_bigons,
     irreducible_form_tracked,
-    strongly_equal,
 )
 from .parity import ParityAssignment, ParityScheme
 from .words import BraidWord, PreconditionError, permutation
@@ -106,9 +105,10 @@ def _reproduce(beta: BraidWord, beta_prime: BraidWord, scheme: ParityScheme) -> 
             reason="permutations differ; the words are not equivalent under any move set")
     br = bracket(beta_prime, scheme)
     reduced, survivors = irreducible_form_tracked(br.word)
-    if strongly_equal(reduced, beta):
+    code = canonical_code(reduced)
+    if code == canonical_code(beta):
         witness = tuple(br.kept_positions[k] for k in survivors)
-        return ReproductionReport(True, witness, canonical_code(reduced))
+        return ReproductionReport(True, witness, code)
     return ReproductionReport(
-        success=False, witness_positions=None, reduced_code=canonical_code(reduced),
+        success=False, witness_positions=None, reduced_code=code,
         reason="brackets differ; the words are certified non-equivalent")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when an operation
 is invoked outside its domain (for example Gaussian parity of a word whose
-closure is not a single circle).
+closure is not a single circle, or a `--steps` above
+`moves.MAX_STEPS`, 1000000).
 
 Each handler imports the modules it uses, so the top level stays at
 `argparse`, `json`, `sys` and `words` and a command loads only its own

@@ -292,6 +292,9 @@ def apply_move(word: BraidWord, m: MoveInstance) -> tuple[BraidWord, LetterCorre
     return result, corr
 
 
+MAX_STEPS = 1_000_000
+
+
 def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
              max_length: int) -> tuple[BraidWord, tuple[MoveInstance, ...]]:
     """Random walk over applicable moves; deterministic for a fixed seed.
@@ -300,10 +303,13 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     insertions are excluded whenever they would push the word past
     max_length.  The result is equivalent to the input in the chosen move
     set.  Whether a move matches is kept per offset and only the window a
-    move touches is rescanned (see the module docstring).
+    move touches is rescanned (see the module docstring).  The history
+    keeps one move per step, so steps is capped at MAX_STEPS.
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
+    if steps > MAX_STEPS:
+        raise PreconditionError(f"steps must be at most {MAX_STEPS}, got {steps}")
     if max_length < len(word.letters):
         raise PreconditionError("max_length must be at least the current word length")
     rng = random.Random(seed)

@@ -5,11 +5,17 @@ stay within a length bound.  Membership is literal letter-sequence
 identity, so the oracle makes no assumptions shared with the deciders it
 cross-checks.  It can certify equality but never inequality: a word missing
 from a bounded ball may still be reachable through longer intermediates.
+
+The search runs on packed words.  On n strands, letter x becomes the code
+x + n, which lies in 1 .. 2n - 1 and so is never 0.  Each code takes
+b = (2n - 1).bit_length() bits, letter 0 in the lowest b, and a word is the
+one int they make: the empty word is 0, and a word's length is its bit
+length divided by b, rounded up.  The encoding is injective for every n, so
+equal ints are equal letter sequences.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -53,63 +59,98 @@ class EquivalenceBall:
         return len(self.members)
 
 
-def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,
-              target: tuple[int, ...] | None = None) -> tuple[list[tuple[int, ...]], bool]:
-    """Bounded BFS from word: (letters in discovery order, cap exceeded).
+def _code_bits(n: int) -> int:
+    return (2 * n - 1).bit_length()
 
-    The search stops as soon as target is discovered, which is then the last
-    word of the order; the origin counts as discovered first.  Discovering
-    one word beyond node_cap aborts the search and reports the cap.
+
+def _pack(letters: tuple[int, ...], n: int, b: int) -> int:
+    """letters as one int: the code x + n of letter k in bits b*k .. b*k + b - 1."""
+    w = 0
+    for x in reversed(letters):
+        w = w << b | (x + n)
+    return w
+
+
+def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
+    mask = (1 << b) - 1
+    letters = []
+    while w:
+        letters.append((w & mask) - n)
+        w >>= b
+    return tuple(letters)
+
+
+def _window_rewrite(window: tuple[int, ...], n: int, b: int, flags: tuple[bool, ...]) -> int:
+    """The packed rewrite at offset 0 of window: -1 for no match, 0 for
+    deleting the first two letters, else the XOR of source and target."""
+    match = _match_at(window, 0, flags)
+    if match is None:
+        return -1
+    source, replacement = _oriented_sides(*match)
+    _rewrite(window, 0, source, replacement, match[0], match[2])
+    return _pack(source, n, b) ^ _pack(replacement, n, b) if replacement else 0
+
+
+def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,
+              target: int | None = None) -> tuple[list[int], bool]:
+    """Bounded BFS from word: (packed words in discovery order, cap exceeded).
+
+    The search stops as soon as the packed target is discovered, which is
+    then the last word of the order; the origin counts as discovered first.
+    Discovering one word beyond node_cap aborts the search and reports the
+    cap.
     """
     if length_bound < len(word.letters):
         raise PreconditionError("length bound must be at least the origin's length")
     if node_cap < 1:
         raise PreconditionError("node_cap must be >= 1")
-    origin = word.letters
-    order: list[tuple[int, ...]] = [origin]
+    n = word.n
+    b = _code_bits(n)
+    b2 = 2 * b
+    mask1, mask3 = (1 << b) - 1, (1 << 3 * b) - 1
+    origin = _pack(word.letters, n, b)
+    order = [origin]
     if origin == target:
         return order, False
     rels = relations_in(moveset)
     flags = _relation_flags(rels)
-    inserted = [relation_sides(rel, i)[0] for rel in _R2_RELATIONS if rel in rels for i in range(1, word.n)]
-    # The match at offset p depends only on letters[p:p + 3], so it is found,
-    # oriented and checked against the window once per distinct window; the
-    # source then sits at p of every word holding that window.
-    rewrites: dict[tuple[int, ...], tuple[int, tuple[int, ...]] | None] = {}
-    seen: set[tuple[int, ...]] = {origin}
-    queue: deque[tuple[int, ...]] = deque([origin])
-    while queue:
-        letters = queue.popleft()
+    pairs = [relation_sides(rel, i)[0] for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
+    # Inserting x x right after x repeats the insertion one offset earlier,
+    # so after a letter of code c the pair of that letter is left out.
+    pairs_after = [[_pack(pair, n, b) for pair in pairs if pair[0] + n != c] for c in range(mask1 + 1)]
+    # The match at offset p depends only on the window of letters p..p+2,
+    # so it is found, oriented and checked once per distinct window.
+    rewrites: dict[int, int] = {}
+    seen = {origin}
+    # BFS visits words in discovery order, so order doubles as the queue.
+    for w in order:
+        length = -(-w.bit_length() // b)
         neighbors = []
-        for p in range(len(letters) - 1):
-            window = letters[p:p + 3]
-            if window in rewrites:
-                rewrite = rewrites[window]
-            else:
-                match = _match_at(window, 0, flags)
-                rewrite = None
-                if match is not None:
-                    source, replacement = _oriented_sides(*match)
-                    _rewrite(window, 0, source, replacement, match[0], match[2])
-                    rewrite = (len(source), replacement)
-                rewrites[window] = rewrite
-            if rewrite is not None:
-                size, replacement = rewrite
-                neighbors.append(letters[:p] + replacement + letters[p + size:])
-        if len(letters) + 2 <= length_bound:
-            for p in range(len(letters) + 1):
-                head, tail = letters[:p], letters[p:]
-                neighbors += [head + pair + tail for pair in inserted]
+        for s in range(0, b * (length - 1), b):
+            key = w >> s & mask3
+            delta = rewrites.get(key)
+            if delta is None:
+                delta = rewrites[key] = _window_rewrite(_unpack(key, n, b), n, b, flags)
+            if delta > 0:
+                neighbors.append(w ^ delta << s)
+            elif delta == 0:
+                neighbors.append((w & (1 << s) - 1) | (w >> s + b2) << s)
+        if length + 2 <= length_bound:
+            prev = 0
+            for s in range(0, b * (length + 1), b):
+                low = w & (1 << s) - 1
+                base = low | (w ^ low) << b2
+                neighbors += [base | pair << s for pair in pairs_after[prev]]
+                prev = w >> s & mask1
         for neighbor in neighbors:
             if neighbor in seen:
                 continue
-            if len(seen) >= node_cap:
+            if len(order) >= node_cap:
                 return order, True
             seen.add(neighbor)
             order.append(neighbor)
             if neighbor == target:
                 return order, False
-            queue.append(neighbor)
     return order, False
 
 
@@ -121,7 +162,9 @@ def bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
     failing silently.
     """
     order, cap_exceeded = _discover(word, moveset, length_bound, node_cap)
-    members = tuple(BraidWord(word.n, ls) for ls in order)
+    n = word.n
+    b = _code_bits(n)
+    members = tuple(BraidWord(n, _unpack(w, n, b)) for w in order)
     return EquivalenceBall(word, moveset, length_bound, members, cap_exceeded)
 
 
@@ -136,8 +179,9 @@ def oracle_equal(w1: BraidWord, w2: BraidWord, moveset: MoveSet, length_bound: i
     """
     if w1.n != w2.n:
         raise PreconditionError(f"strand counts differ: {w1.n} vs {w2.n}")
-    order, cap_exceeded = _discover(w1, moveset, length_bound, node_cap, target=w2.letters)
-    if order[-1] == w2.letters:
+    target = _pack(w2.letters, w2.n, _code_bits(w2.n))
+    order, cap_exceeded = _discover(w1, moveset, length_bound, node_cap, target)
+    if order[-1] == target:
         return OracleVerdict.EQUAL
     if cap_exceeded:
         return OracleVerdict.CAP_EXCEEDED

@@ -168,6 +168,20 @@ def test_scramble_rejects_bad_bounds(capsys, option, message):
     assert err == f"freebraid: {message}\n"
 
 
+@pytest.mark.parametrize("command, words", [
+    (("scramble",), ("n=3; z1 z2",)),
+    (("scenario", "brunnian"), ()),
+])
+def test_steps_above_the_cap_exit_2_at_once(command, words):
+    src = Path(__file__).resolve().parent.parent / "src"
+    steps = "99999999999999999999"
+    proc = subprocess.run([sys.executable, "-m", "freebraid.cli", *command, "--steps", steps, *words],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"freebraid: steps must be at most 1000000, got {steps}\n"
+
+
 @pytest.mark.parametrize("node_cap", ["0", "-3"])
 def test_oracle_rejects_bad_node_cap(capsys, node_cap):
     code, out, err = run(capsys, "oracle", "--node-cap", node_cap, "n=2; z1 z1", "n=2; z1 z1")

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 
 from freebraid.words import BraidWord, PreconditionError, parse_word, permutation
 from freebraid.moves import (
+    MAX_STEPS,
     Direction,
     MoveInstance,
     MoveSet,
     Relation,
+    _match_at,
+    _relation_flags,
     applicable_moves,
     apply_move,
     apply_move_word,
@@ -173,6 +176,29 @@ def test_scramble_with_strong_moves_preserves_canonical_code():
 def test_scramble_on_single_strand_terminates_early():
     out, history = scramble(BraidWord(1), 10, MoveSet.FB, seed=0, max_length=5)
     assert out == BraidWord(1) and history == ()
+
+
+def test_scramble_steps_capped_at_max_steps():
+    assert MAX_STEPS == 1_000_000
+    assert scramble(BraidWord(1), MAX_STEPS, MoveSet.FB, seed=0, max_length=5) == (BraidWord(1), ())
+    with pytest.raises(PreconditionError, match="steps must be at most 1000000, got 1000001"):
+        scramble(BraidWord(1), MAX_STEPS + 1, MoveSet.FB, seed=0, max_length=5)
+
+
+@pytest.mark.parametrize("moveset", list(MoveSet))
+def test_match_at_agrees_with_reference_on_every_short_window(moveset):
+    """Every window of 1 to 3 letters on n = 4: the matcher the oracle's window cache relies on."""
+    rels = relations_in(moveset)
+    flags = _relation_flags(rels)
+    alphabet = (1, 2, 3, -1, -2, -3)
+    windows = [()]
+    for length in range(1, 4):
+        windows = [w + (x,) for w in windows for x in alphabet]
+        for window in windows:
+            match = _match_at(window, 0, flags)
+            expected = [(m.relation, m.i, m.direction, m.j)
+                        for m in reference_match_instances(window, rels) if m.position == 0]
+            assert ([] if match is None else [match]) == expected, (window, moveset)
 
 
 def test_applicable_moves_match_reference():

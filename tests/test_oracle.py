@@ -7,7 +7,7 @@ from freebraid.parity import GaussianScheme
 from freebraid.bracket import brackets_equal
 from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
 
-from helpers import random_scheme
+from helpers import random_scheme, random_word, reference_bfs_ball, reference_oracle_equal
 import random
 
 
@@ -64,7 +64,6 @@ def test_oracle_requires_same_strand_count():
 
 def test_oracle_equality_implies_equal_brackets():
     rng = random.Random(13)
-    from helpers import random_word
     checked = 0
     while checked < 20:
         w1 = random_word(rng, 3, rng.randint(0, 4))
@@ -104,8 +103,7 @@ def test_mini_agreement_sweep_strong_and_f():
 
 
 def test_bfs_ball_matches_reference():
-    """Object-free neighbours keep the reference's discovery order and cut-off."""
-    from helpers import random_word, reference_bfs_ball
+    """Packed neighbours keep the reference's discovery order and cut-off."""
     rng = random.Random(17)
     capped = 0
     for k in range(240):
@@ -124,7 +122,6 @@ def test_bfs_ball_matches_reference():
 
 def test_oracle_equal_matches_reference():
     """The early exit keeps the verdict of membership in the whole ball, then its cap."""
-    from helpers import random_word, reference_oracle_equal
     rng = random.Random(29)
     verdicts = set()
     for k in range(1500):
@@ -142,6 +139,73 @@ def test_oracle_equal_matches_reference():
             (w1, w2, moveset, bound, node_cap)
         verdicts.add(verdict)
     assert verdicts == set(OracleVerdict)
+
+
+def _assert_search_matches_reference(word, moveset, bound, node_cap, partners):
+    ball = bfs_ball(word, moveset, bound, node_cap)
+    ref = reference_bfs_ball(word, moveset, bound, node_cap)
+    assert ball.members == ref.members, (word, moveset, bound, node_cap)
+    assert ball.cap_exceeded == ref.cap_exceeded
+    for w2 in partners:
+        assert oracle_equal(word, w2, moveset, bound, node_cap) is \
+            reference_oracle_equal(word, w2, moveset, bound, node_cap), (word, w2, moveset, bound, node_cap)
+    return ball
+
+
+def _trailing_partners(rng, word):
+    """The word, the word with one or two letters appended or its last one dropped, and a random word."""
+    n = word.n
+    letters = [x for i in range(1, n) for x in (i, -i)]
+    if not letters:
+        return [word]
+    x = rng.choice(letters)
+    return [word, BraidWord(n, word.letters + (x,)), BraidWord(n, word.letters + (x, x)),
+            BraidWord(n, word.letters[:-1]), random_word(rng, n, len(word))]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_packed_search_matches_reference_for_every_code_width(n):
+    """Letter codes take 1 to 5 bits for n = 1 .. 9; caps 1, 2 and 10 cut the search early."""
+    rng = random.Random(300 + n)
+    for k in range(24):
+        word = random_word(rng, n, rng.randint(0, 4))
+        moveset = (MoveSet.F, MoveSet.FB, MoveSet.STRONG)[k % 3]
+        bound = len(word) + rng.randint(0, 2)
+        node_cap = (1, 2, 10, 400)[k % 4]
+        ball = _assert_search_matches_reference(word, moveset, bound, node_cap, _trailing_partners(rng, word))
+        members = ball.members
+        picks = {members[0], members[-1], members[len(members) // 2]}
+        for w2 in picks:
+            assert oracle_equal(word, w2, moveset, bound, node_cap) is OracleVerdict.EQUAL
+
+
+def test_packed_search_matches_reference_beyond_64_bits():
+    """On n = 40 a code takes 7 bits, so words of 10 or more letters pack past 64 bits."""
+    rng = random.Random(43)
+    z1 = BraidWord(40, (1,))
+    _assert_search_matches_reference(z1, MoveSet.F, 3, 10, [z1, BraidWord(40, (1, 1)), BraidWord(40, (1, 1, 1))])
+    for text, moveset, extra, node_cap, capped in (
+            ("z38 z39 t38 z39 z38 t39 z39 z38 t38 z39 z38", MoveSet.FB, 0, 1_000_000, False),
+            ("t1 t2 t1 z3 z5 t2 z1 z1 t39 z38", MoveSet.STRONG, 0, 1_000_000, False),
+            ("z1 z2 z1 z2 z1 z2 z1 z2 z1 z2", MoveSet.F, 2, 600, True),
+            ("z38 z39 t38 z39 z38 t39 z39 z38 t38 z39 z38", MoveSet.STRONG, 2, 300, True)):
+        word = parse_word("n=40; " + text)
+        ball = _assert_search_matches_reference(word, moveset, len(word) + extra, node_cap,
+                                                _trailing_partners(rng, word))
+        assert ball.cap_exceeded is capped and len(ball) > 1
+        members = ball.members
+        for w2 in (members[-1], members[len(members) // 2]):
+            assert oracle_equal(word, w2, moveset, len(word) + extra, node_cap) is OracleVerdict.EQUAL
+
+
+def test_trailing_letters_are_not_dropped():
+    z1, z1z1 = parse_word("n=2; z1"), parse_word("n=2; z1 z1")
+    for moveset in MoveSet:
+        assert oracle_equal(z1, z1z1, moveset, 6) is OracleVerdict.NOT_FOUND_WITHIN_BOUND
+        assert z1z1 not in bfs_ball(z1, moveset, 6)
+    empty = BraidWord(2)
+    assert oracle_equal(z1z1, empty, MoveSet.F, 2) is OracleVerdict.EQUAL
+    assert oracle_equal(empty, empty, MoveSet.F, 0, node_cap=1) is OracleVerdict.EQUAL
 
 
 def test_oracle_cap_boundary_in_discovery_order():
