@@ -7,12 +7,14 @@ equivalent subword again.  Prints per-seed word growth and witness size.
 """
 
 import argparse
+import sys
 import time
 
 from freebraid.moves import MoveSet, scramble
 from freebraid.parity import GaussianScheme
 from freebraid.bracket import verify_reproduction
 from freebraid.scenarios import brunnian_word
+from freebraid.words import ParseError, PreconditionError
 
 
 def main():
@@ -22,6 +24,14 @@ def main():
     parser.add_argument("--max-length", type=int, default=200)
     args = parser.parse_args()
 
+    try:
+        run(args)
+    except (ParseError, PreconditionError) as e:
+        print(f"{parser.prog}: {e}", file=sys.stderr)
+        sys.exit(2 if isinstance(e, PreconditionError) else 1)
+
+
+def run(args):
     word = brunnian_word()
     scheme = GaussianScheme()
     ok = 0

@@ -20,7 +20,7 @@ from .normalform import (
     find_bigons,
     irreducible_form_tracked,
 )
-from .parity import ParityAssignment, ParityScheme
+from .parity import Parity, ParityAssignment, ParityScheme
 from .words import BraidWord, PreconditionError, permutation
 
 
@@ -39,8 +39,8 @@ def bracket(word: BraidWord, scheme: ParityScheme) -> BracketResult:
 
 def _bracket_with(word: BraidWord, assignment: ParityAssignment) -> BracketResult:
     """The bracket under an assignment already computed for word."""
-    kept = tuple([t for t, x in enumerate(word.letters)
-                  if x < 0 or assignment.is_odd(t)])
+    parities, odd = assignment.parities, Parity.ODD
+    kept = tuple([t for t, x in enumerate(word.letters) if x < 0 or parities[t] is odd])
     return BracketResult(BraidWord(word.n, tuple([word.letters[t] for t in kept])), kept)
 
 

@@ -30,6 +30,7 @@ from .words import (
 # The values of moves.MoveSet and render.RenderFormat, in order; a test keeps them equal.
 _MOVESETS = ("F", "FB", "strong")
 _FORMATS = ("ascii", "svg")
+_PAIR = ("word1", "word2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,12 +154,12 @@ def _cmd_eq(args, decider: str) -> None:
 
 def _cmd_distinguish(args) -> None:
     from .bracket import bracket
-    from .normalform import canonical_code, irreducible_form
+    from .normalform import irreducible_code
     from .parity import parse_scheme
     w1, w2 = _load_word(args.word1), _load_word(args.word2)
     scheme = parse_scheme(args.parity, w1.n)
-    c1 = canonical_code(irreducible_form(bracket(w1, scheme).word))
-    c2 = canonical_code(irreducible_form(bracket(w2, scheme).word))
+    c1 = irreducible_code(bracket(w1, scheme).word)
+    c2 = irreducible_code(bracket(w2, scheme).word)
     if w1.n != w2.n:
         raise PreconditionError(f"strand counts differ: {w1.n} vs {w2.n}")
     differ = c1 != c2
@@ -235,10 +236,6 @@ def _cmd_scenario(args) -> None:
     print(report.to_json() if args.json else report.format_text())
 
 
-def _add_word_arg(p, name="word", help="braid word (inline, @file, or - for stdin)"):
-    p.add_argument(name, help=help)
-
-
 def _add_json_flag(p):
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -248,56 +245,38 @@ def build_parser() -> _Parser:
                      description="Free braid words: moves, parities, brackets, deciders.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help):
+    # Word arguments go in last, so that a missing `--parity` is still named first.
+    word_args = []
+
+    def add(name, func, help, words=("word",)):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         _add_json_flag(p)
+        word_args.append((p, words))
         return p
 
-    p = add("parse", _cmd_parse, "parse and echo a word")
-    _add_word_arg(p)
-
-    p = add("perm", _cmd_perm, "endpoint permutation")
-    _add_word_arg(p)
-
-    p = add("closure", _cmd_closure, "closure component count and cycles")
-    _add_word_arg(p)
-
-    p = add("chords", _cmd_chords, "chord diagram of the closure")
-    _add_word_arg(p)
+    add("parse", _cmd_parse, "parse and echo a word")
+    add("perm", _cmd_perm, "endpoint permutation")
+    add("closure", _cmd_closure, "closure component count and cycles")
+    add("chords", _cmd_chords, "chord diagram of the closure")
 
     p = add("parity", _cmd_parity, "per-crossing parities under a scheme")
     p.add_argument("--parity", required=True, metavar="SCHEME",
                    help="gaussian | component:N1=<list> | qgaussian:Q=<image>")
-    _add_word_arg(p)
 
     p = add("bracket", _cmd_bracket, "one-term parity bracket")
     p.add_argument("--parity", required=True, metavar="SCHEME")
-    _add_word_arg(p)
 
-    p = add("reduce", _cmd_reduce, "bigon-irreducible form")
-    _add_word_arg(p)
+    add("reduce", _cmd_reduce, "bigon-irreducible form")
+    add("canon", _cmd_canon, "canonical code (decides strong equality)")
+    add("eq-f", lambda a: _cmd_eq(a, "f_equal"), "word equality under all moves but the triple slide", _PAIR)
+    add("eq-strong", lambda a: _cmd_eq(a, "strongly_equal"), "strong equality (no pair cancellation)", _PAIR)
 
-    p = add("canon", _cmd_canon, "canonical code (decides strong equality)")
-    _add_word_arg(p)
-
-    p = add("eq-f", lambda a: _cmd_eq(a, "f_equal"), "word equality under all moves but the triple slide")
-    _add_word_arg(p, "word1")
-    _add_word_arg(p, "word2")
-
-    p = add("eq-strong", lambda a: _cmd_eq(a, "strongly_equal"), "strong equality (no pair cancellation)")
-    _add_word_arg(p, "word1")
-    _add_word_arg(p, "word2")
-
-    p = add("distinguish", _cmd_distinguish, "certify non-equivalence via the parity bracket")
+    p = add("distinguish", _cmd_distinguish, "certify non-equivalence via the parity bracket", _PAIR)
     p.add_argument("--parity", required=True, metavar="SCHEME")
-    _add_word_arg(p, "word1")
-    _add_word_arg(p, "word2")
 
-    p = add("verify", _cmd_verify, "locate an odd irreducible word inside a candidate")
+    p = add("verify", _cmd_verify, "locate an odd irreducible word inside a candidate", _PAIR)
     p.add_argument("--parity", required=True, metavar="SCHEME")
-    _add_word_arg(p, "word1")
-    _add_word_arg(p, "word2")
 
     p = add("scramble", _cmd_scramble, "random walk over applicable moves")
     p.add_argument("--steps", type=_ascii_int, default=100)
@@ -305,18 +284,17 @@ def build_parser() -> _Parser:
     p.add_argument("--max-length", type=_ascii_int, default=None)
     p.add_argument("--moveset", choices=_MOVESETS, default="FB")
     p.add_argument("--history", action="store_true", help="also print the move history")
-    _add_word_arg(p)
 
-    p = add("oracle", _cmd_oracle, "breadth-first equality oracle")
+    p = add("oracle", _cmd_oracle, "breadth-first equality oracle", _PAIR)
     p.add_argument("--moveset", choices=_MOVESETS, default="F")
     p.add_argument("--bound", type=_ascii_int, default=None, help="length bound for intermediate words")
     p.add_argument("--node-cap", type=_ascii_int, default=1_000_000)
-    _add_word_arg(p, "word1")
-    _add_word_arg(p, "word2")
 
     p = add("render", _cmd_render, "emit a diagram")
     p.add_argument("--format", choices=_FORMATS, default="ascii")
-    _add_word_arg(p)
+    for p, words in word_args:
+        for word in words:
+            p.add_argument(word, help="braid word (inline, @file, or - for stdin)")
 
     p = sub.add_parser("scenario", help="built-in experiments")
     scen = p.add_subparsers(dest="which", required=True)

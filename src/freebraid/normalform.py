@@ -9,7 +9,9 @@ forms plus the canonical code below decide F-equality.
 Reduction runs in O(L log L) for a word of L letters.  Deleting a bigon p, q
 changes no other classical letter's strand pair and no order along any strand
 (a virtual letter between p and q only has the pair's two strands swapped), so
-it is a splice of both strands' links (see `irreducible_form_tracked`).
+it is a splice of both strands' links (see `_reduce`).  Since F moves also
+keep the endpoint permutation, F-codes come straight from the reduced links
+and the input's single walk (`irreducible_code`); no reduced word is built.
 
 Strong equivalence (all F moves except classical pair cancellation) is
 decided by canonicalizing the crossing graph: virtual crossings are
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .words import BraidWord, PreconditionError, crossings_by_strand, permutation, strand_trace
+from .words import BraidWord, Permutation, PreconditionError, crossings_by_strand, permutation
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,36 +35,46 @@ class Bigon:
     strands: frozenset[int]
 
 
-def _strand_links(word: BraidWord) -> tuple[tuple[tuple[int, int], ...], list[int], list[int], list[int]]:
-    """Doubly linked classical letters along every strand, plus the bigon starts.
+def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Doubly linked classical letters along every strand, in one walk of the word.
 
     Classical letter t with strand pair a < b is node 2t on strand a and node
-    2t + 1 on strand b; nxt and prv hold each node's neighbour on its strand,
-    or -1.  A bigon is fixed by its first letter p: both of p's nodes have
-    successors on the same letter q.  Returns the strand trace, nxt, prv and
-    the sorted bigon first letters.
+    2t + 1 on strand b; strand holds each node's strand (0 for a virtual
+    letter's), nxt and prv each node's neighbour on its strand, or -1.  A
+    bigon is fixed by its first letter p: both of p's nodes have successors
+    on the same letter q.  Returns strand, nxt, prv, the sorted bigon first
+    letters and the final arrangement, 1-based: the strand at each bottom
+    position.
     """
-    trace = strand_trace(word)
-    nxt = [-1] * (2 * len(trace))
+    letters = word.letters
+    pos = list(range(word.n + 1))  # 1-based: the strand at each position
+    strand = [0] * (2 * len(letters))
+    nxt = [-1] * (2 * len(letters))
     prv = nxt.copy()
     last = [-1] * (word.n + 1)  # 1-based: the last node seen on each strand
     starts = []
-    for t, x in enumerate(word.letters):
-        if x > 0:
-            a, b = trace[t]
-            la, lb = last[a], last[b]
-            if la >= 0:
-                nxt[la] = 2 * t
-                prv[2 * t] = la
-            if lb >= 0:
-                nxt[lb] = 2 * t + 1
-                prv[2 * t + 1] = lb
-                if la >> 1 == lb >> 1:
-                    starts.append(lb >> 1)
-            last[a] = 2 * t
-            last[b] = 2 * t + 1
+    for t, x in enumerate(letters):
+        if x < 0:
+            pos[-x], pos[1 - x] = pos[1 - x], pos[-x]
+            continue
+        a, b = pos[x], pos[x + 1]
+        pos[x], pos[x + 1] = b, a
+        a, b = (a, b) if a < b else (b, a)
+        u = 2 * t
+        strand[u], strand[u + 1] = a, b
+        la, lb = last[a], last[b]
+        if la >= 0:
+            nxt[la] = u
+            prv[u] = la
+        if lb >= 0:
+            nxt[lb] = u + 1
+            prv[u + 1] = lb
+            if la >> 1 == lb >> 1:
+                starts.append(lb >> 1)
+        last[a] = u
+        last[b] = u + 1
     starts.sort()
-    return trace, nxt, prv, starts
+    return strand, nxt, prv, starts, pos
 
 
 def _bigon_end(nxt: list[int], p: int) -> int | None:
@@ -73,16 +85,16 @@ def _bigon_end(nxt: list[int], p: int) -> int | None:
 
 def find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
     """All bigons, sorted by positions.  Virtual letters never block one."""
-    trace, nxt, _, starts = _strand_links(word)
-    return tuple([Bigon((p, _bigon_end(nxt, p)), frozenset(trace[p])) for p in starts])
+    strand, nxt, _, starts, _ = _strand_links(word)
+    return tuple([Bigon((p, _bigon_end(nxt, p)), frozenset(strand[2 * p:2 * p + 2])) for p in starts])
 
 
 def reduce_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
     """Delete the bigon's two letters; the classical count drops by two."""
-    trace, nxt, _, _ = _strand_links(word)
+    strand, nxt, _, _, _ = _strand_links(word)
     p, q = bigon.positions
-    if not (0 <= p < len(trace) and _bigon_end(nxt, p) == q
-            and bigon.strands == frozenset(trace[p])):
+    if not (0 <= p < len(word.letters) and _bigon_end(nxt, p) == q
+            and bigon.strands == frozenset(strand[2 * p:2 * p + 2])):
         raise PreconditionError(f"stale bigon {bigon}: not present in the word")
     letters = word.letters
     return BraidWord(word.n, letters[:p] + letters[p + 1:q] + letters[q + 1:])
@@ -94,14 +106,22 @@ def irreducible_form(word: BraidWord) -> BraidWord:
 
 
 def irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tuple[int, ...]]:
-    """Irreducible form plus the surviving letters' positions in the input.
+    """Irreducible form plus the surviving letters' positions in the input."""
+    _, alive, _ = _reduce(word)
+    kept = tuple([t for t in range(len(alive)) if alive[t]])
+    letters = word.letters
+    return BraidWord(word.n, tuple([letters[t] for t in kept])), kept
+
+
+def _reduce(word: BraidWord) -> tuple[list[int], bytearray, list[int]]:
+    """Reduce leftmost bigons: `_strand_links`' strand and arrangement, and alive[t] per letter t.
 
     Pops candidate first letters from a min-heap, so the leftmost bigon of
     the current word is always the one deleted.  A popped letter is skipped
     if it is gone or no longer starts a bigon.  After a deletion only the two
     splice points, p's predecessors on its strands, can start a new bigon.
     """
-    _, nxt, prv, heap = _strand_links(word)
+    strand, nxt, prv, heap, arrangement = _strand_links(word)
     alive = bytearray(b"\x01") * len(word.letters)
     while heap:
         p = heappop(heap)
@@ -116,9 +136,7 @@ def irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tuple[int, ...
             if before >= 0:
                 nxt[before] = after
                 heappush(heap, before >> 1)
-    kept = tuple([t for t in range(len(alive)) if alive[t]])
-    letters = word.letters
-    return BraidWord(word.n, tuple([letters[t] for t in kept])), kept
+    return strand, alive, arrangement
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,19 +160,29 @@ class CanonicalCode:
 
 
 def canonical_code(word: BraidWord) -> CanonicalCode:
-    seqs = crossings_by_strand(word)
+    return _labelled(word.n, permutation(word).image, crossings_by_strand(word))
+
+
+def irreducible_code(word: BraidWord) -> CanonicalCode:
+    """`canonical_code(irreducible_form(word))`, read off the reduced links and the input's walk."""
+    strand, alive, arrangement = _reduce(word)
+    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
+    for t, x in enumerate(word.letters):
+        if x > 0 and alive[t]:
+            seqs[strand[2 * t]].append(t)
+            seqs[strand[2 * t + 1]].append(t)
+    return _labelled(word.n, Permutation(tuple(arrangement[1:])).inverse().image, seqs)
+
+
+def _labelled(n: int, image: tuple[int, ...], seqs: list[list[int]]) -> CanonicalCode:
+    """The code of the crossings seqs[s] met in order along each strand s, 1-based."""
     label: dict[int, int] = {}
-    for s in range(1, word.n + 1):
-        for t in seqs[s]:
+    for seq in seqs[1:]:
+        for t in seq:
             if t not in label:
                 label[t] = len(label) + 1
-    return CanonicalCode(
-        n=word.n,
-        permutation=permutation(word).image,
-        crossing_count=len(label),
-        strand_sequences=tuple([tuple([label[t] for t in seqs[s]])
-                                for s in range(1, word.n + 1)]),
-    )
+    return CanonicalCode(n, image, len(label),
+                         tuple([tuple([label[t] for t in seq]) for seq in seqs[1:]]))
 
 
 def strongly_equal(w1: BraidWord, w2: BraidWord) -> bool:
@@ -168,4 +196,4 @@ def f_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Equality under the full move set F: compare irreducible forms."""
     if w1.n != w2.n:
         raise PreconditionError(f"strand counts differ: {w1.n} vs {w2.n}")
-    return canonical_code(irreducible_form(w1)) == canonical_code(irreducible_form(w2))
+    return irreducible_code(w1) == irreducible_code(w2)

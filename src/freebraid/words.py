@@ -137,9 +137,12 @@ class Permutation:
 # identities meeting at it.
 StrandTrace = tuple[tuple[int, int], ...]
 
+# Larger strand counts are refused at parse time, before anything of size n is built.
+MAX_STRANDS = 10_000
+
 # Indices are ASCII digits only: `\d` and `int` would also take other scripts' digits.
-_LETTER_RE = re.compile(r"([zt])([0-9]+)\Z")
 _HEADER_RE = re.compile(r"\An=([0-9]+)\s*;")
+_LETTER_RE = re.compile(r"[zt]0*[1-9][0-9]*\Z")  # a positive index
 
 
 def parse_word(text: str) -> BraidWord:
@@ -148,35 +151,42 @@ def parse_word(text: str) -> BraidWord:
     Text: optional header ``n=<int>;`` followed by whitespace-separated
     letters ``z<i>`` (classical) and ``t<i>`` (virtual).  Without a header
     the strand count is the smallest one making the word valid.  JSON input
-    is detected by a leading ``{``.
+    is detected by a leading ``{``.  Strand counts above `MAX_STRANDS` are refused.
     """
     s = text.strip()
     if s.startswith("{"):
         return _parse_word_json(s)
-    n_header = None
+    n = None
     m = _HEADER_RE.match(s)
     if m:
-        n_header = int(m.group(1))
-        if n_header < 1:
-            raise ParseError(f"strand count must be >= 1, got {n_header}")
+        n = _checked_strand_count(int(m.group(1)))
         s = s[m.end():]
-    letters = []
-    for tok in s.split():
-        lm = _LETTER_RE.match(tok)
-        if not lm:
-            raise ParseError(f"unknown token {tok!r}")
-        idx = int(lm.group(2))
-        if idx < 1:
-            raise ParseError(f"letter index must be positive in {tok!r}")
-        letters.append(idx if lm.group(1) == "z" else -idx)
-    if n_header is not None:
-        n = n_header
-        for x in letters:
-            if abs(x) > n - 1:
-                raise ParseError(f"letter index {abs(x)} out of range for n={n}")
-    else:
-        n = max((abs(x) for x in letters), default=0) + 1
-    return BraidWord(n, tuple(letters))
+    tokens = s.split()
+    # Each distinct token is checked and converted once; the rest are lookups.
+    value = {tok: int(tok[1:]) if tok[0] == "z" else -int(tok[1:])
+             for tok in set(tokens) if _LETTER_RE.match(tok)}
+    try:
+        letters = tuple(map(value.__getitem__, tokens))
+    except KeyError as e:  # raised at the first token that is not a letter
+        tok = e.args[0]
+        if tok[0] in "zt" and tok[1:].isascii() and tok[1:].isdigit():
+            raise ParseError(f"letter index must be positive in {tok!r}") from None
+        raise ParseError(f"unknown token {tok!r}") from None
+    top = max(max(letters), -min(letters)) if letters else 0
+    if n is None:
+        n = _checked_strand_count(top + 1)
+    elif top > n - 1:
+        raise ParseError(f"letter index {next(i for i in map(abs, letters) if i > n - 1)} "
+                         f"out of range for n={n}")
+    return BraidWord(n, letters)
+
+
+def _checked_strand_count(n: int) -> int:
+    if n < 1:
+        raise ParseError(f"strand count must be >= 1, got {n}")
+    if n > MAX_STRANDS:
+        raise ParseError(f"strand count must be at most {MAX_STRANDS}, got {n}")
+    return n
 
 
 def _parse_word_json(s: str) -> BraidWord:
@@ -189,9 +199,7 @@ def _parse_word_json(s: str) -> BraidWord:
     raw = obj.get("letters", [])
     if not isinstance(raw, list):
         raise ParseError("JSON field 'letters' must be an array")
-    n = obj["n"]
-    if n < 1:
-        raise ParseError(f"strand count must be >= 1, got {n}")
+    n = _checked_strand_count(obj["n"])
     letters = []
     for entry in raw:
         if not isinstance(entry, dict) or entry.get("kind") not in (CLASSICAL, VIRTUAL):

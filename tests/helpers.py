@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 
 from freebraid.words import (
     BraidWord,
+    ParseError,
     Permutation,
     PreconditionError,
+    _parse_word_json,
     is_cyclic,
     permutation,
     strand_trace,
@@ -92,6 +95,45 @@ def reference_irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tupl
         current = BraidWord(word.n, letters[:p] + letters[p + 1:q] + letters[q + 1:])
         del kept[q]
         del kept[p]
+
+
+# Indices are ASCII digits only: `\d` and `int` would also take other scripts' digits.
+_LETTER_RE = re.compile(r"([zt])([0-9]+)\Z")
+_HEADER_RE = re.compile(r"\An=([0-9]+)\s*;")
+
+
+def reference_parse_word(text: str) -> BraidWord:
+    """`parse_word` with one regex match per token, as it was before the whole-body match.
+
+    The reference for the text path in `words`; it has no strand cap.
+    """
+    s = text.strip()
+    if s.startswith("{"):
+        return _parse_word_json(s)
+    n_header = None
+    m = _HEADER_RE.match(s)
+    if m:
+        n_header = int(m.group(1))
+        if n_header < 1:
+            raise ParseError(f"strand count must be >= 1, got {n_header}")
+        s = s[m.end():]
+    letters = []
+    for tok in s.split():
+        lm = _LETTER_RE.match(tok)
+        if not lm:
+            raise ParseError(f"unknown token {tok!r}")
+        idx = int(lm.group(2))
+        if idx < 1:
+            raise ParseError(f"letter index must be positive in {tok!r}")
+        letters.append(idx if lm.group(1) == "z" else -idx)
+    if n_header is not None:
+        n = n_header
+        for x in letters:
+            if abs(x) > n - 1:
+                raise ParseError(f"letter index {abs(x)} out of range for n={n}")
+    else:
+        n = max((abs(x) for x in letters), default=0) + 1
+    return BraidWord(n, tuple(letters))
 
 
 def random_word(rng: random.Random, n: int, length: int) -> BraidWord:

@@ -1,12 +1,14 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from freebraid.words import BraidWord, Permutation, PreconditionError, parse_word
+from freebraid.words import BraidWord, Permutation, PreconditionError, is_cyclic, parse_word, permutation
 from freebraid.moves import MoveSet, applicable_moves, apply_move, scramble
 from freebraid.normalform import f_equal
 from freebraid.parity import ComponentScheme, GaussianScheme, QGaussianScheme, StrandPartition
+from freebraid.oracle import bfs_ball
 from freebraid.bracket import bracket, brackets_equal, is_odd_irreducible, verify_reproduction
 from freebraid.scenarios import BRUNNIAN_TEXT, brunnian_word
 
@@ -34,6 +36,28 @@ def test_bracket_fixes_brunnian_word():
 def test_bracket_keeps_odd_pair_under_completion():
     result = bracket(BraidWord(2, (1, 1)), QGaussianScheme(Permutation((2, 1))))
     assert result.word == BraidWord(2, (1, 1))
+
+
+def test_bracket_is_constant_on_every_fb_ball_of_short_cyclic_words():
+    """Bracket invariance against the BFS oracle rather than the move engine's walks.
+
+    Every cyclic word on 3 strands of length at most 4 (168 words) meets each
+    member of its FB ball with length bound 6 (up to 195 members, 23 570
+    pairs in all), and each pair must have F-equal Gaussian brackets.
+    """
+    scheme = GaussianScheme()
+    pairs = 0
+    for length in range(5):
+        for letters in itertools.product((1, 2, -1, -2), repeat=length):
+            word = BraidWord(3, letters)
+            if not is_cyclic(permutation(word)):
+                continue
+            ball = bfs_ball(word, MoveSet.FB, 6)
+            assert not ball.cap_exceeded
+            for member in ball.members:
+                assert brackets_equal(word, member, scheme), (word, member)
+            pairs += len(ball.members)
+    assert pairs == 23570
 
 
 def test_bracket_kept_positions_replay():

@@ -55,6 +55,15 @@ def test_parse_error_exit_code(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("argv, n", [
+    (("parse", "n=99999999999;"), 99999999999),
+    (("perm", "z9999999999"), 10000000000),
+    (("parse", '{"n": 99999999999}'), 99999999999),
+])
+def test_strand_counts_above_the_cap_exit_1(capsys, argv, n):
+    assert run(capsys, *argv) == (1, "", f"freebraid: strand count must be at most 10000, got {n}\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
 

@@ -11,6 +11,7 @@ from freebraid.normalform import (
     canonical_code,
     f_equal,
     find_bigons,
+    irreducible_code,
     irreducible_form,
     irreducible_form_tracked,
     reduce_bigon,
@@ -98,6 +99,29 @@ def test_reduction_matches_rescan_reference_on_long_words():
         assert (reduced, kept) == reference_irreducible_form_tracked(word)
         assert len(kept) < len(letters)
         assert find_bigons(word) == reference_find_bigons(word)
+
+
+def test_irreducible_code_matches_code_of_irreducible_form():
+    rng = random.Random(400)
+    for k in range(600):
+        n = rng.randint(2, 9)
+        letters = list(random_word(rng, n, rng.randint(0, 400)).letters)
+        if k % 2:  # plant classical pairs, up to two virtual letters apart
+            for _ in range(rng.randint(1, 40)):
+                i = rng.randint(1, n - 1)
+                at = rng.randint(0, len(letters))
+                letters[at:at] = [i] + [-rng.randint(1, n - 1) for _ in range(rng.randint(0, 2))] + [i]
+        if k % 5 == 0:  # no classical letter at all
+            letters = [-abs(x) for x in letters]
+        word = BraidWord(n, tuple(letters[:400]))
+        assert irreducible_code(word) == canonical_code(irreducible_form(word))
+    assert irreducible_code(BraidWord(1)) == canonical_code(BraidWord(1))
+
+
+@settings(max_examples=100)
+@given(bigon_rich_words(max_n=9, max_len=60))
+def test_irreducible_code_matches_rescan_reference(word):
+    assert irreducible_code(word) == canonical_code(reference_irreducible_form_tracked(word)[0])
 
 
 def test_canonical_code_leaves_no_tuples_behind():

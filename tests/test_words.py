@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given
 from freebraid.words import (
     BraidWord,
     JSON,
+    MAX_STRANDS,
     ParseError,
     Permutation,
     closure_components,
@@ -20,6 +22,7 @@ from freebraid.words import (
 )
 from freebraid.scenarios import BRUNNIAN_TEXT
 
+from helpers import reference_parse_word
 from strategies import braid_words, permutations, word_pairs_same_n
 
 
@@ -49,6 +52,74 @@ def test_parse_brunnian_word():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_word(text)
+
+
+def _outcome(parse, text):
+    """The parsed word, or the type and message of the error raised."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+# str.split's whitespace, ASCII and not: tab, newline, em space, no-break space, a separator.
+_SPACES = (" ", "  ", "\t", "\n", "\u2003", "\xa0", "\x1c")
+
+
+def _random_text(rng):
+    """A valid word text: header on or off, mixed whitespace, leading zeros."""
+    n = rng.randint(2, 12)
+    toks = [rng.choice("zt") + "0" * rng.choice((0, 0, 0, 1, 3)) + str(rng.randint(1, n - 1))
+            for _ in range(rng.randint(0, 12))]
+    body = "".join(rng.choice(_SPACES) + tok for tok in toks)
+    if rng.random() < 0.5:
+        sep = rng.choice(("",) + _SPACES)
+        body = f"n={'0' * rng.choice((0, 0, 2))}{n}{sep};{rng.choice(('',) + _SPACES)}{body.lstrip()}"
+    return rng.choice(("",) + _SPACES) + body + rng.choice(("",) + _SPACES)
+
+
+def test_parse_matches_reference_on_valid_texts():
+    rng = random.Random(9)
+    for _ in range(3000):
+        text = _random_text(rng)
+        assert parse_word(text) == reference_parse_word(text), text
+
+
+@pytest.mark.parametrize("text", [
+    "z1z2", "q1", "z0", "t0", "t00", "z", "t", "Z1", "zz1", "z-1", "z+1", "z1_0", "n=3;;",
+    "n = 3; z1", "n=3 z1", "n=3; z1;", "z1 q1 z0", "z1 z0 q1", "n=0; q1", "n=2; q1 z0",
+    "n=3; z1 t5 z7", "n=3; t3", "n=1; z1",
+    "z\u0661", "n=\u0663; z1 t2", "n=3; z\u0661", "z\uff11", "t1\u00b2",
+])
+def test_parse_errors_match_reference(text):
+    outcome = _outcome(parse_word, text)
+    assert outcome == _outcome(reference_parse_word, text)
+    assert outcome[0] is ParseError
+
+
+def test_parse_matches_reference_on_random_malformed_texts():
+    rng = random.Random(10)
+    pieces = ("z1", "t2", "z03", "t0", "z00", "q1", "z", "z1z2", "n=3;", "n=0;", "n=5 ;", ";", "=",
+              "z\u0661", "t12", "x", "{") + _SPACES
+    for _ in range(5000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
+        assert _outcome(parse_word, text) == _outcome(reference_parse_word, text), text
+
+
+@pytest.mark.parametrize("text, n", [
+    ("n=99999999999;", 99999999999), ("z9999999999", 10000000000), ('{"n": 99999999999}', 99999999999),
+    (f"n={MAX_STRANDS + 1}; z1", MAX_STRANDS + 1), (f"t{MAX_STRANDS}", MAX_STRANDS + 1),
+])
+def test_strand_counts_above_the_cap_are_refused(text, n):
+    with pytest.raises(ParseError) as info:
+        parse_word(text)
+    assert str(info.value) == f"strand count must be at most {MAX_STRANDS}, got {n}"
+
+
+def test_strand_cap_is_inclusive():
+    assert parse_word(f"n={MAX_STRANDS};").n == MAX_STRANDS
+    assert parse_word(f"z{MAX_STRANDS - 1}").n == MAX_STRANDS
+    assert parse_word(f'{{"n": {MAX_STRANDS}}}').n == MAX_STRANDS
 
 
 def test_letters_validated_on_construction():
