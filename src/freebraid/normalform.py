@@ -11,7 +11,8 @@ changes no other classical letter's strand pair and no order along any strand
 (a virtual letter between p and q only has the pair's two strands swapped), so
 it is a splice of both strands' links (see `_reduce`).  Since F moves also
 keep the endpoint permutation, F-codes come straight from the reduced links
-and the input's single walk (`irreducible_code`); no reduced word is built.
+and the input's single `strand_walk` (`irreducible_code`); no reduced word
+is built.
 
 Strong equivalence (all F moves except classical pair cancellation) is
 decided by canonicalizing the crossing graph: virtual crossings are
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .words import BraidWord, Permutation, PreconditionError, crossings_by_strand, permutation
+from .words import BraidWord, PreconditionError, crossings_by_strand, strand_walk
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,33 +36,25 @@ class Bigon:
     strands: frozenset[int]
 
 
-def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """Doubly linked classical letters along every strand, in one walk of the word.
+def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], tuple[int, ...]]:
+    """Doubly linked classical letters along every strand, from one `strand_walk`.
 
     Classical letter t with strand pair a < b is node 2t on strand a and node
-    2t + 1 on strand b; strand holds each node's strand (0 for a virtual
-    letter's), nxt and prv each node's neighbour on its strand, or -1.  A
-    bigon is fixed by its first letter p: both of p's nodes have successors
-    on the same letter q.  Returns strand, nxt, prv, the sorted bigon first
-    letters and the final arrangement, 1-based: the strand at each bottom
-    position.
+    2t + 1 on strand b; strand holds each node's strand, nxt and prv each
+    node's neighbour on its strand, or -1.  A bigon is fixed by its first
+    letter p: both of p's nodes have successors on the same letter q.
+    Returns strand, nxt, prv, the sorted bigon first letters and the image.
     """
-    letters = word.letters
-    pos = list(range(word.n + 1))  # 1-based: the strand at each position
-    strand = [0] * (2 * len(letters))
-    nxt = [-1] * (2 * len(letters))
+    strand, image = strand_walk(word)
+    nxt = [-1] * len(strand)
     prv = nxt.copy()
     last = [-1] * (word.n + 1)  # 1-based: the last node seen on each strand
     starts = []
-    for t, x in enumerate(letters):
+    for t, x in enumerate(word.letters):
         if x < 0:
-            pos[-x], pos[1 - x] = pos[1 - x], pos[-x]
             continue
-        a, b = pos[x], pos[x + 1]
-        pos[x], pos[x + 1] = b, a
-        a, b = (a, b) if a < b else (b, a)
         u = 2 * t
-        strand[u], strand[u + 1] = a, b
+        a, b = strand[u], strand[u + 1]
         la, lb = last[a], last[b]
         if la >= 0:
             nxt[la] = u
@@ -74,7 +67,7 @@ def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], lis
         last[a] = u
         last[b] = u + 1
     starts.sort()
-    return strand, nxt, prv, starts, pos
+    return strand, nxt, prv, starts, image
 
 
 def _bigon_end(nxt: list[int], p: int) -> int | None:
@@ -107,21 +100,21 @@ def irreducible_form(word: BraidWord) -> BraidWord:
 
 def irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tuple[int, ...]]:
     """Irreducible form plus the surviving letters' positions in the input."""
-    _, alive, _ = _reduce(word)
+    _, _, alive = _reduce(word)
     kept = tuple([t for t in range(len(alive)) if alive[t]])
     letters = word.letters
     return BraidWord(word.n, tuple([letters[t] for t in kept])), kept
 
 
-def _reduce(word: BraidWord) -> tuple[list[int], bytearray, list[int]]:
-    """Reduce leftmost bigons: `_strand_links`' strand and arrangement, and alive[t] per letter t.
+def _reduce(word: BraidWord) -> tuple[list[int], tuple[int, ...], bytearray]:
+    """Reduce leftmost bigons: `_strand_links`' strand and image, and alive[t] per letter t.
 
     Pops candidate first letters from a min-heap, so the leftmost bigon of
     the current word is always the one deleted.  A popped letter is skipped
     if it is gone or no longer starts a bigon.  After a deletion only the two
     splice points, p's predecessors on its strands, can start a new bigon.
     """
-    strand, nxt, prv, heap, arrangement = _strand_links(word)
+    strand, nxt, prv, heap, image = _strand_links(word)
     alive = bytearray(b"\x01") * len(word.letters)
     while heap:
         p = heappop(heap)
@@ -136,7 +129,7 @@ def _reduce(word: BraidWord) -> tuple[list[int], bytearray, list[int]]:
             if before >= 0:
                 nxt[before] = after
                 heappush(heap, before >> 1)
-    return strand, alive, arrangement
+    return strand, image, alive
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,28 +153,24 @@ class CanonicalCode:
 
 
 def canonical_code(word: BraidWord) -> CanonicalCode:
-    return _labelled(word.n, permutation(word).image, crossings_by_strand(word))
+    return _code(word, *strand_walk(word))
 
 
 def irreducible_code(word: BraidWord) -> CanonicalCode:
     """`canonical_code(irreducible_form(word))`, read off the reduced links and the input's walk."""
-    strand, alive, arrangement = _reduce(word)
-    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
-    for t, x in enumerate(word.letters):
-        if x > 0 and alive[t]:
-            seqs[strand[2 * t]].append(t)
-            seqs[strand[2 * t + 1]].append(t)
-    return _labelled(word.n, Permutation(tuple(arrangement[1:])).inverse().image, seqs)
+    return _code(word, *_reduce(word))
 
 
-def _labelled(n: int, image: tuple[int, ...], seqs: list[list[int]]) -> CanonicalCode:
-    """The code of the crossings seqs[s] met in order along each strand s, 1-based."""
+def _code(word: BraidWord, strand: list[int], image: tuple[int, ...],
+          alive: bytearray | None = None) -> CanonicalCode:
+    """The code of `strand_walk(word)`'s strands and image; only letters with alive[t], if given."""
+    seqs = crossings_by_strand(word, strand, alive)
     label: dict[int, int] = {}
     for seq in seqs[1:]:
         for t in seq:
             if t not in label:
                 label[t] = len(label) + 1
-    return CanonicalCode(n, image, len(label),
+    return CanonicalCode(word.n, image, len(label),
                          tuple([tuple([label[t] for t in seq]) for seq in seqs[1:]]))
 
 

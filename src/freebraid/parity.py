@@ -7,7 +7,8 @@ diagram.  Virtual crossings are disregarded.  A crossing's Gaussian parity
 is the number of chords linked with its chord, mod 2.  Every chord nested
 inside a chord with ends a < b contributes two endpoints between them, so
 that count is congruent to b - a - 1: the crossing is odd iff the
-endpoint gap b - a is even.
+endpoint gap b - a is even.  Each diagram and each assignment reads the
+strands and the endpoint map from one `strand_walk` of the word.
 
 Two further schemes avoid the cyclicity requirement: the component scheme
 marks a crossing odd when its strands lie in different parts of a fixed
@@ -31,10 +32,11 @@ from .words import (
     BraidWord,
     Permutation,
     PreconditionError,
+    _ascii_int,
     crossings_by_strand,
     is_cyclic,
     permutation,
-    strand_trace,
+    strand_walk,
 )
 
 
@@ -59,10 +61,6 @@ class ChordDiagram:
                 raise ValueError(f"crossing {c} appears {len(ends)} times in the gauss sequence")
         object.__setattr__(self, "chord_of", {c: (e[0], e[1]) for c, e in chords.items()})
 
-    @property
-    def crossings(self) -> tuple[int, ...]:
-        return tuple(sorted(self.chord_of))
-
 
 def linked(d: ChordDiagram, a: int, b: int) -> bool:
     """True iff chord b's endpoints separate chord a's on the core circle."""
@@ -76,16 +74,18 @@ def linked(d: ChordDiagram, a: int, b: int) -> bool:
     return (a1 < b1 < a2) != (a1 < b2 < a2)
 
 
-def _gauss_sequence(word: BraidWord, walk: Permutation, failure: str) -> tuple[int, ...]:
+def _gauss_sequence(word: BraidWord, q: Permutation | None, failure: str) -> tuple[int, ...]:
     """Positions of the classical letters met walking strands 1, walk(1), walk(walk(1)), ...
 
-    `failure` is the diagnostic, formatted with the cycle count, raised when
-    walk is not a single n-cycle.
+    walk is the word's endpoint map, then q if given.  `failure`, formatted
+    with the cycle count, is raised when walk is not a single n-cycle.
     """
+    strands, image = strand_walk(word)
+    walk = Permutation(image) if q is None else Permutation(image).compose(q)
     count = len(walk.cycles())
     if count != 1:
         raise PreconditionError(failure.format(count))
-    on_strand = crossings_by_strand(word)
+    on_strand = crossings_by_strand(word, strands)
     gauss: list[int] = []
     strand = 1
     for _ in range(word.n):
@@ -97,7 +97,7 @@ def _gauss_sequence(word: BraidWord, walk: Permutation, failure: str) -> tuple[i
 def chord_diagram(word: BraidWord) -> ChordDiagram:
     """Chord diagram of the closure; crossings are identified by letter position."""
     return ChordDiagram(_gauss_sequence(
-        word, permutation(word),
+        word, None,
         "closure has {} components; the chord diagram requires a cyclic permutation"))
 
 
@@ -136,7 +136,7 @@ def _linking_parities(gauss: tuple[int, ...]) -> dict[int, Parity]:
 def gaussian_parity(word: BraidWord) -> ParityAssignment:
     """Parity by chord linking on the closure; needs a one-circle closure."""
     return ParityAssignment("gaussian", _linking_parities(_gauss_sequence(
-        word, permutation(word),
+        word, None,
         "closure has {} components; Gaussian parity requires a cyclic permutation")))
 
 
@@ -150,7 +150,7 @@ def q_gaussian_parity(word: BraidWord, q: Permutation) -> ParityAssignment:
     if word.n != q.n:
         raise PreconditionError(f"completion acts on {q.n} strands, word has {word.n}")
     parities = _linking_parities(_gauss_sequence(
-        word, permutation(word).compose(q),
+        word, q,
         "completed permutation has {} cycles; the completion must make it cyclic"))
     return ParityAssignment(f"qgaussian:Q={','.join(map(str, q.image))}", parities)
 
@@ -192,11 +192,11 @@ def component_parity(word: BraidWord, partition: StrandPartition) -> ParityAssig
     """Odd iff a crossing's two strands lie in different partition parts."""
     if partition.n != word.n:
         raise PreconditionError(f"partition covers {partition.n} strands, word has {word.n}")
-    trace = strand_trace(word)
+    strands = strand_walk(word)[0]
     parities = {}
     for t, x in enumerate(word.letters):
         if x > 0:
-            a, b = trace[t]
+            a, b = strands[2 * t], strands[2 * t + 1]
             parities[t] = Parity.ODD if partition.crosses(a, b) else Parity.EVEN
     first = ",".join(map(str, sorted(partition.first)))
     return ParityAssignment(f"component:N1={first}", parities)
@@ -247,10 +247,10 @@ ParityScheme = GaussianScheme | ComponentScheme | QGaussianScheme
 
 def _ascii_int_list(body: str, failure: str) -> list[int]:
     """The integers of a comma list of ASCII digit strings; empty items are skipped."""
-    tokens = [tok for tok in body.split(",") if tok != ""]
-    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+    values = [_ascii_int(tok) for tok in body.split(",") if tok != ""]
+    if None in values:
         raise PreconditionError(failure)
-    return [int(tok) for tok in tokens]
+    return values
 
 
 def parse_scheme(text: str, n: int) -> ParityScheme:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .words import BraidWord
+from .words import BraidWord, permutation
 
 
 class RenderFormat(Enum):
@@ -40,7 +40,6 @@ def _label_line(labels, width: int) -> str:
 def render_ascii(word: BraidWord) -> str:
     n = word.n
     width = (n - 1) * _PITCH + 1
-    arrangement = list(range(1, n + 1))
     lines = [_label_line([str(k) for k in range(1, n + 1)], width)]
     for x in word.letters:
         i = abs(x)
@@ -52,8 +51,7 @@ def render_ascii(word: BraidWord) -> str:
         row[left + _PITCH] = "/"
         row[left + _PITCH // 2] = "*" if x > 0 else "o"
         lines.append("".join(row).rstrip())
-        arrangement[i - 1], arrangement[i] = arrangement[i], arrangement[i - 1]
-    lines.append(_label_line([str(s) for s in arrangement], width))
+    lines.append(_label_line([str(s) for s in permutation(word).inverse().image], width))
     return "\n".join(lines)
 
 
@@ -81,12 +79,8 @@ def render_svg(word: BraidWord) -> str:
     for x in word.letters:
         i = abs(x)
         for pos in range(1, n + 1):
-            if pos == i:
-                segments.append(f'<line x1="{x_of(i)}" y1="{y}" x2="{x_of(i + 1)}" y2="{y + _SVG_ROW}"/>')
-            elif pos == i + 1:
-                segments.append(f'<line x1="{x_of(i + 1)}" y1="{y}" x2="{x_of(i)}" y2="{y + _SVG_ROW}"/>')
-            else:
-                segments.append(f'<line x1="{x_of(pos)}" y1="{y}" x2="{x_of(pos)}" y2="{y + _SVG_ROW}"/>')
+            end = i + 1 if pos == i else i if pos == i + 1 else pos
+            segments.append(f'<line x1="{x_of(pos)}" y1="{y}" x2="{x_of(end)}" y2="{y + _SVG_ROW}"/>')
         cx = (x_of(i) + x_of(i + 1)) // 2
         cy = y + _SVG_ROW // 2
         fill = "black" if x > 0 else "white"

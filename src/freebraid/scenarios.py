@@ -29,7 +29,7 @@ from .words import (
     parse_word,
     permutation,
     serialize,
-    strand_trace,
+    strand_walk,
 )
 
 BRUNNIAN_TEXT = ("n=9; t1 t2 t3 z4 t4 t3 t2 z1 t1 t2 t3 t4 t5 z6 t6 t5 t4 z3"
@@ -199,8 +199,8 @@ def locate_added_crossings(word: BraidWord) -> tuple[int, int]:
 def trivial_components(word: BraidWord,
                        cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The closure cycles of word whose strands meet no classical crossing."""
-    trace = strand_trace(word)
-    crossed = {s for t, x in enumerate(word.letters) if x > 0 for s in trace[t]}
+    strands = strand_walk(word)[0]
+    crossed = {s for t, x in enumerate(word.letters) if x > 0 for s in strands[2 * t:2 * t + 2]}
     return tuple(c for c in cycles if crossed.isdisjoint(c))
 
 
@@ -219,8 +219,8 @@ def scenario_beta_prime(word: BraidWord | None = None,
     if word.n != 10:
         raise PreconditionError(
             f"the transformed braid has 10 strands, got {word.n}")
-    if not is_cyclic(permutation(word)):
-        k, _ = closure_components(word)
+    k, _ = closure_components(word)
+    if k != 1:
         raise PreconditionError(
             f"closure has {k} components; the scenario requires a cyclic permutation")
     if added is None:

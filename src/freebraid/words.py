@@ -5,7 +5,8 @@ strands at adjacent positions (i, i+1).  Letters are stored as signed
 integers: +i is the classical crossing at position i, -i the virtual one.
 Strands are identified by their top endpoint number throughout; "position"
 means the slot a strand currently occupies as the word is read top to
-bottom.  All indices on the public surface are 1-based.
+bottom, in the one walk, `strand_walk`, that every layer reads strands from.
+All indices on the public surface are 1-based.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ class ParseError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was called outside its domain (non-cyclic closure, mismatched strand counts, ...)."""
-
-
-def classical(i: int) -> int:
-    """The classical generator letter at position i."""
-    return i
 
 
 def virtual(i: int) -> int:
@@ -111,10 +107,7 @@ class Permutation:
         return Permutation(tuple(other.image[v - 1] for v in self.image))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for k, v in enumerate(self.image, start=1):
-            inv[v - 1] = k
-        return Permutation(tuple(inv))
+        return Permutation(_image((0,) + self.image))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition; each cycle starts at its least element, cycles sorted."""
@@ -132,10 +125,6 @@ class Permutation:
             out.append(tuple(cyc))
         return tuple(out)
 
-
-# The trace of a word assigns each letter the (sorted) pair of strand
-# identities meeting at it.
-StrandTrace = tuple[tuple[int, int], ...]
 
 # Larger strand counts are refused at parse time, before anything of size n is built.
 MAX_STRANDS = 10_000
@@ -159,18 +148,20 @@ def parse_word(text: str) -> BraidWord:
     n = None
     m = _HEADER_RE.match(s)
     if m:
-        n = _checked_strand_count(int(m.group(1)))
+        n = _checked_strand_count(_ascii_int(m.group(1)))
         s = s[m.end():]
     tokens = s.split()
     # Each distinct token is checked and converted once; the rest are lookups.
-    value = {tok: int(tok[1:]) if tok[0] == "z" else -int(tok[1:])
-             for tok in set(tokens) if _LETTER_RE.match(tok)}
+    value = {tok: i if tok[0] == "z" else -i
+             for tok in set(tokens) if _LETTER_RE.match(tok) and (i := _ascii_int(tok[1:])) is not None}
     try:
         letters = tuple(map(value.__getitem__, tokens))
     except KeyError as e:  # raised at the first token that is not a letter
         tok = e.args[0]
-        if tok[0] in "zt" and tok[1:].isascii() and tok[1:].isdigit():
+        if tok[0] in "zt" and _ascii_int(tok[1:]) == 0:
             raise ParseError(f"letter index must be positive in {tok!r}") from None
+        if _LETTER_RE.match(tok):  # left out of value: more digits than int() converts
+            raise ParseError(f"letter index of {len(tok[1:].lstrip('0'))} digits out of range") from None
         raise ParseError(f"unknown token {tok!r}") from None
     top = max(max(letters), -min(letters)) if letters else 0
     if n is None:
@@ -181,7 +172,19 @@ def parse_word(text: str) -> BraidWord:
     return BraidWord(n, letters)
 
 
-def _checked_strand_count(n: int) -> int:
+def _ascii_int(digits: str) -> int | None:
+    """The value of ASCII digits, leading zeros dropped; None for other text."""
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:  # more digits than int() converts: too many for any count or index
+        return None
+
+
+def _checked_strand_count(n: int | None) -> int:
+    if n is None:  # more digits than int() converts
+        raise ParseError(f"strand count must be at most {MAX_STRANDS}, got a number too long to convert")
     if n < 1:
         raise ParseError(f"strand count must be >= 1, got {n}")
     if n > MAX_STRANDS:
@@ -194,6 +197,8 @@ def _parse_word_json(s: str) -> BraidWord:
         obj = json.loads(s)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON word: {e}") from e
+    except ValueError:  # a number with more digits than int() converts
+        raise ParseError("invalid JSON word: a number has too many digits") from None
     if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise ParseError("JSON word must be an object with an integer field 'n'")
     raw = obj.get("letters", [])
@@ -228,13 +233,31 @@ def serialize(word: BraidWord, format: str = TEXT) -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def final_arrangement(word: BraidWord) -> tuple[int, ...]:
-    """Strand identity at each bottom position after reading the whole word."""
-    pos = list(range(1, word.n + 1))
-    for x in word.letters:
-        i = abs(x)
-        pos[i - 1], pos[i] = pos[i], pos[i - 1]
-    return tuple(pos)
+def strand_walk(word: BraidWord) -> tuple[list[int], tuple[int, ...]]:
+    """The strands at every letter and the endpoint map, in one walk of the word.
+
+    Letter t, classical or virtual, crosses strands strands[2t] < strands[2t + 1];
+    image is `permutation(word).image`.
+    """
+    pos = list(range(word.n + 1))  # 1-based: the strand at each position
+    strands: list[int] = []
+    append = strands.append
+    for i in map(abs, word.letters):
+        a, b = pos[i], pos[i + 1]
+        pos[i], pos[i + 1] = b, a
+        if a > b:
+            a, b = b, a
+        append(a)
+        append(b)
+    return strands, _image(pos)
+
+
+def _image(arrangement: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """The endpoint map of an arrangement, the strand at each position from 1 (slot 0 unused)."""
+    image = [0] * (len(arrangement) - 1)
+    for p in range(1, len(arrangement)):
+        image[arrangement[p] - 1] = p
+    return tuple(image)
 
 
 def permutation(word: BraidWord) -> Permutation:
@@ -242,12 +265,12 @@ def permutation(word: BraidWord) -> Permutation:
 
     Both classical and virtual letters transpose.  Concatenation satisfies
     permutation(w1 * w2) = permutation(w1).compose(permutation(w2)).
+    This is `strand_walk` without the strands, which are slower to collect.
     """
-    arr = final_arrangement(word)
-    image = [0] * word.n
-    for p, strand in enumerate(arr, start=1):
-        image[strand - 1] = p
-    return Permutation(tuple(image))
+    pos = list(range(word.n + 1))
+    for i in map(abs, word.letters):
+        pos[i], pos[i + 1] = pos[i + 1], pos[i]
+    return Permutation(_image(pos))
 
 
 def is_cyclic(p: Permutation) -> bool:
@@ -261,28 +284,21 @@ def closure_components(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...
     return len(cycles), cycles
 
 
-def strand_trace(word: BraidWord) -> StrandTrace:
+def strand_trace(word: BraidWord) -> tuple[tuple[int, int], ...]:
     """For each letter, the sorted pair of strand identities meeting at it."""
-    pos = list(range(1, word.n + 1))
-    out = []
-    for x in word.letters:
-        i = abs(x)
-        a, b = pos[i - 1], pos[i]
-        out.append((a, b) if a < b else (b, a))
-        pos[i - 1], pos[i] = b, a
-    return tuple(out)
+    strands = strand_walk(word)[0]
+    return tuple(zip(strands[::2], strands[1::2]))
 
 
-def crossings_by_strand(word: BraidWord) -> list[list[int]]:
-    """For each strand s, the positions of the classical letters on it, in order, at index s.
+def crossings_by_strand(word: BraidWord, strands: list[int],
+                        alive: bytearray | None = None) -> list[list[int]]:
+    """For each strand s, the positions of its classical letters in order, at index s (0 is unused).
 
-    Index 0 is an unused empty list, so strands are 1-based.
+    strands is `strand_walk(word)[0]`; letters t with alive[t] false are left out.
     """
-    trace = strand_trace(word)
     seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
     for t, x in enumerate(word.letters):
-        if x > 0:
-            a, b = trace[t]
-            seqs[a].append(t)
-            seqs[b].append(t)
+        if x > 0 and (alive is None or alive[t]):
+            seqs[strands[2 * t]].append(t)
+            seqs[strands[2 * t + 1]].append(t)
     return seqs

@@ -14,12 +14,11 @@ from freebraid.words import (
     _parse_word_json,
     is_cyclic,
     permutation,
-    strand_trace,
     virtual,
 )
 from freebraid.moves import Direction, MoveInstance, MoveSet, Relation, _apply_to_letters, relations_in
-from freebraid.normalform import Bigon
-from freebraid.parity import ComponentScheme, GaussianScheme, QGaussianScheme, StrandPartition
+from freebraid.normalform import Bigon, CanonicalCode
+from freebraid.parity import ComponentScheme, GaussianScheme, Parity, QGaussianScheme, StrandPartition
 from freebraid.oracle import EquivalenceBall, OracleVerdict
 
 
@@ -44,9 +43,42 @@ def permutation_braid(q: Permutation) -> BraidWord:
     return BraidWord(q.n, tuple(letters))
 
 
+def reference_final_arrangement(word: BraidWord) -> tuple[int, ...]:
+    """Strand identity at each bottom position after reading the whole word."""
+    pos = list(range(1, word.n + 1))
+    for x in word.letters:
+        i = abs(x)
+        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    return tuple(pos)
+
+
+def reference_permutation(word: BraidWord) -> Permutation:
+    """`permutation` from the final arrangement, as it was before `strand_walk`.
+
+    With `reference_strand_trace`, the reference for the walk in `words`.
+    """
+    arr = reference_final_arrangement(word)
+    image = [0] * word.n
+    for p, strand in enumerate(arr, start=1):
+        image[strand - 1] = p
+    return Permutation(tuple(image))
+
+
+def reference_strand_trace(word: BraidWord) -> tuple[tuple[int, int], ...]:
+    """For each letter, the sorted pair of strand identities meeting at it, in a walk of its own."""
+    pos = list(range(1, word.n + 1))
+    out = []
+    for x in word.letters:
+        i = abs(x)
+        a, b = pos[i - 1], pos[i]
+        out.append((a, b) if a < b else (b, a))
+        pos[i - 1], pos[i] = b, a
+    return tuple(out)
+
+
 def _classical_strand_sequences(word: BraidWord) -> tuple[dict[int, tuple[int, int]], list[list[int]]]:
     """Per classical letter its strand pair; per strand its classical letters in order."""
-    trace = strand_trace(word)
+    trace = reference_strand_trace(word)
     pair_of = {}
     seqs: list[list[int]] = [[] for _ in range(word.n + 1)]  # 1-based
     for t, x in enumerate(word.letters):
@@ -95,6 +127,43 @@ def reference_irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tupl
         current = BraidWord(word.n, letters[:p] + letters[p + 1:q] + letters[q + 1:])
         del kept[q]
         del kept[p]
+
+
+def reference_canonical_code(word: BraidWord) -> CanonicalCode:
+    """`canonical_code` from the reference walk: crossings labelled by first encounter."""
+    _, seqs = _classical_strand_sequences(word)
+    label: dict[int, int] = {}
+    for seq in seqs[1:]:
+        for t in seq:
+            label.setdefault(t, len(label) + 1)
+    return CanonicalCode(word.n, reference_permutation(word).image, len(label),
+                         tuple(tuple(label[t] for t in seq) for seq in seqs[1:]))
+
+
+def reference_parities(word: BraidWord, q: Permutation | None = None):
+    """The closure through q (the plain closure if None): its cycle count, Gauss sequence and parities.
+
+    Read off the reference walk; a crossing is odd iff its endpoint gap is
+    even.  The sequence and parities are None unless the closure is one
+    circle.
+    """
+    walk = reference_permutation(word)
+    if q is not None:
+        walk = walk.compose(q)
+    count = len(walk.cycles())
+    if count != 1:
+        return count, None, None
+    _, seqs = _classical_strand_sequences(word)
+    gauss: list[int] = []
+    strand = 1
+    for _ in range(word.n):
+        gauss += seqs[strand]
+        strand = walk(strand)
+    ends: dict[int, list[int]] = {}
+    for k, t in enumerate(gauss):
+        ends.setdefault(t, []).append(k)
+    parities = {t: Parity.ODD if (b - a) % 2 == 0 else Parity.EVEN for t, (a, b) in ends.items()}
+    return count, tuple(gauss), parities
 
 
 # Indices are ASCII digits only: `\d` and `int` would also take other scripts' digits.

@@ -64,6 +64,36 @@ def test_strand_counts_above_the_cap_exit_1(capsys, argv, n):
     assert run(capsys, *argv) == (1, "", f"freebraid: strand count must be at most 10000, got {n}\n")
 
 
+ZEROS = "0" * 4400  # int() converts at most 4300 digits
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("parse", "z" + ZEROS + "1"), "n=2; z1\n"),
+    (("parse", "n=" + ZEROS + "3; t" + ZEROS + "2"), "n=3; t2\n"),
+    (("parity", "--parity", "component:N1=" + ZEROS + "1", "n=2; z1"), "pos=0 letter=z1 parity=odd\n"),
+    (("parity", "--parity", "qgaussian:Q=" + ZEROS + "1," + ZEROS + "2", "n=2; z1"), "pos=0 letter=z1 parity=even\n"),
+], ids=range(4))
+def test_leading_zeros_beyond_the_int_digit_limit_are_read(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("parse", "n=1" + ZEROS + ";"), 1, "strand count must be at most 10000, got a number too long to convert"),
+    (("parse", "z1" + ZEROS), 1, "letter index of 4401 digits out of range"),
+    (("parse", "n=3; z2 t1" + ZEROS), 1, "letter index of 4401 digits out of range"),
+    (("parse", "z1 q1 z1" + ZEROS), 1, "unknown token 'q1'"),
+    (("parse", '{"n": 1' + ZEROS + "}"), 1, "invalid JSON word: a number has too many digits"),
+    (("parse", '{"n": 3, "letters": [{"kind": "virtual", "i": 1' + ZEROS + "}]}"), 1,
+     "invalid JSON word: a number has too many digits"),
+    (("parity", "--parity", "component:N1=1" + ZEROS, "n=2; z1"), 2,
+     "bad partition list in 'component:N1=1" + ZEROS + "'"),
+    (("parity", "--parity", "qgaussian:Q=2,1" + ZEROS, "n=2; z1"), 2,
+     "bad permutation image in 'qgaussian:Q=2,1" + ZEROS + "'"),
+], ids=range(8))
+def test_numbers_too_long_to_convert_exit_with_one_line(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"freebraid: {message}\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
 

@@ -241,6 +241,13 @@ def test_parse_scheme_designations():
         parse_scheme("component:N1=9", 4)
     with pytest.raises(PreconditionError, match="not a bijection"):
         parse_scheme("qgaussian:Q=1,1", 2)
+    zeros = "0" * 4400  # int() converts at most 4300 digits
+    assert parse_scheme(f"component:N1={zeros}2", 3) == ComponentScheme(StrandPartition.from_first(3, {2}))
+    assert parse_scheme(f"qgaussian:Q={zeros}2,1", 2) == qg
+    with pytest.raises(PreconditionError, match="bad partition list"):
+        parse_scheme(f"component:N1=1{zeros}", 2)
+    with pytest.raises(PreconditionError, match="bad permutation image"):
+        parse_scheme(f"qgaussian:Q=1{zeros},1", 2)
 
 
 def test_axioms_on_virtualization_instance():

@@ -116,6 +116,21 @@ def test_strand_counts_above_the_cap_are_refused(text, n):
     assert str(info.value) == f"strand count must be at most {MAX_STRANDS}, got {n}"
 
 
+@pytest.mark.parametrize("text", [
+    "z" + "0" * 4299 + "1", "n=" + "0" * 4299 + "3; t" + "0" * 4299 + "2", "n=3; z" + "9" * 4300,
+    "n=3; z1 t" + "0" * 4300 + " q1", "q1 z" + "9" * 4300,
+], ids=range(5))
+def test_numbers_of_at_most_4300_digits_keep_their_outcome(text):
+    assert _outcome(parse_word, text) == _outcome(reference_parse_word, text)
+
+
+def test_strand_count_of_4300_digits_is_reported_in_full():
+    index = "1" + "0" * 4299
+    with pytest.raises(ParseError) as info:
+        parse_word(f"t{index}")
+    assert str(info.value) == f"strand count must be at most {MAX_STRANDS}, got {index[:-1]}1"
+
+
 def test_strand_cap_is_inclusive():
     assert parse_word(f"n={MAX_STRANDS};").n == MAX_STRANDS
     assert parse_word(f"z{MAX_STRANDS - 1}").n == MAX_STRANDS
