@@ -7,8 +7,7 @@ all of it; STRONG is F without the classical R2.  Every relation preserves
 the endpoint permutation.
 
 One matcher, `_match_at`, finds the non-insertion move whose source
-starts at a given offset; `scramble`, `bfs_ball` and `applicable_moves`
-all read it.  `scramble` keeps one flag per offset saying whether a move
+starts at a given offset; `scramble` and `bfs_ball` both read it.  `scramble` keeps one flag per offset saying whether a move
 matches there, and rescans only the window a move changes.
 """
 
@@ -55,22 +54,6 @@ _MOVESET_RELATIONS = {
 }
 
 _R2_RELATIONS = (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2)
-
-# Window pairing for letters inside the matched subword: far commutativity
-# and virtualization transpose the two letters, the R3 slides reverse the
-# three (the outer letters trade places; each keeps its strand pair).  R2
-# letters are created or destroyed, hence unmapped.
-_WINDOW_PAIRS = {
-    Relation.VIRTUAL_R2: (),
-    Relation.CLASSICAL_R2: (),
-    Relation.VIRTUALIZATION: ((0, 1), (1, 0)),
-    Relation.FAR_COMM_ZZ: ((0, 1), (1, 0)),
-    Relation.FAR_COMM_ZT: ((0, 1), (1, 0)),
-    Relation.FAR_COMM_TT: ((0, 1), (1, 0)),
-    Relation.VIRTUAL_R3: ((0, 2), (1, 1), (2, 0)),
-    Relation.SEMIVIRTUAL_R3: ((0, 2), (1, 1), (2, 0)),
-    Relation.CLASSICAL_R3: ((0, 2), (1, 1), (2, 0)),
-}
 
 
 def relations_in(moveset: MoveSet) -> frozenset[Relation]:
@@ -140,35 +123,6 @@ class MoveInstance:
         return _oriented_sides(self.relation, self.i, self.direction, self.j)
 
 
-@dataclass(frozen=True, slots=True)
-class LetterCorrespondence:
-    """Partial bijection from source letter positions to result positions.
-
-    Letters outside the matched window map identically up to the length
-    shift; inside it they map per the relation's pairing; R2 letters are
-    unmapped.
-    """
-
-    source_length: int
-    result_length: int
-    window_start: int
-    source_window: int
-    result_window: int
-    window_pairs: tuple[tuple[int, int], ...]
-
-    def image_of(self, pos: int) -> int | None:
-        if not (0 <= pos < self.source_length):
-            raise ValueError(f"source position {pos} out of range")
-        if pos < self.window_start:
-            return pos
-        if pos < self.window_start + self.source_window:
-            for s, r in self.window_pairs:
-                if s == pos:
-                    return r
-            return None
-        return pos + (self.result_window - self.source_window)
-
-
 (_VIRTUAL_R2, _CLASSICAL_R2, _VIRTUALIZATION, _FAR_COMM_ZZ, _FAR_COMM_ZT, _FAR_COMM_TT,
  _VIRTUAL_R3, _SEMIVIRTUAL_R3, _CLASSICAL_R3) = _ALL_RELATIONS
 _FWD, _REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
@@ -227,32 +181,6 @@ def _match_at(letters: tuple[int, ...], p: int,
     return None
 
 
-def applicable_moves(word: BraidWord, moveset: MoveSet = MoveSet.FB) -> tuple[MoveInstance, ...]:
-    """Every applicable instance, insertions included, in the order of
-    (position, relation, direction, indices).
-
-    Each offset lists the R2 relations first, in declaration order, each
-    with its forward match (a deletion) before its reverse insertions, and
-    then any other match.
-    """
-    rels = relations_in(moveset)
-    flags = _relation_flags(rels)
-    letters = word.letters
-    out = []
-    for p in range(len(letters) + 1):
-        match = _match_at(letters, p, flags)
-        for rel in _R2_RELATIONS:
-            if match is not None and match[0] is rel:
-                out.append(MoveInstance(rel, match[1], p, _FWD))
-                match = None
-            if rel in rels:
-                out += [MoveInstance(rel, i, p, _REV) for i in range(1, word.n)]
-        if match is not None:
-            rel, i, direction, j = match
-            out.append(MoveInstance(rel, i, p, direction, j))
-    return tuple(out)
-
-
 def _rewrite(letters: tuple[int, ...], p: int, source: tuple[int, ...], target: tuple[int, ...],
              relation: Relation, direction: Direction) -> tuple[int, ...]:
     """letters with source, which must sit at offset p, replaced by target."""
@@ -264,32 +192,12 @@ def _rewrite(letters: tuple[int, ...], p: int, source: tuple[int, ...], target: 
     return letters[:p] + target + letters[p + len(source):]
 
 
-def _apply_to_letters(letters: tuple[int, ...], m: MoveInstance) -> tuple[int, ...]:
-    return _rewrite(letters, m.position, *m.sides(), m.relation, m.direction)
-
-
-def apply_move_word(word: BraidWord, m: MoveInstance) -> BraidWord:
-    """Apply a move, returning only the rewritten word."""
+def apply_move(word: BraidWord, m: MoveInstance) -> BraidWord:
+    """The word with move m applied."""
     for idx in (m.i, m.j):
         if idx is not None and not (1 <= idx <= word.n - 1):
             raise PreconditionError(f"move index {idx} out of range on {word.n} strands")
-    return BraidWord(word.n, _apply_to_letters(word.letters, m))
-
-
-def apply_move(word: BraidWord, m: MoveInstance) -> tuple[BraidWord, LetterCorrespondence]:
-    """Apply a move and report where each surviving letter went."""
-    result = apply_move_word(word, m)
-    source, target = m.sides()
-    rel_pairs = _WINDOW_PAIRS[m.relation]
-    corr = LetterCorrespondence(
-        source_length=len(word.letters),
-        result_length=len(result.letters),
-        window_start=m.position,
-        source_window=len(source),
-        result_window=len(target),
-        window_pairs=tuple((m.position + s, m.position + r) for s, r in rel_pairs),
-    )
-    return result, corr
+    return BraidWord(word.n, _rewrite(word.letters, m.position, *m.sides(), m.relation, m.direction))
 
 
 MAX_STEPS = 1_000_000

@@ -82,17 +82,6 @@ def find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
     return tuple([Bigon((p, _bigon_end(nxt, p)), frozenset(strand[2 * p:2 * p + 2])) for p in starts])
 
 
-def reduce_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
-    """Delete the bigon's two letters; the classical count drops by two."""
-    strand, nxt, _, _, _ = _strand_links(word)
-    p, q = bigon.positions
-    if not (0 <= p < len(word.letters) and _bigon_end(nxt, p) == q
-            and bigon.strands == frozenset(strand[2 * p:2 * p + 2])):
-        raise PreconditionError(f"stale bigon {bigon}: not present in the word")
-    letters = word.letters
-    return BraidWord(word.n, letters[:p] + letters[p + 1:q] + letters[q + 1:])
-
-
 def irreducible_form(word: BraidWord) -> BraidWord:
     """Reduce leftmost bigons until none remain."""
     return irreducible_form_tracked(word)[0]

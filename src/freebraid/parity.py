@@ -14,13 +14,6 @@ Two further schemes avoid the cyclicity requirement: the component scheme
 marks a crossing odd when its strands lie in different parts of a fixed
 partition, and the completed-closure scheme closes the word through a
 completing permutation before reading off Gaussian parities.
-
-`check_parity_axioms` verifies, on a concrete (word, move) pair, the seven
-compatibility conditions a parity must satisfy: spectator crossings keep
-their parity, transported crossings keep theirs under commutations,
-virtualization, and the triple slides, a cancelling pair has equal
-parities, and a classical triple slide touches an even number of odd
-crossings.
 """
 
 from __future__ import annotations
@@ -34,8 +27,6 @@ from .words import (
     PreconditionError,
     _ascii_int,
     crossings_by_strand,
-    is_cyclic,
-    permutation,
     strand_walk,
 )
 
@@ -207,9 +198,6 @@ class GaussianScheme:
     def designation(self) -> str:
         return "gaussian"
 
-    def applicable(self, word: BraidWord) -> bool:
-        return is_cyclic(permutation(word))
-
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return gaussian_parity(word)
 
@@ -221,9 +209,6 @@ class ComponentScheme:
     def designation(self) -> str:
         return f"component:N1={','.join(map(str, sorted(self.partition.first)))}"
 
-    def applicable(self, word: BraidWord) -> bool:
-        return word.n == self.partition.n
-
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return component_parity(word, self.partition)
 
@@ -234,9 +219,6 @@ class QGaussianScheme:
 
     def designation(self) -> str:
         return f"qgaussian:Q={','.join(map(str, self.completion.image))}"
-
-    def applicable(self, word: BraidWord) -> bool:
-        return word.n == self.completion.n and is_cyclic(permutation(word).compose(self.completion))
 
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return q_gaussian_parity(word, self.completion)
@@ -273,70 +255,3 @@ def parse_scheme(text: str, n: int) -> ParityScheme:
         except ValueError as e:
             raise PreconditionError(f"bad completion in {text!r}: {e}") from None
     raise PreconditionError(f"unknown parity scheme {text!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class AxiomReport:
-    passed: bool
-    violated: str | None = None
-    detail: str = ""
-
-
-def check_parity_axioms(scheme: ParityScheme, word: BraidWord, move: MoveInstance) -> AxiomReport:
-    """Evaluate the seven parity axioms on (word, apply_move(word, move)).
-
-    Returns a pass, or the first violated axiom by number (5 splits into
-    its even-count part `5a` and the three pairings `5b`-`5d`).
-    """
-    from .moves import Direction, Relation, apply_move
-    if not scheme.applicable(word):
-        raise PreconditionError(f"scheme {scheme.designation()!r} is not applicable to the word")
-    result, corr = apply_move(word, move)
-    if not scheme.applicable(result):
-        raise PreconditionError("move application broke scheme applicability")
-    p1 = scheme.assignment(word)
-    p2 = scheme.assignment(result)
-
-    window_lo = corr.window_start
-    window_hi = corr.window_start + corr.source_window
-    transport_axiom = {
-        Relation.FAR_COMM_ZZ: "2",
-        Relation.FAR_COMM_ZT: "3",
-        Relation.FAR_COMM_TT: "1",
-        Relation.VIRTUALIZATION: "7",
-        Relation.SEMIVIRTUAL_R3: "6",
-        Relation.VIRTUAL_R3: "1",
-        Relation.VIRTUAL_R2: "1",
-        Relation.CLASSICAL_R2: "1",
-    }
-    r3_pair_axiom = {(0, 2): "5b", (1, 1): "5c", (2, 0): "5d"}
-
-    for s in p1.positions:
-        r = corr.image_of(s)
-        if r is None:
-            continue
-        if p1.parity_of(s) is p2.parity_of(r):
-            continue
-        if s < window_lo or s >= window_hi:
-            axiom = "1"
-        elif move.relation is Relation.CLASSICAL_R3:
-            axiom = r3_pair_axiom[(s - window_lo, r - window_lo)]
-        else:
-            axiom = transport_axiom[move.relation]
-        return AxiomReport(False, axiom,
-                           f"letter {s} -> {r} changed parity under {move.relation.value}")
-
-    if move.relation is Relation.CLASSICAL_R2:
-        assignment = p1 if move.direction is Direction.LEFT_TO_RIGHT else p2
-        a, b = corr.window_start, corr.window_start + 1
-        if assignment.parity_of(a) is not assignment.parity_of(b):
-            return AxiomReport(False, "4", f"cancelling pair at {a},{b} has mixed parities")
-
-    if move.relation is Relation.CLASSICAL_R3:
-        for assignment in (p1, p2):
-            odd = sum(1 for k in range(3) if assignment.is_odd(window_lo + k))
-            if odd % 2:
-                return AxiomReport(False, "5a",
-                                   f"triple slide touches {odd} odd crossings")
-
-    return AxiomReport(True)

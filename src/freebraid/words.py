@@ -6,7 +6,7 @@ integers: +i is the classical crossing at position i, -i the virtual one.
 Strands are identified by their top endpoint number throughout; "position"
 means the slot a strand currently occupies as the word is read top to
 bottom, in the one walk, `strand_walk`, that every layer reads strands from.
-All indices on the public surface are 1-based.
+Generator and strand indices are 1-based; letter positions are 0-based.
 """
 
 from __future__ import annotations
@@ -183,12 +183,16 @@ def _ascii_int(digits: str) -> int | None:
 
 
 def _checked_strand_count(n: int | None) -> int:
-    if n is None:  # more digits than int() converts
-        raise ParseError(f"strand count must be at most {MAX_STRANDS}, got a number too long to convert")
-    if n < 1:
+    """n if it is a strand count from 1 to MAX_STRANDS; None stands for a number too long to convert."""
+    if n is not None and n < 1:
         raise ParseError(f"strand count must be >= 1, got {n}")
-    if n > MAX_STRANDS:
-        raise ParseError(f"strand count must be at most {MAX_STRANDS}, got {n}")
+    if n is None or n > MAX_STRANDS:
+        got = "a number too long to convert"
+        try:
+            got = str(n) if n is not None else got
+        except ValueError:  # more digits than str() converts: 10**4300 after a header-less index of 4300 nines
+            pass
+        raise ParseError(f"strand count must be at most {MAX_STRANDS}, got {got}")
     return n
 
 
@@ -199,6 +203,8 @@ def _parse_word_json(s: str) -> BraidWord:
         raise ParseError(f"invalid JSON word: {e}") from e
     except ValueError:  # a number with more digits than int() converts
         raise ParseError("invalid JSON word: a number has too many digits") from None
+    except RecursionError:
+        raise ParseError("invalid JSON word: arrays or objects nested too deeply") from None
     if not isinstance(obj, dict) or type(obj.get("n")) is not int:
         raise ParseError("JSON word must be an object with an integer field 'n'")
     raw = obj.get("letters", [])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
+from dataclasses import dataclass
 
 from freebraid.words import (
     BraidWord,
@@ -16,7 +17,7 @@ from freebraid.words import (
     permutation,
     virtual,
 )
-from freebraid.moves import Direction, MoveInstance, MoveSet, Relation, _apply_to_letters, relations_in
+from freebraid.moves import Direction, MoveInstance, MoveSet, Relation, apply_move, relations_in
 from freebraid.normalform import Bigon, CanonicalCode
 from freebraid.parity import ComponentScheme, GaussianScheme, Parity, QGaussianScheme, StrandPartition
 from freebraid.oracle import EquivalenceBall, OracleVerdict
@@ -111,6 +112,12 @@ def reference_find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
     return tuple(Bigon((p, q), frozenset(pair_of[p])) for p, q in sorted(found))
 
 
+def delete_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
+    """word without the bigon's two letters."""
+    p, q = bigon.positions
+    return BraidWord(word.n, word.letters[:p] + word.letters[p + 1:q] + word.letters[q + 1:])
+
+
 def reference_irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tuple[int, ...]]:
     """`irreducible_form_tracked` by rescanning the whole word after every deletion.
 
@@ -123,8 +130,7 @@ def reference_irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tupl
         if not bigons:
             return current, tuple(kept)
         p, q = bigons[0].positions
-        letters = current.letters
-        current = BraidWord(word.n, letters[:p] + letters[p + 1:q] + letters[q + 1:])
+        current = delete_bigon(current, bigons[0])
         del kept[q]
         del kept[p]
 
@@ -333,10 +339,7 @@ _DIR_ORDER = {Direction.LEFT_TO_RIGHT: 0, Direction.RIGHT_TO_LEFT: 1}
 
 
 def move_sort_key(m: MoveInstance):
-    """(position, relation, direction, indices): the order `applicable_moves` builds in.
-
-    The reference for the in-order construction in `moves`.
-    """
+    """(position, relation, direction, indices): the order of `applicable_moves`."""
     return (m.position, _REL_ORDER[m.relation], _DIR_ORDER[m.direction],
             m.i, m.j if m.j is not None else 0)
 
@@ -349,6 +352,98 @@ def reference_insertion_instances(word_len: int, n: int, rels: frozenset[Relatio
                 for i in range(1, n):
                     out.append(MoveInstance(rel, i, p, Direction.RIGHT_TO_LEFT))
     return out
+
+
+def applicable_moves(word: BraidWord, moveset: MoveSet = MoveSet.FB) -> tuple[MoveInstance, ...]:
+    """Every applicable instance, insertions included, sorted by `move_sort_key`."""
+    rels = relations_in(moveset)
+    moves = (reference_match_instances(word.letters, rels)
+             + reference_insertion_instances(len(word), word.n, rels))
+    return tuple(sorted(moves, key=move_sort_key))
+
+
+def move_image(m: MoveInstance, pos: int) -> int | None:
+    """Where `apply_move` puts the letter at pos, or None if m deletes it.
+
+    Letters outside the rewritten window shift by the change in length; a
+    rewrite that keeps the length reverses its window (the outer letters of
+    a triple slide trade places, each keeping its strand pair); R2 letters
+    have no image.
+    """
+    source, target = m.sides()
+    lo, hi = m.position, m.position + len(source)
+    if pos < lo:
+        return pos
+    if pos >= hi:
+        return pos + len(target) - len(source)
+    return lo + hi - 1 - pos if len(source) == len(target) else None
+
+
+@dataclass(frozen=True, slots=True)
+class AxiomReport:
+    passed: bool
+    violated: str | None = None
+    detail: str = ""
+
+
+_TRANSPORT_AXIOM = {
+    Relation.FAR_COMM_ZZ: "2",
+    Relation.FAR_COMM_ZT: "3",
+    Relation.FAR_COMM_TT: "1",
+    Relation.VIRTUALIZATION: "7",
+    Relation.SEMIVIRTUAL_R3: "6",
+    Relation.VIRTUAL_R3: "1",
+    Relation.VIRTUAL_R2: "1",
+    Relation.CLASSICAL_R2: "1",
+}
+_R3_PAIR_AXIOM = {(0, 2): "5b", (1, 1): "5c", (2, 0): "5d"}
+
+
+def check_parity_axioms(scheme, word: BraidWord, move: MoveInstance) -> AxiomReport:
+    """Evaluate the seven parity axioms on (word, apply_move(word, move)).
+
+    Spectator crossings keep their parity, transported crossings keep theirs
+    under commutations, virtualization and the triple slides, a cancelling
+    pair has equal parities, and a classical triple slide touches an even
+    number of odd crossings.  Returns a pass, or the first violated axiom by
+    number (5 splits into its even-count part `5a` and the three pairings
+    `5b`-`5d`).  A scheme that does not apply raises `PreconditionError`
+    from its `assignment`.
+    """
+    p1 = scheme.assignment(word)
+    p2 = scheme.assignment(apply_move(word, move))
+    window_lo = move.position
+    window_hi = window_lo + len(move.sides()[0])
+
+    for s in p1.positions:
+        r = move_image(move, s)
+        if r is None:
+            continue
+        if p1.parity_of(s) is p2.parity_of(r):
+            continue
+        if s < window_lo or s >= window_hi:
+            axiom = "1"
+        elif move.relation is Relation.CLASSICAL_R3:
+            axiom = _R3_PAIR_AXIOM[(s - window_lo, r - window_lo)]
+        else:
+            axiom = _TRANSPORT_AXIOM[move.relation]
+        return AxiomReport(False, axiom,
+                           f"letter {s} -> {r} changed parity under {move.relation.value}")
+
+    if move.relation is Relation.CLASSICAL_R2:
+        assignment = p1 if move.direction is Direction.LEFT_TO_RIGHT else p2
+        a, b = window_lo, window_lo + 1
+        if assignment.parity_of(a) is not assignment.parity_of(b):
+            return AxiomReport(False, "4", f"cancelling pair at {a},{b} has mixed parities")
+
+    if move.relation is Relation.CLASSICAL_R3:
+        for assignment in (p1, p2):
+            odd = sum(1 for k in range(3) if assignment.is_odd(window_lo + k))
+            if odd % 2:
+                return AxiomReport(False, "5a",
+                                   f"triple slide touches {odd} odd crossings")
+
+    return AxiomReport(True)
 
 
 def reference_scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
@@ -383,7 +478,7 @@ def reference_scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
             rel = ins_kinds[q // per_kind]
             q %= per_kind
             m = MoveInstance(rel, q // (L + 1) + 1, q % (L + 1), Direction.RIGHT_TO_LEFT)
-        letters = _apply_to_letters(letters, m)
+        letters = apply_move(BraidWord(n, letters), m).letters
         history.append(m)
     return BraidWord(n, letters), tuple(history)
 
@@ -408,7 +503,7 @@ def reference_bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
         if len(letters) + 2 <= length_bound:
             instances += reference_insertion_instances(len(letters), n, rels)
         for m in instances:
-            neighbor = _apply_to_letters(letters, m)
+            neighbor = apply_move(BraidWord(n, letters), m).letters
             if neighbor in seen:
                 continue
             if len(seen) >= node_cap:

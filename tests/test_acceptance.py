@@ -8,14 +8,13 @@ import random
 import time
 
 from freebraid.words import BraidWord, closure_components, is_cyclic, parse_word, permutation
-from freebraid.moves import MoveSet, applicable_moves, scramble
-from freebraid.normalform import canonical_code, f_equal, find_bigons, reduce_bigon, strongly_equal
+from freebraid.moves import MoveSet, scramble
+from freebraid.normalform import canonical_code, f_equal, find_bigons, strongly_equal
 from freebraid.parity import (
     ComponentScheme,
     GaussianScheme,
     Parity,
     QGaussianScheme,
-    check_parity_axioms,
     gaussian_parity,
 )
 from freebraid.bracket import bracket, brackets_equal, verify_reproduction
@@ -23,7 +22,10 @@ from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
 from freebraid.scenarios import BETA_PRIME_ADDED, beta_prime_word, brunnian_word
 
 from helpers import (
+    applicable_moves,
+    check_parity_axioms,
     completion_for,
+    delete_bigon,
     random_cyclic_word,
     random_partition,
     random_scheme,
@@ -136,7 +138,7 @@ def _all_maximal_reducts(word, memo):
         out = frozenset([canonical_code(word).format()])
     else:
         out = frozenset().union(
-            *(_all_maximal_reducts(reduce_bigon(word, b), memo) for b in bigons))
+            *(_all_maximal_reducts(delete_bigon(word, b), memo) for b in bigons))
     memo[key] = out
     return out
 

@@ -5,14 +5,14 @@ import random
 import pytest
 
 from freebraid.words import BraidWord, Permutation, PreconditionError, is_cyclic, parse_word, permutation
-from freebraid.moves import MoveSet, applicable_moves, apply_move, scramble
+from freebraid.moves import MoveSet, apply_move, scramble
 from freebraid.normalform import f_equal
 from freebraid.parity import ComponentScheme, GaussianScheme, QGaussianScheme, StrandPartition
-from freebraid.oracle import bfs_ball
+from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
 from freebraid.bracket import bracket, brackets_equal, is_odd_irreducible, verify_reproduction
 from freebraid.scenarios import BRUNNIAN_TEXT, brunnian_word
 
-from helpers import random_scheme, random_word
+from helpers import applicable_moves, random_scheme, random_word
 
 
 def one_part_scheme(n):
@@ -105,8 +105,7 @@ def test_brackets_equal_invariant_under_every_fb_move():
         if not moves:
             continue
         move = moves[rng.randrange(len(moves))]
-        moved, _ = apply_move(word, move)
-        assert brackets_equal(word, moved, scheme), (word, scheme, move)
+        assert brackets_equal(word, apply_move(word, move), scheme), (word, scheme, move)
         checked += 1
 
 
@@ -145,6 +144,32 @@ def test_verify_reproduction_after_scramble():
     sub = tuple(scrambled.letters[t] for t in report.witness_positions)
     from freebraid.normalform import canonical_code
     assert canonical_code(BraidWord(9, sub)) == canonical_code(word)
+
+
+def test_reproduction_witnesses_are_certified_by_the_oracle():
+    """The reproduction theorem on every odd-irreducible cyclic word at n = 3, length 4, with a classical letter.
+
+    Every member of each word's FB ball at bound 6 reproduces the word, and
+    the oracle, not `canonical_code`, certifies that the witness subword is
+    strongly equal to it.  The search needs the bound max length + 4: at + 2
+    three witnesses, such as n=3; t2 t1 z2 z1 for n=3; z1 t2 z1 t1, are not found.
+    """
+    scheme = GaussianScheme()
+    betas = [w for w in (BraidWord(3, ls) for ls in itertools.product((1, 2, -1, -2), repeat=4))
+             if w.classical_count and is_cyclic(permutation(w)) and is_odd_irreducible(w, scheme)]
+    assert len(betas) == 14
+    members = 0
+    for beta in betas:
+        ball = bfs_ball(beta, MoveSet.FB, 6)
+        assert not ball.cap_exceeded
+        for candidate in ball.members:
+            report = verify_reproduction(beta, candidate, scheme)
+            assert report.success, (beta, candidate)
+            witness = BraidWord(3, tuple(candidate.letters[t] for t in report.witness_positions))
+            bound = max(len(beta), len(witness)) + 4
+            assert oracle_equal(beta, witness, MoveSet.STRONG, bound) is OracleVerdict.EQUAL, (beta, candidate)
+        members += len(ball.members)
+    assert members == 678
 
 
 def test_verify_reproduction_refutes_inequivalent_word():

@@ -89,7 +89,12 @@ def test_leading_zeros_beyond_the_int_digit_limit_are_read(capsys, argv, out):
      "bad partition list in 'component:N1=1" + ZEROS + "'"),
     (("parity", "--parity", "qgaussian:Q=2,1" + ZEROS, "n=2; z1"), 2,
      "bad permutation image in 'qgaussian:Q=2,1" + ZEROS + "'"),
-], ids=range(8))
+    (("parse", "z" + "9" * 4300), 1, "strand count must be at most 10000, got a number too long to convert"),
+    (("perm", "t" + "9" * 4300), 1, "strand count must be at most 10000, got a number too long to convert"),
+    (("parse", '{"n": ' + "[" * 100_000), 1, "invalid JSON word: arrays or objects nested too deeply"),
+    (("parse", '{"n": 2, "letters": ' + '[{"i": ' * 50_000 + "1" + "}]" * 50_000 + "}"), 1,
+     "invalid JSON word: arrays or objects nested too deeply"),
+], ids=range(12))
 def test_numbers_too_long_to_convert_exit_with_one_line(capsys, argv, code, message):
     assert run(capsys, *argv) == (code, "", f"freebraid: {message}\n")
 

@@ -13,18 +13,16 @@ from freebraid.moves import (
     Relation,
     _match_at,
     _relation_flags,
-    applicable_moves,
     apply_move,
-    apply_move_word,
     relations_in,
     scramble,
 )
 from freebraid.normalform import f_equal
 
 from helpers import (
-    move_sort_key,
+    applicable_moves,
+    move_image,
     random_word,
-    reference_insertion_instances,
     reference_match_instances,
     reference_scramble,
 )
@@ -66,65 +64,80 @@ def test_insertions_enumerated_at_every_offset_and_index():
 
 
 def test_apply_pair_cancellation():
-    w, corr = apply_move(BraidWord(2, (1, 1)), MoveInstance(Relation.CLASSICAL_R2, 1, 0, FWD))
-    assert w == BraidWord(2)
-    assert corr.image_of(0) is None and corr.image_of(1) is None
+    m = MoveInstance(Relation.CLASSICAL_R2, 1, 0, FWD)
+    assert apply_move(BraidWord(2, (1, 1)), m) == BraidWord(2)
+    assert move_image(m, 0) is None and move_image(m, 1) is None
 
 
 def test_apply_far_commutativity():
-    w, _ = apply_move(parse_word("n=5; z1 t3"),
-                      MoveInstance(Relation.FAR_COMM_ZT, 1, 0, FWD, j=3))
+    w = apply_move(parse_word("n=5; z1 t3"), MoveInstance(Relation.FAR_COMM_ZT, 1, 0, FWD, j=3))
     assert w == parse_word("n=5; t3 z1")
 
 
 def test_apply_virtualization():
     word = parse_word("n=2; z1 t1")
     m = next(m for m in applicable_moves(word, MoveSet.F) if m.relation is Relation.VIRTUALIZATION)
-    assert apply_move(word, m)[0] == parse_word("n=2; t1 z1")
+    assert apply_move(word, m) == parse_word("n=2; t1 z1")
 
 
 def test_apply_rejects_stale_instance():
     with pytest.raises(PreconditionError):
-        apply_move_word(BraidWord(2, (1,)), MoveInstance(Relation.CLASSICAL_R2, 1, 0, FWD))
+        apply_move(BraidWord(2, (1,)), MoveInstance(Relation.CLASSICAL_R2, 1, 0, FWD))
     with pytest.raises(PreconditionError):
-        apply_move_word(BraidWord(2), MoveInstance(Relation.CLASSICAL_R2, 5, 0, REV))
-
-
-def test_applicable_moves_sorted_deterministically():
-    w = parse_word("n=3; z1 z1 t2")
-    moves = applicable_moves(w, MoveSet.FB)
-    assert list(moves) == sorted(moves, key=move_sort_key)
-    assert moves == applicable_moves(w, MoveSet.FB)
+        apply_move(BraidWord(2), MoveInstance(Relation.CLASSICAL_R2, 5, 0, REV))
 
 
 @settings(max_examples=60)
 @given(braid_words(min_n=2, max_n=4, max_len=8))
 def test_every_move_preserves_permutation_and_inverts(word):
     for m in applicable_moves(word, MoveSet.FB):
-        result, corr = apply_move(word, m)
+        result = apply_move(word, m)
         assert permutation(result) == permutation(word)
         flipped = dataclasses.replace(m, direction=REV if m.direction is FWD else FWD)
-        restored, _ = apply_move(result, flipped)
-        assert restored == word
+        assert apply_move(result, flipped) == word
         src, tgt = m.sides()
         shift = len(tgt) - len(src)
         for s in range(len(word.letters)):
             if s < m.position:
-                assert corr.image_of(s) == s
+                assert move_image(m, s) == s
             elif s >= m.position + len(src):
-                assert corr.image_of(s) == s + shift
+                assert move_image(m, s) == s + shift
+
+
+# Each relation's window pairs (source offset, result offset), in both directions;
+# R2 letters are created or destroyed, hence unpaired.
+_SWAP = ((0, 1), (1, 0))
+_REVERSE = ((0, 2), (1, 1), (2, 0))
+_WINDOW_CASES = [
+    (Relation.VIRTUAL_R2, "n=2; t1 t1", 1, None, ()),
+    (Relation.CLASSICAL_R2, "n=2; z1 z1", 1, None, ()),
+    (Relation.VIRTUALIZATION, "n=2; t1 z1", 1, None, _SWAP),
+    (Relation.FAR_COMM_ZZ, "n=4; z1 z3", 1, 3, _SWAP),
+    (Relation.FAR_COMM_ZT, "n=4; z1 t3", 1, 3, _SWAP),
+    (Relation.FAR_COMM_TT, "n=4; t1 t3", 1, 3, _SWAP),
+    (Relation.VIRTUAL_R3, "n=3; t1 t2 t1", 1, None, _REVERSE),
+    (Relation.SEMIVIRTUAL_R3, "n=3; t1 t2 z1", 1, None, _REVERSE),
+    (Relation.CLASSICAL_R3, "n=3; z1 z2 z1", 1, None, _REVERSE),
+]
 
 
 def test_correspondence_window_pairings():
-    # triple slide reverses the window, middle fixed
-    word = parse_word("n=3; z1 z2 z1")
-    m = MoveInstance(Relation.CLASSICAL_R3, 1, 0, FWD)
-    _, corr = apply_move(word, m)
-    assert corr.image_of(0) == 2 and corr.image_of(1) == 1 and corr.image_of(2) == 0
-    # virtualization transposes
-    word = parse_word("n=2; t1 z1")
-    _, corr = apply_move(word, MoveInstance(Relation.VIRTUALIZATION, 1, 0, FWD))
-    assert corr.image_of(0) == 1 and corr.image_of(1) == 0
+    """`move_image` on every relation in both directions, the window at offset 1 between two letters."""
+    for relation, left, i, j, pairs in _WINDOW_CASES:
+        for direction in (FWD, REV):
+            word = parse_word(left)
+            pad = BraidWord(word.n, (-1,))
+            word = pad * word * pad
+            m = MoveInstance(relation, i, 1, FWD, j)
+            if direction is REV:
+                word = apply_move(word, m)
+                m = dataclasses.replace(m, direction=REV)
+            source, target = m.sides()
+            assert apply_move(word, m).letters == (-1,) + target + (-1,)
+            expected = {0: 0, len(word) - 1: len(word) - 1 + len(target) - len(source)}
+            expected.update({1 + s: 1 + r for s, r in pairs})
+            assert [move_image(m, s) for s in range(len(word))] == \
+                [expected.get(s) for s in range(len(word))], m
 
 
 def test_scramble_zero_steps_is_identity():
@@ -147,7 +160,7 @@ def test_scramble_history_replays():
     out, history = scramble(w, 50, MoveSet.FB, seed=11, max_length=30)
     replay = w
     for m in history:
-        replay = apply_move_word(replay, m)
+        replay = apply_move(replay, m)
     assert replay == out
 
 
@@ -199,19 +212,6 @@ def test_match_at_agrees_with_reference_on_every_short_window(moveset):
             expected = [(m.relation, m.i, m.direction, m.j)
                         for m in reference_match_instances(window, rels) if m.position == 0]
             assert ([] if match is None else [match]) == expected, (window, moveset)
-
-
-def test_applicable_moves_match_reference():
-    """Built in order, the whole tuple equals the sorted reference, insertions included."""
-    rng = random.Random(29)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        word = random_word(rng, n, rng.randint(0, 12))
-        for moveset in MoveSet:
-            rels = relations_in(moveset)
-            reference = (reference_match_instances(word.letters, rels)
-                         + reference_insertion_instances(len(word), n, rels))
-            assert applicable_moves(word, moveset) == tuple(sorted(reference, key=move_sort_key))
 
 
 def test_scramble_matches_full_rescan_reference():

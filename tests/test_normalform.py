@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from freebraid.words import BraidWord, PreconditionError, parse_word
-from freebraid.moves import MoveSet, Relation, applicable_moves, apply_move
+from freebraid.moves import MoveSet, Relation, apply_move
 from freebraid.normalform import (
     Bigon,
     canonical_code,
@@ -14,12 +14,13 @@ from freebraid.normalform import (
     irreducible_code,
     irreducible_form,
     irreducible_form_tracked,
-    reduce_bigon,
     strongly_equal,
 )
 from freebraid.scenarios import BRUNNIAN_TEXT
 
 from helpers import (
+    applicable_moves,
+    delete_bigon,
     random_cyclic_word,
     random_word,
     reference_find_bigons,
@@ -51,18 +52,6 @@ def test_blocking_classical_letter_prevents_bigon():
     word = parse_word("n=3; z1 z2 z1 z2")
     pairs = [b.positions for b in find_bigons(word)]
     assert (0, 2) not in pairs and (1, 3) not in pairs
-
-
-def test_reduce_bigon_examples():
-    w = BraidWord(2, (1, 1))
-    assert reduce_bigon(w, find_bigons(w)[0]) == BraidWord(2)
-    w2 = parse_word("n=4; z1 t3 z1")
-    assert reduce_bigon(w2, find_bigons(w2)[0]) == parse_word("n=4; t3")
-
-
-def test_reduce_bigon_rejects_stale():
-    with pytest.raises(PreconditionError):
-        reduce_bigon(parse_word("n=3; z1 z2"), Bigon((0, 1), frozenset({1, 2})))
 
 
 def test_irreducible_form_examples():
@@ -192,8 +181,7 @@ def test_f_equal_examples():
 def test_strong_moves_preserve_canonical_code(word):
     code = canonical_code(word)
     for m in applicable_moves(word, MoveSet.STRONG):
-        moved, _ = apply_move(word, m)
-        assert canonical_code(moved) == code
+        assert canonical_code(apply_move(word, m)) == code
 
 
 @settings(max_examples=60)
@@ -201,15 +189,13 @@ def test_strong_moves_preserve_canonical_code(word):
 def test_pair_cancellation_preserves_f_equal(word):
     for m in applicable_moves(word, MoveSet.F):
         if m.relation is Relation.CLASSICAL_R2:
-            moved, _ = apply_move(word, m)
-            assert f_equal(moved, word)
+            assert f_equal(apply_move(word, m), word)
 
 
 def test_classical_r3_changes_f_class_on_the_standard_example():
     w = parse_word("n=3; z1 z2 z1")
     m = next(m for m in applicable_moves(w, MoveSet.FB) if m.relation is Relation.CLASSICAL_R3)
-    moved, _ = apply_move(w, m)
-    assert not f_equal(moved, w)
+    assert not f_equal(apply_move(w, m), w)
 
 
 def all_maximal_reducts(word, memo=None):
@@ -223,7 +209,7 @@ def all_maximal_reducts(word, memo=None):
     if not bigons:
         out = frozenset([canonical_code(word).format()])
     else:
-        out = frozenset().union(*(all_maximal_reducts(reduce_bigon(word, b), memo)
+        out = frozenset().union(*(all_maximal_reducts(delete_bigon(word, b), memo)
                                   for b in bigons))
     memo[key] = out
     return out
@@ -251,8 +237,8 @@ def test_overlapping_bigons_give_strongly_equal_reducts():
                 shared = set(bigons[i].positions) & set(bigons[k].positions)
                 if shared:
                     found += 1
-                    r1 = reduce_bigon(word, bigons[i])
-                    r2 = reduce_bigon(word, bigons[k])
+                    r1 = delete_bigon(word, bigons[i])
+                    r2 = delete_bigon(word, bigons[k])
                     assert strongly_equal(irreducible_form(r1), irreducible_form(r2))
     assert found >= 40
 

@@ -13,7 +13,7 @@ from freebraid.words import (
     parse_word,
     permutation,
 )
-from freebraid.moves import MoveSet, Relation, applicable_moves
+from freebraid.moves import MoveSet, Relation
 from freebraid.parity import (
     ChordDiagram,
     ComponentScheme,
@@ -21,7 +21,6 @@ from freebraid.parity import (
     Parity,
     QGaussianScheme,
     StrandPartition,
-    check_parity_axioms,
     chord_diagram,
     component_parity,
     gaussian_parity,
@@ -32,6 +31,8 @@ from freebraid.parity import (
 from freebraid.scenarios import BRUNNIAN_TEXT
 
 from helpers import (
+    applicable_moves,
+    check_parity_axioms,
     completion_for,
     permutation_braid,
     random_cycle,
