@@ -18,18 +18,18 @@ import argparse
 import itertools
 
 from freebraid.words import BraidWord, closure_components, is_cyclic, permutation, serialize, strand_trace
-from freebraid.parity import Parity, chord_diagram, gaussian_parity, linked
-from freebraid.bracket import _bracket_with
+from freebraid.parity import GaussianScheme, chord_diagram, linked
+from freebraid.bracket import bracket
 from freebraid.scenarios import brunnian_word, shifted_brunnian_letters, trivial_components
 
 
 def evaluate(word, added, original_pairs):
     if not is_cyclic(permutation(word)):
         return None
-    parities = gaussian_parity(word)
-    if not all(parities.parity_of(t) is Parity.EVEN for t in added):
+    br = bracket(word, GaussianScheme())
+    # Both added letters are classical, so one is even exactly when the bracket drops it.
+    if any(t in br.kept_positions for t in added):
         return None
-    br = _bracket_with(word, parities)
     ncomp, cycles = closure_components(br.word)
     if ncomp != 3:
         return None

@@ -20,7 +20,7 @@ from .normalform import (
     find_bigons,
     irreducible_form_tracked,
 )
-from .parity import Parity, ParityAssignment, ParityScheme
+from .parity import Parity, ParityScheme
 from .words import BraidWord, PreconditionError, permutation
 
 
@@ -34,12 +34,7 @@ class BracketResult:
 
 def bracket(word: BraidWord, scheme: ParityScheme) -> BracketResult:
     """Delete even classical letters; virtual and odd classical letters survive in order."""
-    return _bracket_with(word, scheme.assignment(word))
-
-
-def _bracket_with(word: BraidWord, assignment: ParityAssignment) -> BracketResult:
-    """The bracket under an assignment already computed for word."""
-    parities, odd = assignment.parities, Parity.ODD
+    parities, odd = scheme.assignment(word).parities, Parity.ODD
     kept = tuple([t for t, x in enumerate(word.letters) if x < 0 or parities[t] is odd])
     return BracketResult(BraidWord(word.n, tuple([word.letters[t] for t in kept])), kept)
 
@@ -49,9 +44,6 @@ def brackets_equal(w1: BraidWord, w2: BraidWord, scheme: ParityScheme) -> bool:
     if w1.n != w2.n:
         raise PreconditionError(f"strand counts differ: {w1.n} vs {w2.n}")
     return f_equal(bracket(w1, scheme).word, bracket(w2, scheme).word)
-
-
-_NOT_ODD_IRREDUCIBLE = "the target word is not odd and irreducible under the scheme"
 
 
 def is_odd_irreducible(word: BraidWord, scheme: ParityScheme) -> bool:
@@ -93,12 +85,7 @@ def verify_reproduction(beta: BraidWord, beta_prime: BraidWord,
     if beta.n != beta_prime.n:
         raise PreconditionError(f"strand counts differ: {beta.n} vs {beta_prime.n}")
     if not is_odd_irreducible(beta, scheme):
-        raise PreconditionError(_NOT_ODD_IRREDUCIBLE)
-    return _reproduce(beta, beta_prime, scheme)
-
-
-def _reproduce(beta: BraidWord, beta_prime: BraidWord, scheme: ParityScheme) -> ReproductionReport:
-    """`verify_reproduction` for a beta already known to be odd and irreducible."""
+        raise PreconditionError("the target word is not odd and irreducible under the scheme")
     if permutation(beta_prime) != permutation(beta):
         return ReproductionReport(
             success=False, witness_positions=None, reduced_code=None,

@@ -7,7 +7,8 @@ all of it; STRONG is F without the classical R2.  Every relation preserves
 the endpoint permutation.
 
 One matcher, `_match_at`, finds the non-insertion move whose source
-starts at a given offset; `scramble` and `bfs_ball` both read it.  `scramble` keeps one flag per offset saying whether a move
+starts at a given offset; `scramble` and the oracle's `_discover` both
+read it.  `scramble` keeps one flag per offset saying whether a move
 matches there, and rescans only the window a move changes.
 """
 

@@ -98,7 +98,7 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     The search stops as soon as the packed target is discovered, which is
     then the last word of the order; the origin counts as discovered first.
     Discovering one word beyond node_cap aborts the search and reports the
-    cap.
+    cap; insertions are discovered as they are made, so the cap bounds memory too.
     """
     if length_bound < len(word.letters):
         raise PreconditionError("length bound must be at least the origin's length")
@@ -115,9 +115,9 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     rels = relations_in(moveset)
     flags = _relation_flags(rels)
     pairs = [relation_sides(rel, i)[0] for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
-    # Inserting x x right after x repeats the insertion one offset earlier,
-    # so after a letter of code c the pair of that letter is left out.
-    pairs_after = [[_pack(pair, n, b) for pair in pairs if pair[0] + n != c] for c in range(mask1 + 1)]
+    # Inserting x x right after x repeats the insertion one offset earlier, so
+    # after a letter of code c its pair is left out; c's list is made when first met.
+    pairs_after: dict[int, list[int]] = {}
     # The match at offset p depends only on the window of letters p..p+2,
     # so it is found, oriented and checked once per distinct window.
     rewrites: dict[int, int] = {}
@@ -135,13 +135,6 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
                 neighbors.append(w ^ delta << s)
             elif delta == 0:
                 neighbors.append((w & (1 << s) - 1) | (w >> s + b2) << s)
-        if length + 2 <= length_bound:
-            prev = 0
-            for s in range(0, b * (length + 1), b):
-                low = w & (1 << s) - 1
-                base = low | (w ^ low) << b2
-                neighbors += [base | pair << s for pair in pairs_after[prev]]
-                prev = w >> s & mask1
         for neighbor in neighbors:
             if neighbor in seen:
                 continue
@@ -151,6 +144,25 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
             order.append(neighbor)
             if neighbor == target:
                 return order, False
+        if length + 2 <= length_bound:
+            prev = 0
+            for s in range(0, b * (length + 1), b):
+                low = w & (1 << s) - 1
+                base = low | (w ^ low) << b2
+                after = pairs_after.get(prev)
+                if after is None:
+                    after = pairs_after[prev] = [_pack(p, n, b) for p in pairs if p[0] + n != prev]
+                for pair in after:
+                    neighbor = base | pair << s
+                    if neighbor in seen:
+                        continue
+                    if len(order) >= node_cap:
+                        return order, True
+                    seen.add(neighbor)
+                    order.append(neighbor)
+                    if neighbor == target:
+                        return order, False
+                prev = w >> s & mask1
     return order, False
 
 

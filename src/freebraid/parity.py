@@ -112,9 +112,6 @@ class ParityAssignment:
     def is_odd(self, position: int) -> bool:
         return self.parity_of(position) is Parity.ODD
 
-    def odd_positions(self) -> tuple[int, ...]:
-        return tuple(t for t in sorted(self.parities) if self.parities[t] is Parity.ODD)
-
     def all_odd(self) -> bool:
         return all(v is Parity.ODD for v in self.parities.values())
 
@@ -195,9 +192,6 @@ def component_parity(word: BraidWord, partition: StrandPartition) -> ParityAssig
 
 @dataclass(frozen=True, slots=True)
 class GaussianScheme:
-    def designation(self) -> str:
-        return "gaussian"
-
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return gaussian_parity(word)
 
@@ -206,9 +200,6 @@ class GaussianScheme:
 class ComponentScheme:
     partition: StrandPartition
 
-    def designation(self) -> str:
-        return f"component:N1={','.join(map(str, sorted(self.partition.first)))}"
-
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return component_parity(word, self.partition)
 
@@ -216,9 +207,6 @@ class ComponentScheme:
 @dataclass(frozen=True, slots=True)
 class QGaussianScheme:
     completion: Permutation
-
-    def designation(self) -> str:
-        return f"qgaussian:Q={','.join(map(str, self.completion.image))}"
 
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return q_gaussian_parity(word, self.completion)

@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bracket import _NOT_ODD_IRREDUCIBLE, _bracket_with, _reproduce
+from .bracket import bracket, verify_reproduction
 from .moves import MoveSet, scramble
 from .normalform import find_bigons
-from .parity import GaussianScheme, Parity, gaussian_parity
+from .parity import GaussianScheme, Parity
 from .words import (
     BraidWord,
     PreconditionError,
@@ -111,20 +111,17 @@ class BrunnianReport:
 def scenario_brunnian(seed: int = 0, steps: int = 1000, max_length: int = 200) -> BrunnianReport:
     """Check the five advertised findings on the brunnian word."""
     word = brunnian_word()
-    cyclic = is_cyclic(permutation(word))
-    assignment = gaussian_parity(word)
-    bigons = find_bigons(word)
-    if not assignment.all_odd() or bigons:
-        raise PreconditionError(_NOT_ODD_IRREDUCIBLE)
-    br = _bracket_with(word, assignment)
+    scheme = GaussianScheme()
+    br = bracket(word, scheme)
     scrambled, _ = scramble(word, steps, MoveSet.FB, seed, max_length)
-    rep = _reproduce(word, scrambled, GaussianScheme())
+    rep = verify_reproduction(word, scrambled, scheme)
     return BrunnianReport(
         word=word,
-        cyclic=cyclic,
+        cyclic=is_cyclic(permutation(word)),
         classical_count=word.classical_count,
-        odd_count=len(assignment.odd_positions()),
-        bigon_count=len(bigons),
+        # A classical letter survives the bracket exactly when it is odd.
+        odd_count=br.word.classical_count,
+        bigon_count=len(find_bigons(word)),
         bracket_equals_input=(br.word == word),
         reproduction_ok=rep.success,
         scramble_seed=seed,
@@ -228,8 +225,8 @@ def scenario_beta_prime(word: BraidWord | None = None,
     for t in added:
         if not (0 <= t < len(word.letters)) or word.letters[t] <= 0:
             raise PreconditionError(f"position {t} is not a classical letter of the word")
-    assignment = gaussian_parity(word)
-    br = _bracket_with(word, assignment)
+    # Both added positions are classical, so each is odd exactly when the bracket keeps it.
+    br = bracket(word, GaussianScheme())
     ncomp, cycles = closure_components(br.word)
     trivial = trivial_components(br.word, cycles)
     note = ("built-in word is one reading of a braid usually given as a diagram; "
@@ -238,7 +235,7 @@ def scenario_beta_prime(word: BraidWord | None = None,
     return BetaPrimeReport(
         word=word,
         added_positions=(added[0], added[1]),
-        added_parities=(assignment.parity_of(added[0]), assignment.parity_of(added[1])),
+        added_parities=tuple(Parity.ODD if t in br.kept_positions else Parity.EVEN for t in added[:2]),
         bracket_components=ncomp,
         bracket_cycles=cycles,
         trivial_components=trivial,

@@ -17,7 +17,15 @@ from freebraid.words import (
     permutation,
     virtual,
 )
-from freebraid.moves import Direction, MoveInstance, MoveSet, Relation, apply_move, relations_in
+from freebraid.moves import (
+    Direction,
+    MoveInstance,
+    MoveSet,
+    Relation,
+    apply_move,
+    relation_sides,
+    relations_in,
+)
 from freebraid.normalform import Bigon, CanonicalCode
 from freebraid.parity import ComponentScheme, GaussianScheme, Parity, QGaussianScheme, StrandPartition
 from freebraid.oracle import EquivalenceBall, OracleVerdict
@@ -232,6 +240,31 @@ def triple_slide_rich_word(rng: random.Random, n: int, length: int, windows: int
     return BraidWord(n, tuple(letters))
 
 
+def relation_rich_word(rng: random.Random, n: int, length: int, windows: int) -> BraidWord:
+    """A random word on n >= 4 strands with relation windows planted.
+
+    Each window is either side of a random instance of a relation other than
+    the classical triple slide (an R2 pair for the cancelling side), drawn
+    relation first, and goes in at a random offset.
+    """
+    letters = list(random_word(rng, n, length).letters)
+    relations = [rel for rel in Relation if rel is not Relation.CLASSICAL_R3]
+    far = [(i, j) for i in range(1, n) for j in range(1, n) if abs(i - j) >= 2]
+    for _ in range(windows):
+        rel = rng.choice(relations)
+        if rel in (Relation.FAR_COMM_ZZ, Relation.FAR_COMM_TT):
+            i, j = sorted(rng.choice(far))
+        elif rel is Relation.FAR_COMM_ZT:
+            i, j = rng.choice(far)
+        else:
+            slide = rel in (Relation.VIRTUAL_R3, Relation.SEMIVIRTUAL_R3)
+            i, j = rng.randint(1, n - 2 if slide else n - 1), None
+        window = rng.choice([side for side in relation_sides(rel, i, j) if side])
+        at = rng.randint(0, len(letters))
+        letters[at:at] = window
+    return BraidWord(n, tuple(letters))
+
+
 def random_cyclic_word(rng: random.Random, n: int, length: int, extra: int = 200) -> BraidWord:
     """Rejection-sample a word whose closure is a single circle.
 
@@ -399,7 +432,7 @@ _TRANSPORT_AXIOM = {
 _R3_PAIR_AXIOM = {(0, 2): "5b", (1, 1): "5c", (2, 0): "5d"}
 
 
-def check_parity_axioms(scheme, word: BraidWord, move: MoveInstance) -> AxiomReport:
+def check_parity_axioms(scheme, word: BraidWord, move: MoveInstance, before=None) -> AxiomReport:
     """Evaluate the seven parity axioms on (word, apply_move(word, move)).
 
     Spectator crossings keep their parity, transported crossings keep theirs
@@ -408,9 +441,10 @@ def check_parity_axioms(scheme, word: BraidWord, move: MoveInstance) -> AxiomRep
     number of odd crossings.  Returns a pass, or the first violated axiom by
     number (5 splits into its even-count part `5a` and the three pairings
     `5b`-`5d`).  A scheme that does not apply raises `PreconditionError`
-    from its `assignment`.
+    from its `assignment`.  `before`, if given, is `scheme.assignment(word)`,
+    computed once for several moves on the same word.
     """
-    p1 = scheme.assignment(word)
+    p1 = scheme.assignment(word) if before is None else before
     p2 = scheme.assignment(apply_move(word, move))
     window_lo = move.position
     window_hi = window_lo + len(move.sides()[0])

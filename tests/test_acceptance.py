@@ -45,7 +45,7 @@ def test_c1_brunnian_golden():
     ok = (word.n == 9 and len(word) == 38 and word.classical_count == 8)
     ok = ok and is_cyclic(permutation(word))
     assignment = gaussian_parity(word)
-    ok = ok and len(assignment.odd_positions()) == 8 and assignment.all_odd()
+    ok = ok and sum(p is Parity.ODD for p in assignment.parities.values()) == 8 and assignment.all_odd()
     ok = ok and find_bigons(word) == ()
     ok = ok and bracket(word, GaussianScheme()).word == word
     elapsed = time.perf_counter() - start

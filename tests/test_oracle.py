@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from freebraid.words import BraidWord, PreconditionError, parse_word
@@ -55,6 +57,24 @@ def test_oracle_cap_exceeded_is_reported():
     ball = bfs_ball(BraidWord(3), MoveSet.F, 9, node_cap=10)
     assert ball.cap_exceeded
     assert len(ball) <= 10
+
+
+def test_node_cap_bounds_memory_on_many_strands():
+    """A capped search holds little more than the words it discovered.
+
+    On n strands a node has 2(n - 1) insertions per offset.  Building every
+    node's neighbours, or the pairs after every letter code, before the cap
+    is checked peaks near 95 MiB at n = 600.
+    """
+    w1, w2 = parse_word("n=600; z1"), parse_word("n=600; z2")
+    tracemalloc.start()
+    try:
+        verdict = oracle_equal(w1, w2, MoveSet.F, len(w1) + 4, node_cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is OracleVerdict.CAP_EXCEEDED
+    assert peak < 4 * 2**20, peak
 
 
 def test_oracle_requires_same_strand_count():

@@ -13,7 +13,7 @@ from freebraid.words import (
     parse_word,
     permutation,
 )
-from freebraid.moves import MoveSet, Relation
+from freebraid.moves import Direction, MoveInstance, MoveSet, Relation, relations_in
 from freebraid.parity import (
     ChordDiagram,
     ComponentScheme,
@@ -40,6 +40,8 @@ from helpers import (
     random_partition,
     random_scheme,
     random_word,
+    reference_match_instances,
+    relation_rich_word,
     triple_slide_rich_word,
 )
 from strategies import braid_words, cyclic_braid_words, permutations
@@ -123,7 +125,7 @@ def test_gaussian_parity_examples():
 def test_gaussian_parity_brunnian_all_odd():
     assignment = gaussian_parity(parse_word(BRUNNIAN_TEXT))
     assert assignment.all_odd()
-    assert len(assignment.odd_positions()) == 8
+    assert sum(p is Parity.ODD for p in assignment.parities.values()) == 8
 
 
 def test_gaussian_parity_diagnostic_message():
@@ -226,10 +228,10 @@ def test_parse_scheme_designations():
     assert parse_scheme("gaussian", 5) == GaussianScheme()
     comp = parse_scheme("component:N1=1,3", 4)
     assert comp == ComponentScheme(StrandPartition.from_first(4, {1, 3}))
-    assert comp.designation() == "component:N1=1,3"
+    assert comp.assignment(BraidWord(4)).scheme == "component:N1=1,3"
     qg = parse_scheme("qgaussian:Q=2,1", 2)
     assert qg == QGaussianScheme(Permutation((2, 1)))
-    assert qg.designation() == "qgaussian:Q=2,1"
+    assert qg.assignment(BraidWord(2)).scheme == "qgaussian:Q=2,1"
     with pytest.raises(PreconditionError):
         parse_scheme("nonsense", 3)
     with pytest.raises(PreconditionError):
@@ -336,3 +338,44 @@ def test_axioms_on_planted_triple_slides():
                     assert report.passed, (kind, word, move, report)
                     directions[move.direction] += 1
         assert len(directions) == 2, (kind, directions)
+
+
+def test_axioms_on_planted_windows_of_the_other_relations():
+    """The axioms on at least 1000 instances per scheme of each relation but
+    the classical triple slide, in both directions (an R2 pair is deleted or
+    inserted).
+
+    As for the triple slides, the words get planted windows, and each
+    Gaussian word is closed to one circle by a virtual permutation braid.
+    An R2 pair fits anywhere, so each word adds one insertion of each kind
+    at a random offset.  Once a (relation, direction) has 1000 checks, further
+    instances of it are skipped.
+    """
+    rng = random.Random(6006)
+    rels = relations_in(MoveSet.FB)
+    wanted = [(rel, d) for rel in Relation if rel is not Relation.CLASSICAL_R3 for d in Direction]
+    for kind in ("gaussian", "component", "qgaussian"):
+        counts, words = Counter(), 0
+        while min(counts[key] for key in wanted) < 1000:
+            words += 1
+            assert words <= 6000, (kind, counts)
+            n = rng.randint(4, 5)
+            word = relation_rich_word(rng, n, rng.randint(0, 2), rng.randint(4, 8))
+            if kind == "gaussian":
+                word = word * permutation_braid(completion_for(rng, word))
+                scheme = GaussianScheme()
+            elif kind == "component":
+                scheme = ComponentScheme(random_partition(rng, n))
+            else:
+                scheme = QGaussianScheme(completion_for(rng, word))
+            insertions = [MoveInstance(rel, rng.randint(1, n - 1), rng.randint(0, len(word)),
+                                       Direction.RIGHT_TO_LEFT)
+                          for rel in (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2)]
+            before = scheme.assignment(word)
+            for move in reference_match_instances(word.letters, rels) + insertions:
+                key = (move.relation, move.direction)
+                if move.relation is Relation.CLASSICAL_R3 or counts[key] >= 1000:
+                    continue
+                report = check_parity_axioms(scheme, word, move, before)
+                assert report.passed, (kind, word, move, report)
+                counts[key] += 1

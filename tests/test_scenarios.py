@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
-from freebraid.words import PreconditionError, parse_word
-from freebraid.parity import Parity
+from freebraid.words import BraidWord, PreconditionError, is_cyclic, parse_word, permutation
+from freebraid.parity import Parity, gaussian_parity
 from freebraid.scenarios import (
     BETA_PRIME_ADDED,
     beta_prime_word,
@@ -9,6 +11,7 @@ from freebraid.scenarios import (
     locate_added_crossings,
     scenario_beta_prime,
     scenario_brunnian,
+    shifted_brunnian_letters,
 )
 
 
@@ -57,3 +60,27 @@ def test_beta_prime_rejects_non_cyclic():
 def test_beta_prime_rejects_bad_added_positions():
     with pytest.raises(PreconditionError):
         scenario_beta_prime(beta_prime_word(), added=(0, 1))  # virtual letters
+
+
+def test_beta_prime_added_parities_match_gaussian_parity_on_appended_family():
+    """Reading parities off the kept positions agrees with the assignment itself.
+
+    The family is the shifted brunnian word followed by two z1 letters and one
+    or three virtual letters t1..t3 in any order, as in
+    `scripts/beta_prime_search.py --appended-only`.
+    """
+    shifted = shifted_brunnian_letters()
+    checked, seen = 0, set()
+    for virtual_letters in (1, 3):
+        tails = {tail for idx in itertools.product(range(1, 4), repeat=virtual_letters)
+                 for tail in itertools.permutations([1, 1] + [-k for k in idx])}
+        for tail in sorted(tails):
+            word = BraidWord(10, shifted + tail)
+            if not is_cyclic(permutation(word)):
+                continue
+            added = tuple(len(shifted) + i for i, x in enumerate(tail) if x > 0)
+            expected = tuple(gaussian_parity(word).parity_of(t) for t in added)
+            assert scenario_beta_prime(word, added).added_parities == expected, word
+            checked += 1
+            seen.update(expected)
+    assert checked == 133 and seen == {Parity.EVEN, Parity.ODD}
