@@ -6,19 +6,32 @@ commutativity, and the virtual / semivirtual / classical triple slides
 all of it; STRONG is F without the classical R2.  Every relation preserves
 the endpoint permutation.
 
-One matcher, `_match_at`, finds the non-insertion move whose source
-starts at a given offset; `scramble` and the oracle's `_discover` both
-read it.  `scramble` keeps one flag per offset saying whether a move
-matches there, and rescans only the window a move changes.
+`scramble` and the oracle's `_discover` run on packed words.  On n
+strands, letter x becomes the code x + n, which lies in 1 .. 2n - 1 and so
+is never 0.  Each code takes b = (2n - 1).bit_length() bits, letter 0 in
+the lowest b, and a word is the one int they make: the empty word is 0, a
+word's length is its bit length divided by b, rounded up, and equal ints
+are equal letter sequences.  Both build moves through `_window_move`,
+which matches, orients, checks and packs a window's move.
+
+`scramble` keeps a flag per offset saying whether a move matches there, and
+their running count, and rescans only the window a move changes.  What a
+pair of adjacent letters starts is kept across calls, in a table per strand
+count keyed by the packed pair: 3-letter windows have 2n - 1 times as many
+values, and only the triple slides read a third letter.  A pair with |a|
+and |b| adjacent is a slide candidate, matched afresh when rescanned and
+built only when drawn.  The six relations that decide every other pair are
+in both F and FB, so the two share a table.  At most _MAX_TABLES tables of
+_MAX_ENTRIES entries are kept and a full one is cleared; the README states
+the worst case in bytes.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import compress, islice
 
 from .words import BraidWord, PreconditionError
 
@@ -79,13 +92,11 @@ def relation_sides(relation: Relation, i: int, j: int | None = None) -> tuple[tu
             raise ValueError(f"{relation.value} needs a second index")
         if abs(i - j) < 2:
             raise ValueError(f"far commutativity needs |i-j| >= 2, got i={i} j={j}")
+        if relation is not R.FAR_COMM_ZT and i >= j:
+            raise ValueError("like-kind far commutativity is canonicalized to i < j")
         if relation is R.FAR_COMM_ZZ:
-            if i >= j:
-                raise ValueError("like-kind far commutativity is canonicalized to i < j")
             return (i, j), (j, i)
         if relation is R.FAR_COMM_TT:
-            if i >= j:
-                raise ValueError("like-kind far commutativity is canonicalized to i < j")
             return (-i, -j), (-j, -i)
         return (i, -j), (-j, i)
     if relation is R.VIRTUAL_R3:
@@ -201,6 +212,66 @@ def apply_move(word: BraidWord, m: MoveInstance) -> BraidWord:
     return BraidWord(word.n, _rewrite(word.letters, m.position, *m.sides(), m.relation, m.direction))
 
 
+def _code_bits(n: int) -> int:
+    return (2 * n - 1).bit_length()
+
+
+def _pack(letters: tuple[int, ...], n: int, b: int) -> int:
+    """letters as one int: the code x + n of letter k in bits b*k .. b*k + b - 1."""
+    if len(letters) > 64:  # 64 letters fill 8*b bytes; packing by chunks keeps long words linear
+        return int.from_bytes(b"".join(_pack(letters[k:k + 64], n, b).to_bytes(8 * b, "little")
+                                       for k in range(0, len(letters), 64)), "little")
+    w = 0
+    for x in reversed(letters):
+        w = w << b | (x + n)
+    return w
+
+
+def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
+    if w >> 64 * b:  # as in _pack, by chunks of 64 letters
+        data = w.to_bytes(-(-w.bit_length() // 8), "little")
+        return tuple(x for k in range(0, len(data), 8 * b)
+                     for x in _unpack(int.from_bytes(data[k:k + 8 * b], "little"), n, b))
+    mask = (1 << b) - 1
+    letters = []
+    while w:
+        letters.append((w & mask) - n)
+        w >>= b
+    return tuple(letters)
+
+
+def _window_move(window: tuple[int, ...], n: int, b: int,
+                 flags: tuple[bool, ...]) -> tuple[Relation, int, Direction, int | None, int] | None:
+    """The move at offset 0 of window as `(relation, i, direction, j, delta)`, or None.
+
+    delta is the packed rewrite: 0 for deleting the first two letters,
+    else the XOR of the packed source and target.
+    """
+    match = _match_at(window, 0, flags)
+    if match is None:
+        return None
+    source, target = _oriented_sides(*match)
+    _rewrite(window, 0, source, target, match[0], match[2])
+    return (*match, _pack(source, n, b) ^ _pack(target, n, b) if target else 0)
+
+
+_SLIDE = "slide candidate"
+_MAX_TABLES = 4
+_MAX_ENTRIES = 4096
+# (n, the flags of the six pair relations) -> {packed pair: its move, () for none, or _SLIDE}
+_pair_tables: dict[tuple[int, tuple[bool, ...]], dict[int, tuple | str]] = {}
+
+
+def _pair_entry(table: dict[int, tuple | str], key: int, n: int, b: int,
+                flags: tuple[bool, ...]) -> tuple | str:
+    """Make table[key], clearing a full table first."""
+    if len(table) >= _MAX_ENTRIES:
+        table.clear()
+    a, c = _unpack(key, n, b)
+    entry = table[key] = _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c), n, b, flags) or ()
+    return entry
+
+
 MAX_STEPS = 1_000_000
 
 
@@ -225,14 +296,19 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     rels = relations_in(moveset)
     flags = _relation_flags(rels)
     ins_kinds = [rel for rel in _R2_RELATIONS if rel in rels]
-    letters = word.letters
     n = word.n
-    matched = [_match_at(letters, p, flags) is not None for p in range(len(letters))]
+    b = _code_bits(n)
+    b2 = 2 * b
+    mask1, mask2, mask3 = (1 << b) - 1, (1 << b2) - 1, (1 << 3 * b) - 1
+    if (n, flags[:6]) not in _pair_tables and len(_pair_tables) >= _MAX_TABLES:
+        _pair_tables.clear()
+    table = _pair_tables.setdefault((n, flags[:6]), {})
+    L = len(word.letters)
+    w = _pack(word.letters, n, b)
+    matched = bytearray(_match_at(word.letters, p, flags) is not None for p in range(L))
+    n_matches = matched.count(1)
     history: list[MoveInstance] = []
     for _ in range(steps):
-        L = len(letters)
-        ends = list(accumulate(matched))
-        n_matches = ends[-1] if ends else 0
         per_kind = (n - 1) * (L + 1)
         ins_total = per_kind * len(ins_kinds) if (L + 2 <= max_length and n >= 2) else 0
         total = n_matches + ins_total
@@ -240,23 +316,52 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
             break
         r = rng.randrange(total)
         if r < n_matches:
-            p = bisect_right(ends, r)
-            rel, i, direction, j = _match_at(letters, p, flags)
+            p = next(islice(compress(range(L), matched), r, None))
+            s = b * p
+            key = w >> s & mask2
+            move = table.get(key) or _pair_entry(table, key, n, b, flags)  # a match: never ()
+            width = 2
+            if move is _SLIDE:
+                move = _window_move(_unpack(w >> s & mask3, n, b), n, b, flags)
+                width = 3
+            rel, i, direction, j, delta = move
             m = MoveInstance(rel, i, p, direction, j)
+            if delta:
+                w ^= delta << s
+                old_end = new_end = p + width
+            else:
+                w = (w & (1 << s) - 1) | (w >> s + b2) << s
+                L -= 2
+                old_end, new_end = p + 2, p
         else:
             q = r - n_matches
             rel = ins_kinds[q // per_kind]
             q %= per_kind
             p = q % (L + 1)
             m = MoveInstance(rel, q // (L + 1) + 1, p, _REV)
-        source, target = m.sides()
-        letters = _rewrite(letters, p, source, target, m.relation, m.direction)
-        # A match at q reads only letters q..q+2, so only offsets [p-2, p+len(target)) change.
+            s = b * p
+            low = w & (1 << s) - 1
+            code = relation_sides(rel, m.i)[0][0] + n
+            w = low | (w ^ low) << b2 | (code << b | code) << s
+            L += 2
+            old_end, new_end = p, p + 2
+        # A match at q reads only letters q..q+2, so only offsets [p-2, new_end) change.
         lo = max(p - 2, 0)
-        matched[lo:p + len(source)] = [_match_at(letters, q, flags) is not None
-                                       for q in range(lo, p + len(target))]
+        fresh = []
+        for q in range(lo, new_end):
+            s = b * q
+            key = w >> s & mask2
+            entry = table.get(key) if q + 1 < L else ()
+            if entry is None:
+                entry = _pair_entry(table, key, n, b, flags)
+            if entry is _SLIDE:
+                entry = q + 2 < L and _match_at(((key & mask1) - n, (key >> b) - n,
+                                                 (w >> s + b2 & mask1) - n), 0, flags)
+            fresh.append(bool(entry))  # a move, or (), False or None for none
+        n_matches += sum(fresh) - sum(matched[lo:old_end])
+        matched[lo:old_end] = bytes(fresh)
         history.append(m)
-    return BraidWord(n, letters), tuple(history)
+    return BraidWord(n, _unpack(w, n, b)), tuple(history)
 
 
 def format_history(history: tuple[MoveInstance, ...]) -> str:

@@ -6,12 +6,7 @@ identity, so the oracle makes no assumptions shared with the deciders it
 cross-checks.  It can certify equality but never inequality: a word missing
 from a bounded ball may still be reachable through longer intermediates.
 
-The search runs on packed words.  On n strands, letter x becomes the code
-x + n, which lies in 1 .. 2n - 1 and so is never 0.  Each code takes
-b = (2n - 1).bit_length() bits, letter 0 in the lowest b, and a word is the
-one int they make: the empty word is 0, and a word's length is its bit
-length divided by b, rounded up.  The encoding is injective for every n, so
-equal ints are equal letter sequences.
+The search runs on packed words, in the format `moves` defines.
 """
 
 from __future__ import annotations
@@ -22,10 +17,11 @@ from enum import Enum
 from .moves import (
     _R2_RELATIONS,
     MoveSet,
-    _match_at,
-    _oriented_sides,
+    _code_bits,
+    _pack,
     _relation_flags,
-    _rewrite,
+    _unpack,
+    _window_move,
     relation_sides,
     relations_in,
 )
@@ -57,38 +53,6 @@ class EquivalenceBall:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _code_bits(n: int) -> int:
-    return (2 * n - 1).bit_length()
-
-
-def _pack(letters: tuple[int, ...], n: int, b: int) -> int:
-    """letters as one int: the code x + n of letter k in bits b*k .. b*k + b - 1."""
-    w = 0
-    for x in reversed(letters):
-        w = w << b | (x + n)
-    return w
-
-
-def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
-    mask = (1 << b) - 1
-    letters = []
-    while w:
-        letters.append((w & mask) - n)
-        w >>= b
-    return tuple(letters)
-
-
-def _window_rewrite(window: tuple[int, ...], n: int, b: int, flags: tuple[bool, ...]) -> int:
-    """The packed rewrite at offset 0 of window: -1 for no match, 0 for
-    deleting the first two letters, else the XOR of source and target."""
-    match = _match_at(window, 0, flags)
-    if match is None:
-        return -1
-    source, replacement = _oriented_sides(*match)
-    _rewrite(window, 0, source, replacement, match[0], match[2])
-    return _pack(source, n, b) ^ _pack(replacement, n, b) if replacement else 0
 
 
 def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,
@@ -130,7 +94,8 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
             key = w >> s & mask3
             delta = rewrites.get(key)
             if delta is None:
-                delta = rewrites[key] = _window_rewrite(_unpack(key, n, b), n, b, flags)
+                move = _window_move(_unpack(key, n, b), n, b, flags)
+                delta = rewrites[key] = -1 if move is None else move[-1]
             if delta > 0:
                 neighbors.append(w ^ delta << s)
             elif delta == 0:

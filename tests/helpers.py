@@ -395,21 +395,55 @@ def applicable_moves(word: BraidWord, moveset: MoveSet = MoveSet.FB) -> tuple[Mo
     return tuple(sorted(moves, key=move_sort_key))
 
 
-def move_image(m: MoveInstance, pos: int) -> int | None:
+def _moves_by_offset(word: BraidWord, moveset: MoveSet):
+    """The move set's relations, its matches keyed by offset, and the insertions at each offset."""
+    rels = relations_in(moveset)
+    matches = {m.position: m for m in reference_match_instances(word.letters, rels)}
+    return rels, matches, (word.n - 1) * sum(rel in rels for rel in _R2_RELATIONS)
+
+
+def applicable_count(word: BraidWord, moveset: MoveSet = MoveSet.FB) -> int:
+    """`len(applicable_moves(word, moveset))` without building the insertions."""
+    _, matches, per_offset = _moves_by_offset(word, moveset)
+    return len(matches) + (len(word) + 1) * per_offset
+
+
+def applicable_move(word: BraidWord, moveset: MoveSet, r: int) -> MoveInstance:
+    """`applicable_moves(word, moveset)[r]`, building only the moves at its offset.
+
+    The sort puts the moves in offset order, and every offset has the same
+    insertions plus at most one match.
+    """
+    rels, matches, per_offset = _moves_by_offset(word, moveset)
+    for p in range(len(word) + 1):
+        here = per_offset + (p in matches)
+        if r < here:
+            moves = [MoveInstance(rel, i, p, Direction.RIGHT_TO_LEFT)
+                     for rel in _R2_RELATIONS if rel in rels for i in range(1, word.n)]
+            moves += [matches[p]] if p in matches else []
+            return sorted(moves, key=move_sort_key)[r]
+        r -= here
+    raise IndexError("move index out of range")
+
+
+def move_image(m: MoveInstance, pos: int, lengths: tuple[int, int] | None = None) -> int | None:
     """Where `apply_move` puts the letter at pos, or None if m deletes it.
 
     Letters outside the rewritten window shift by the change in length; a
     rewrite that keeps the length reverses its window (the outer letters of
     a triple slide trade places, each keeping its strand pair); R2 letters
-    have no image.
+    have no image.  lengths, if given, is the lengths of `m.sides()`,
+    computed once for several positions.
     """
-    source, target = m.sides()
-    lo, hi = m.position, m.position + len(source)
+    if lengths is None:
+        lengths = tuple(map(len, m.sides()))
+    source_len, target_len = lengths
+    lo, hi = m.position, m.position + source_len
     if pos < lo:
         return pos
     if pos >= hi:
-        return pos + len(target) - len(source)
-    return lo + hi - 1 - pos if len(source) == len(target) else None
+        return pos + target_len - source_len
+    return lo + hi - 1 - pos if source_len == target_len else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,11 +480,12 @@ def check_parity_axioms(scheme, word: BraidWord, move: MoveInstance, before=None
     """
     p1 = scheme.assignment(word) if before is None else before
     p2 = scheme.assignment(apply_move(word, move))
+    lengths = tuple(map(len, move.sides()))
     window_lo = move.position
-    window_hi = window_lo + len(move.sides()[0])
+    window_hi = window_lo + lengths[0]
 
     for s in p1.positions:
-        r = move_image(move, s)
+        r = move_image(move, s, lengths)
         if r is None:
             continue
         if p1.parity_of(s) is p2.parity_of(r):

@@ -22,7 +22,8 @@ from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
 from freebraid.scenarios import BETA_PRIME_ADDED, beta_prime_word, brunnian_word
 
 from helpers import (
-    applicable_moves,
+    applicable_count,
+    applicable_move,
     check_parity_axioms,
     completion_for,
     delete_bigon,
@@ -113,10 +114,10 @@ def test_c4_parity_axiom_conformance():
             else:
                 word = random_word(rng, n, rng.randint(0, 12))
                 scheme = QGaussianScheme(completion_for(rng, word))
-            moves = applicable_moves(word, MoveSet.FB)
-            if not moves:
+            total = applicable_count(word, MoveSet.FB)
+            if not total:
                 continue
-            move = moves[rng.randrange(len(moves))]
+            move = applicable_move(word, MoveSet.FB, rng.randrange(total))
             if move.relation.value == "ClassicalR3":
                 slide_count += 1
             report = check_parity_axioms(scheme, word, move)

@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from freebraid.words import BraidWord, PreconditionError, parse_word, permutation
+import freebraid.moves
 from freebraid.moves import (
     MAX_STEPS,
     Direction,
@@ -14,12 +16,15 @@ from freebraid.moves import (
     _match_at,
     _relation_flags,
     apply_move,
+    relation_sides,
     relations_in,
     scramble,
 )
 from freebraid.normalform import f_equal
 
 from helpers import (
+    applicable_count,
+    applicable_move,
     applicable_moves,
     move_image,
     random_word,
@@ -61,6 +66,20 @@ def test_insertions_enumerated_at_every_offset_and_index():
         for i in (1, 2):
             for pos in (0, 1):
                 assert MoveInstance(rel, i, pos, REV) in moves
+
+
+def test_applicable_move_is_the_rth_applicable_move():
+    """The criterion-4 draw without the insertion list, against `applicable_moves`, for every r."""
+    rng = random.Random(67)
+    words = [random_word(rng, rng.randint(1, 6), rng.randint(0, 12)) for _ in range(450)]
+    words += [_slide_rich_word(rng, rng.randint(0, 6), rng.randint(1, 3)) for _ in range(50)]
+    for k, word in enumerate(words):
+        moveset = (MoveSet.F, MoveSet.FB, MoveSet.STRONG)[k % 3]
+        moves = applicable_moves(word, moveset)
+        assert applicable_count(word, moveset) == len(moves)
+        assert [applicable_move(word, moveset, r) for r in range(len(moves))] == list(moves), word
+        with pytest.raises(IndexError):
+            applicable_move(word, moveset, len(moves))
 
 
 def test_apply_pair_cancellation():
@@ -214,20 +233,148 @@ def test_match_at_agrees_with_reference_on_every_short_window(moveset):
             assert ([] if match is None else [match]) == expected, (window, moveset)
 
 
-def test_scramble_matches_full_rescan_reference():
-    """The windowed rescan replays the full rescan's draws exactly.
+def _slide_rich_word(rng: random.Random, length: int, windows: int) -> BraidWord:
+    """A random word on 3 strands with either side of the three triple slides planted."""
+    letters = list(random_word(rng, 3, length).letters)
+    for _ in range(windows):
+        rel = rng.choice((Relation.VIRTUAL_R3, Relation.SEMIVIRTUAL_R3, Relation.CLASSICAL_R3))
+        at = rng.randint(0, len(letters))
+        letters[at:at] = rng.choice(relation_sides(rel, 1))
+    return BraidWord(3, tuple(letters))
 
-    Short words, words already at max_length and long walks drive deletions
-    at offsets 0 and L-2 and insertions at L through the splice boundaries.
+
+def test_scramble_matches_full_rescan_reference():
+    """The windowed rescan on packed words replays the full rescan's draws exactly.
+
+    Every code width: n = 1 .. 9, then 17 and 40, where words of 11 and 10
+    letters pack past 64 bits.  Short words, words already at max_length
+    and long walks drive deletions at offsets 0 and L-2 and insertions at L
+    through the splice boundaries; planted slides at n = 3 drive the slide
+    candidates, and words of 56 to 72 letters cross the 64-letter chunks
+    of `_pack` and `_unpack`.
     """
     rng = random.Random(41)
-    for _ in range(1200):
-        n = rng.randint(1, 6)
-        length = rng.randint(0, 3) if rng.random() < 0.3 else rng.randint(0, 40)
-        word = random_word(rng, n, length)
+    words = [random_word(rng, n, rng.randint(0, 3) if rng.random() < 0.3 else rng.randint(0, 40))
+             for n in (*range(1, 10), 17, 40) for _ in range(100)]
+    words += [_slide_rich_word(rng, rng.randint(0, 12), rng.randint(1, 6)) for _ in range(150)]
+    words += [random_word(rng, n, rng.randint(56, 72)) for n in (3, 9, 40) for _ in range(8)]
+    for word in words:
         max_length = len(word) + (0 if rng.random() < 0.2 else rng.randint(0, 12))
         moveset = rng.choice((MoveSet.F, MoveSet.FB, MoveSet.STRONG))
         seed = rng.getrandbits(32)
         steps = rng.randint(0, 60)
         assert scramble(word, steps, moveset, seed, max_length) == \
             reference_scramble(word, steps, moveset, seed, max_length), (word, moveset, seed, max_length)
+
+
+def test_pack_and_unpack_across_64_letter_chunks():
+    """Long words are packed by 64-letter chunks; the int is the one the letter-by-letter rule gives."""
+    rng = random.Random(71)
+    for n in (2, 3, 9, 17, 40, 10_000):
+        b = (2 * n - 1).bit_length()
+        for length in (0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 1000):
+            letters = random_word(rng, n, length).letters
+            w = freebraid.moves._pack(letters, n, b)
+            assert w == sum((x + n) << b * k for k, x in enumerate(letters)), (n, length)
+            assert freebraid.moves._unpack(w, n, b) == letters, (n, length)
+
+
+class _CountingTable(dict):
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_scramble_is_the_same_with_cold_warm_and_capped_pair_tables(monkeypatch):
+    """The pair tables only cache: emptied, warm, or cleared during a call, the walk is the same."""
+    rng = random.Random(59)
+    cases = []
+    for n in (2, 3, 4, 9, 17):
+        for _ in range(8):
+            word = random_word(rng, n, rng.randint(0, 30))
+            cases.append((word, rng.randint(20, 150), rng.choice(list(MoveSet)), rng.getrandbits(32),
+                          len(word) + rng.randint(0, 10)))
+    monkeypatch.setattr(freebraid.moves, "_pair_tables", {})
+    tables = freebraid.moves._pair_tables
+    cold = []
+    for case in cases:
+        tables.clear()
+        cold.append(scramble(*case))
+    assert cold == [reference_scramble(*case) for case in cases]
+    assert [scramble(*case) for case in cases] == cold
+    assert len(tables) <= freebraid.moves._MAX_TABLES
+
+    monkeypatch.setattr(freebraid.moves, "_MAX_ENTRIES", 3)
+    clears = 0
+    for case, expected in zip(cases, cold):
+        word, _, moveset = case[:3]
+        table = _CountingTable()
+        tables.clear()
+        tables[word.n, _relation_flags(relations_in(moveset))[:6]] = table
+        assert scramble(*case) == expected
+        assert len(table) <= 3
+        clears += table.clears
+    assert clears > len(cases)
+
+    # F and FB share a table; STRONG, without the classical R2, has its own.
+    tables.clear()
+    word = random_word(rng, 5, 20)
+    for moveset in (MoveSet.F, MoveSet.FB):
+        scramble(word, 50, moveset, 1, 30)
+    assert len(tables) == 1
+    scramble(word, 50, MoveSet.STRONG, 1, 30)
+    assert len(tables) == 2
+
+
+# The README's bound on the pair tables: _MAX_TABLES tables of _MAX_ENTRIES entries,
+# each a far commutativity on 10 000 strands, the largest kind of entry.
+TABLES_WORST_CASE_BYTES = 4 * 2**20
+
+
+def _traced_bytes_of_tables(specs):
+    """tracemalloc's count of pair tables rebuilt from `(n, flags, keys)` specs, and the tables.
+
+    The entries are made by the same builder from the same keys, so a rebuild
+    holds what the original holds; tracing the walks themselves is ten times slower.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rebuilt = []
+        for n, flags, keys in specs:
+            table = {}
+            for key in keys:
+                freebraid.moves._pair_entry(table, key, n, (2 * n - 1).bit_length(), flags)
+            rebuilt.append(table)
+        return tracemalloc.get_traced_memory()[0] - before, rebuilt
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_tables_stay_within_the_stated_worst_case(monkeypatch):
+    """Scrambles at 24 strand counts, then 20 000 steps on 10 000 strands, stay within the README's bound."""
+    monkeypatch.setattr(freebraid.moves, "_pair_tables", {})
+    tables = freebraid.moves._pair_tables
+    assert (freebraid.moves._MAX_TABLES, freebraid.moves._MAX_ENTRIES) == (4, 4096)
+    rng = random.Random(61)
+    for n in range(2, 26):
+        for moveset in (MoveSet.F, MoveSet.STRONG):
+            scramble(random_word(rng, n, 40), 300, moveset, n, 80)
+    scramble(parse_word("n=10000; z1 z9999 t5000 z5001 t2 z3"), 20_000, MoveSet.F, 5, 400)
+    assert len(tables) <= 4 and all(len(t) <= 4096 for t in tables.values())
+    assert sum(len(t) for t in tables.values()) > 1000
+    # A table's slide flags are not part of its key: pair entries never read them.
+    held, rebuilt = _traced_bytes_of_tables([(n, flags + (True,) * 3, list(t))
+                                             for (n, flags), t in tables.items()])
+    assert rebuilt == list(tables.values())
+    assert held <= TABLES_WORST_CASE_BYTES, held
+
+    # The worst case itself: full tables of far commutativities z_i z_j on 10 000 strands.
+    flags = _relation_flags(relations_in(MoveSet.F))
+    held, rebuilt = _traced_bytes_of_tables(
+        [(10_000, flags, [freebraid.moves._pack((300 + t, 2000 + k), 10_000, 15) for k in range(4096)])
+         for t in range(4)])
+    assert all(entry[0] is Relation.FAR_COMM_ZZ for table in rebuilt for entry in table.values())
+    assert held <= TABLES_WORST_CASE_BYTES, held

@@ -254,15 +254,22 @@ def test_node_cap_below_one_is_rejected(node_cap):
 
 
 def test_window_rewrite_check_still_fires(monkeypatch):
-    import freebraid.oracle
+    """`moves._window_move`, the one builder of a window's move, refuses sides that do not match.
+
+    The pair tables start empty: a warm table would hold moves built before the patch.
+    """
+    import freebraid.moves
 
     def mismatched(relation, i, direction, j=None):
         source, target = relation_sides(relation, i, j)
         return tuple(-x for x in source), target
 
-    monkeypatch.setattr(freebraid.oracle, "_oriented_sides", mismatched)
+    monkeypatch.setattr(freebraid.moves, "_oriented_sides", mismatched)
+    monkeypatch.setattr(freebraid.moves, "_pair_tables", {})
     w = parse_word("n=3; z1 z1 t2")
     with pytest.raises(PreconditionError, match="does not match at position"):
         bfs_ball(w, MoveSet.F, 5)
     with pytest.raises(PreconditionError, match="does not match at position"):
         oracle_equal(w, parse_word("n=3; t2"), MoveSet.F, 5)
+    with pytest.raises(PreconditionError, match="does not match at position"):
+        scramble(w, 50, MoveSet.F, 0, 9)
