@@ -11,19 +11,13 @@ strands, letter x becomes the code x + n, which lies in 1 .. 2n - 1 and so
 is never 0.  Each code takes b = (2n - 1).bit_length() bits, letter 0 in
 the lowest b, and a word is the one int they make: the empty word is 0, a
 word's length is its bit length divided by b, rounded up, and equal ints
-are equal letter sequences.  Both build moves through `_window_move`,
-which matches, orients, checks and packs a window's move.
+are equal letter sequences.  Both build moves through `_window_move`.
 
 `scramble` keeps a flag per offset saying whether a move matches there, and
-their running count, and rescans only the window a move changes.  What a
-pair of adjacent letters starts is kept across calls, in a table per strand
-count keyed by the packed pair: 3-letter windows have 2n - 1 times as many
-values, and only the triple slides read a third letter.  A pair with |a|
-and |b| adjacent is a slide candidate, matched afresh when rescanned and
-built only when drawn.  The six relations that decide every other pair are
-in both F and FB, so the two share a table.  At most _MAX_TABLES tables of
-_MAX_ENTRIES entries are kept and a full one is cleared; the README states
-the worst case in bytes.
+their running count, and rescans only the window a move changes.  The
+moves that pairs of adjacent letters start are cached across calls in
+at most _MAX_TABLES tables of _MAX_ENTRIES entries.  A pair whose |a| and
+|b| are adjacent may start a triple slide: it is cached only as _SLIDE.
 """
 
 from __future__ import annotations
@@ -92,11 +86,13 @@ def relation_sides(relation: Relation, i: int, j: int | None = None) -> tuple[tu
             raise ValueError(f"{relation.value} needs a second index")
         if abs(i - j) < 2:
             raise ValueError(f"far commutativity needs |i-j| >= 2, got i={i} j={j}")
-        if relation is not R.FAR_COMM_ZT and i >= j:
-            raise ValueError("like-kind far commutativity is canonicalized to i < j")
         if relation is R.FAR_COMM_ZZ:
+            if i >= j:
+                raise ValueError("like-kind far commutativity is canonicalized to i < j")
             return (i, j), (j, i)
         if relation is R.FAR_COMM_TT:
+            if i >= j:
+                raise ValueError("like-kind far commutativity is canonicalized to i < j")
             return (-i, -j), (-j, -i)
         return (i, -j), (-j, i)
     if relation is R.VIRTUAL_R3:
@@ -218,9 +214,6 @@ def _code_bits(n: int) -> int:
 
 def _pack(letters: tuple[int, ...], n: int, b: int) -> int:
     """letters as one int: the code x + n of letter k in bits b*k .. b*k + b - 1."""
-    if len(letters) > 64:  # 64 letters fill 8*b bytes; packing by chunks keeps long words linear
-        return int.from_bytes(b"".join(_pack(letters[k:k + 64], n, b).to_bytes(8 * b, "little")
-                                       for k in range(0, len(letters), 64)), "little")
     w = 0
     for x in reversed(letters):
         w = w << b | (x + n)
@@ -228,10 +221,6 @@ def _pack(letters: tuple[int, ...], n: int, b: int) -> int:
 
 
 def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
-    if w >> 64 * b:  # as in _pack, by chunks of 64 letters
-        data = w.to_bytes(-(-w.bit_length() // 8), "little")
-        return tuple(x for k in range(0, len(data), 8 * b)
-                     for x in _unpack(int.from_bytes(data[k:k + 8 * b], "little"), n, b))
     mask = (1 << b) - 1
     letters = []
     while w:
@@ -240,25 +229,25 @@ def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _window_move(window: tuple[int, ...], n: int, b: int,
-                 flags: tuple[bool, ...]) -> tuple[Relation, int, Direction, int | None, int] | None:
-    """The move at offset 0 of window as `(relation, i, direction, j, delta)`, or None.
+def _window_move(window: tuple[int, ...], n: int, b: int, flags: tuple[bool, ...]) -> tuple:
+    """The move at offset 0 of window as `(relation, i, direction, j, delta)`, or _NO_MOVE.
 
-    delta is the packed rewrite: 0 for deleting the first two letters,
-    else the XOR of the packed source and target.
+    delta is the packed rewrite: 0 for deleting the first two letters, else
+    the XOR of the packed source and target, and -1 in _NO_MOVE.
     """
     match = _match_at(window, 0, flags)
     if match is None:
-        return None
+        return _NO_MOVE
     source, target = _oriented_sides(*match)
     _rewrite(window, 0, source, target, match[0], match[2])
     return (*match, _pack(source, n, b) ^ _pack(target, n, b) if target else 0)
 
 
+_NO_MOVE = (None, None, None, None, -1)
 _SLIDE = "slide candidate"
 _MAX_TABLES = 4
 _MAX_ENTRIES = 4096
-# (n, the flags of the six pair relations) -> {packed pair: its move, () for none, or _SLIDE}
+# (n, the flags of the six pair relations) -> {packed pair: _SLIDE or `_window_move`'s tuple}
 _pair_tables: dict[tuple[int, tuple[bool, ...]], dict[int, tuple | str]] = {}
 
 
@@ -267,9 +256,8 @@ def _pair_entry(table: dict[int, tuple | str], key: int, n: int, b: int,
     """Make table[key], clearing a full table first."""
     if len(table) >= _MAX_ENTRIES:
         table.clear()
-    a, c = _unpack(key, n, b)
-    entry = table[key] = _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c), n, b, flags) or ()
-    return entry
+    a, c = (key & (1 << b) - 1) - n, (key >> b) - n
+    return table.setdefault(key, _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c), n, b, flags))
 
 
 MAX_STEPS = 1_000_000
@@ -282,9 +270,8 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     Each step draws uniformly from the applicable instances, except that
     insertions are excluded whenever they would push the word past
     max_length.  The result is equivalent to the input in the chosen move
-    set.  Whether a move matches is kept per offset and only the window a
-    move touches is rescanned (see the module docstring).  The history
-    keeps one move per step, so steps is capped at MAX_STEPS.
+    set.  The history keeps one move per step, so steps is capped at
+    MAX_STEPS.
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
@@ -304,7 +291,9 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         _pair_tables.clear()
     table = _pair_tables.setdefault((n, flags[:6]), {})
     L = len(word.letters)
-    w = _pack(word.letters, n, b)
+    # 64 letters fill 8*b bytes; packing a long word by such chunks keeps it linear.
+    w = int.from_bytes(b"".join(_pack(word.letters[k:k + 64], n, b).to_bytes(8 * b, "little")
+                                for k in range(0, L, 64)), "little")
     matched = bytearray(_match_at(word.letters, p, flags) is not None for p in range(L))
     n_matches = matched.count(1)
     history: list[MoveInstance] = []
@@ -319,7 +308,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
             p = next(islice(compress(range(L), matched), r, None))
             s = b * p
             key = w >> s & mask2
-            move = table.get(key) or _pair_entry(table, key, n, b, flags)  # a match: never ()
+            move = table.get(key) or _pair_entry(table, key, n, b, flags)
             width = 2
             if move is _SLIDE:
                 move = _window_move(_unpack(w >> s & mask3, n, b), n, b, flags)
@@ -351,17 +340,17 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         for q in range(lo, new_end):
             s = b * q
             key = w >> s & mask2
-            entry = table.get(key) if q + 1 < L else ()
-            if entry is None:
-                entry = _pair_entry(table, key, n, b, flags)
-            if entry is _SLIDE:
-                entry = q + 2 < L and _match_at(((key & mask1) - n, (key >> b) - n,
-                                                 (w >> s + b2 & mask1) - n), 0, flags)
-            fresh.append(bool(entry))  # a move, or (), False or None for none
+            entry = (table.get(key) or _pair_entry(table, key, n, b, flags)) if q + 1 < L else _NO_MOVE
+            fresh.append(entry[0] is not None if entry is not _SLIDE else
+                         q + 2 < L and _match_at(((key & mask1) - n, (key >> b) - n,
+                                                  (w >> s + b2 & mask1) - n), 0, flags) is not None)
         n_matches += sum(fresh) - sum(matched[lo:old_end])
         matched[lo:old_end] = bytes(fresh)
         history.append(m)
-    return BraidWord(n, _unpack(w, n, b)), tuple(history)
+    data = w.to_bytes(-(-w.bit_length() // 8), "little")  # unpacked by the same chunks
+    letters = tuple(x for k in range(0, len(data), 8 * b)
+                    for x in _unpack(int.from_bytes(data[k:k + 8 * b], "little"), n, b))
+    return BraidWord(n, letters), tuple(history)
 
 
 def format_history(history: tuple[MoveInstance, ...]) -> str:

@@ -94,8 +94,7 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
             key = w >> s & mask3
             delta = rewrites.get(key)
             if delta is None:
-                move = _window_move(_unpack(key, n, b), n, b, flags)
-                delta = rewrites[key] = -1 if move is None else move[-1]
+                delta = rewrites[key] = _window_move(_unpack(key, n, b), n, b, flags)[-1]
             if delta > 0:
                 neighbors.append(w ^ delta << s)
             elif delta == 0:

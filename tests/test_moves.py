@@ -268,15 +268,19 @@ def test_scramble_matches_full_rescan_reference():
 
 
 def test_pack_and_unpack_across_64_letter_chunks():
-    """Long words are packed by 64-letter chunks; the int is the one the letter-by-letter rule gives."""
+    """`scramble` packs and unpacks long words by 64-letter chunks; a walk of no steps gives the word back.
+
+    `_pack` gives the int of the letter-by-letter rule, and `_unpack` inverts it.
+    """
     rng = random.Random(71)
     for n in (2, 3, 9, 17, 40, 10_000):
         b = (2 * n - 1).bit_length()
         for length in (0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 1000):
-            letters = random_word(rng, n, length).letters
-            w = freebraid.moves._pack(letters, n, b)
-            assert w == sum((x + n) << b * k for k, x in enumerate(letters)), (n, length)
-            assert freebraid.moves._unpack(w, n, b) == letters, (n, length)
+            word = random_word(rng, n, length)
+            w = freebraid.moves._pack(word.letters, n, b)
+            assert w == sum((x + n) << b * k for k, x in enumerate(word.letters)), (n, length)
+            assert freebraid.moves._unpack(w, n, b) == word.letters, (n, length)
+            assert scramble(word, 0, MoveSet.FB, 0, length) == (word, ()), (n, length)
 
 
 class _CountingTable(dict):
