@@ -251,7 +251,7 @@ def test_scramble_matches_full_rescan_reference():
     and long walks drive deletions at offsets 0 and L-2 and insertions at L
     through the splice boundaries; planted slides at n = 3 drive the slide
     candidates, and words of 56 to 72 letters cross the 64-letter chunks
-    of `_pack` and `_unpack`.
+    in which `scramble` packs and unpacks.
     """
     rng = random.Random(41)
     words = [random_word(rng, n, rng.randint(0, 3) if rng.random() < 0.3 else rng.randint(0, 40))
