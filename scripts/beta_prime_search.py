@@ -17,31 +17,25 @@ appended-block family the repository ships as its default reading.
 import argparse
 import itertools
 
-from freebraid.words import BraidWord, closure_components, is_cyclic, permutation, serialize, strand_trace
+from freebraid.words import BraidWord, PreconditionError, serialize, strand_trace
 from freebraid.parity import GaussianScheme, chord_diagram, linked
 from freebraid.bracket import bracket
-from freebraid.scenarios import brunnian_word, shifted_brunnian_letters, trivial_components
+from freebraid.scenarios import brunnian_word, scenario_beta_prime, shifted_brunnian_letters
 
 
 def evaluate(word, added, original_pairs):
-    if not is_cyclic(permutation(word)):
+    try:
+        report = scenario_beta_prime(word, added)
+    except PreconditionError:  # the permutation is not cyclic
+        return None
+    if not report.findings_met:
         return None
     br = bracket(word, GaussianScheme())
-    # Both added letters are classical, so one is even exactly when the bracket drops it.
-    if any(t in br.kept_positions for t in added):
-        return None
-    ncomp, cycles = closure_components(br.word)
-    if ncomp != 3:
-        return None
-    trivial = trivial_components(br.word, cycles)
-    if not trivial:
-        return None
     kept_pairs = [pair for pair, x in zip(strand_trace(br.word), br.word.letters) if x > 0]
-    d = chord_diagram(word)
     return {
-        "cycles": cycles,
-        "trivial": list(trivial),
-        "added_linked": linked(d, added[0], added[1]),
+        "cycles": report.bracket_cycles,
+        "trivial": list(report.trivial_components),
+        "added_linked": linked(chord_diagram(word), *added),
         "original_pairs_intact": sorted(kept_pairs) == original_pairs,
     }
 

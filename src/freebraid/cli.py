@@ -158,10 +158,10 @@ def _cmd_distinguish(args) -> None:
     from .parity import parse_scheme
     w1, w2 = _load_word(args.word1), _load_word(args.word2)
     scheme = parse_scheme(args.parity, w1.n)
-    c1 = irreducible_code(bracket(w1, scheme).word)
-    c2 = irreducible_code(bracket(w2, scheme).word)
     if w1.n != w2.n:
         raise PreconditionError(f"strand counts differ: {w1.n} vs {w2.n}")
+    c1 = irreducible_code(bracket(w1, scheme).word)
+    c2 = irreducible_code(bracket(w2, scheme).word)
     differ = c1 != c2
     verdict = ("not equivalent (certified by parity bracket)" if differ else "inconclusive")
     human = "\n".join(["bracket 1:", c1.format(), "bracket 2:", c2.format(), verdict])
@@ -248,10 +248,11 @@ def build_parser() -> _Parser:
     # Word arguments go in last, so that a missing `--parity` is still named first.
     word_args = []
 
-    def add(name, func, help, words=("word",)):
+    def add(name, func, help, words=("word",), json_flag=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        _add_json_flag(p)
+        if json_flag:
+            _add_json_flag(p)
         word_args.append((p, words))
         return p
 
@@ -290,7 +291,8 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=_ascii_int, default=None, help="length bound for intermediate words")
     p.add_argument("--node-cap", type=_ascii_int, default=1_000_000)
 
-    p = add("render", _cmd_render, "emit a diagram")
+    # A diagram has no JSON form, so render takes no --json.
+    p = add("render", _cmd_render, "emit a diagram", json_flag=False)
     p.add_argument("--format", choices=_FORMATS, default="ascii")
     for p, words in word_args:
         for word in words:

@@ -62,7 +62,8 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     The search stops as soon as the packed target is discovered, which is
     then the last word of the order; the origin counts as discovered first.
     Discovering one word beyond node_cap aborts the search and reports the
-    cap; insertions are discovered as they are made, so the cap bounds memory too.
+    cap.  Rewrites and insertions are both discovered as they are made, so
+    the cap bounds memory too.
     """
     if length_bound < len(word.letters):
         raise PreconditionError("length bound must be at least the origin's length")
@@ -71,17 +72,14 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     n = word.n
     b = _code_bits(n)
     b2 = 2 * b
-    mask1, mask3 = (1 << b) - 1, (1 << 3 * b) - 1
+    mask3 = (1 << 3 * b) - 1
     origin = _pack(word.letters, n, b)
     order = [origin]
     if origin == target:
         return order, False
     rels = relations_in(moveset)
     flags = _relation_flags(rels)
-    pairs = [relation_sides(rel, i)[0] for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
-    # Inserting x x right after x repeats the insertion one offset earlier, so
-    # after a letter of code c its pair is left out; c's list is made when first met.
-    pairs_after: dict[int, list[int]] = {}
+    pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
     # The match at offset p depends only on the window of letters p..p+2,
     # so it is found, oriented and checked once per distinct window.
     rewrites: dict[int, int] = {}
@@ -89,17 +87,14 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     # BFS visits words in discovery order, so order doubles as the queue.
     for w in order:
         length = -(-w.bit_length() // b)
-        neighbors = []
         for s in range(0, b * (length - 1), b):
             key = w >> s & mask3
             delta = rewrites.get(key)
             if delta is None:
                 delta = rewrites[key] = _window_move(_unpack(key, n, b), n, b, flags)[-1]
-            if delta > 0:
-                neighbors.append(w ^ delta << s)
-            elif delta == 0:
-                neighbors.append((w & (1 << s) - 1) | (w >> s + b2) << s)
-        for neighbor in neighbors:
+            if delta < 0:
+                continue
+            neighbor = w ^ delta << s if delta else (w & (1 << s) - 1) | (w >> s + b2) << s
             if neighbor in seen:
                 continue
             if len(order) >= node_cap:
@@ -109,14 +104,12 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
             if neighbor == target:
                 return order, False
         if length + 2 <= length_bound:
-            prev = 0
             for s in range(0, b * (length + 1), b):
                 low = w & (1 << s) - 1
                 base = low | (w ^ low) << b2
-                after = pairs_after.get(prev)
-                if after is None:
-                    after = pairs_after[prev] = [_pack(p, n, b) for p in pairs if p[0] + n != prev]
-                for pair in after:
+                # x x inserted right after x makes the word of the insertion one
+                # offset earlier, which this node has discovered, so seen rejects it.
+                for pair in pairs:
                     neighbor = base | pair << s
                     if neighbor in seen:
                         continue
@@ -126,7 +119,6 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
                     order.append(neighbor)
                     if neighbor == target:
                         return order, False
-                prev = w >> s & mask1
     return order, False
 
 

@@ -177,10 +177,11 @@ def test_distinguish_wording(capsys):
 
 
 def test_distinguish_rejects_mismatched_strand_counts(capsys):
-    code, out, err = run(capsys, "distinguish", "--parity", "gaussian", "n=2; z1", "n=3; z1 z2")
-    assert code == 2
-    assert out == ""
-    assert err == "freebraid: strand counts differ: 2 vs 3\n"
+    """The strand counts are compared before either bracket, so no scheme's own error comes first."""
+    for scheme, word2 in (("gaussian", "n=3; z1 z2"), ("component:N1=1", "n=3; z1"),
+                          ("qgaussian:Q=1,2", "n=3; z1")):
+        code, out, err = run(capsys, "distinguish", "--parity", scheme, "n=2; z1", word2)
+        assert (code, out, err) == (2, "", "freebraid: strand counts differ: 2 vs 3\n"), scheme
 
 
 def test_scramble_deterministic(capsys):
@@ -303,6 +304,12 @@ def test_render_command(capsys):
     code, out, _ = run(capsys, "render", "--format", "svg", "n=2; z1")
     assert code == 0
     assert out.startswith("<svg")
+
+
+def test_render_takes_no_json_flag(capsys):
+    code, out, err = run(capsys, "render", "--json", "n=2; z1")
+    assert (code, out) == (1, "")
+    assert err == "freebraid: error: unrecognized arguments: --json\n"
 
 
 def test_scenario_brunnian(capsys):

@@ -2,6 +2,7 @@
 
 Numbers come as small values, as runs of up to 5000 digits (leading zeros
 or large values, past the 4300 digits `int()` converts), or as other text.
+JSON words may nest their arrays past the recursion limit.
 Step counts and node caps stay small or out of range, so that no draw runs
 a long walk or search.
 """
@@ -25,9 +26,17 @@ _NUMBER = st.one_of(_SMALL, _ZEROS, _HUGE, _OTHER)
 _BOUNDED = st.one_of(_SMALL, _ZEROS, st.integers(4300, 5000).map(lambda k: "1" + "0" * k), _OTHER)
 
 
+_DEPTH = st.one_of(st.integers(0, 40), st.integers(900, 100_000))
+
+
 @st.composite
 def _words(draw):
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["json", "nested", "text"]))
+    if shape == "nested":
+        depth = draw(_DEPTH)
+        arrays = "[" * depth + ("]" * depth if draw(st.booleans()) else "")
+        return draw(st.sampled_from([f'{{"n": {arrays}}}', f'{{"n": 3, "letters": {arrays}}}']))
+    if shape == "json":
         letters = draw(st.lists(st.fixed_dictionaries({
             "kind": st.sampled_from(["classical", "virtual", "other"]), "i": _NUMBER}), max_size=8))
         body = ", ".join(f'{{"kind": "{e["kind"]}", "i": {e["i"]}}}' for e in letters)
@@ -66,7 +75,7 @@ def _argvs(draw):
         return [command, *json_flag, "--bound", draw(_NUMBER), "--node-cap", draw(_BOUNDED),
                 draw(word), draw(word)]
     if command == "render":
-        return [command, "--format", draw(st.sampled_from(["ascii", "svg"])), draw(word)]
+        return [command, *json_flag, "--format", draw(st.sampled_from(["ascii", "svg"])), draw(word)]
     if command == "brunnian":
         return ["scenario", command, *json_flag, "--steps", draw(_BOUNDED), "--seed", draw(_NUMBER),
                 "--max-length", draw(_NUMBER)]

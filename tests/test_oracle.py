@@ -62,9 +62,9 @@ def test_oracle_cap_exceeded_is_reported():
 def test_node_cap_bounds_memory_on_many_strands():
     """A capped search holds little more than the words it discovered.
 
-    On n strands a node has 2(n - 1) insertions per offset.  Building every
-    node's neighbours, or the pairs after every letter code, before the cap
-    is checked peaks near 95 MiB at n = 600.
+    On n strands a node has 2(n - 1) insertions per offset, made from one
+    list of packed pairs per search.  Building every node's neighbours
+    before the cap is checked peaks near 95 MiB at n = 600.
     """
     w1, w2 = parse_word("n=600; z1"), parse_word("n=600; z2")
     tracemalloc.start()
@@ -229,13 +229,27 @@ def test_trailing_letters_are_not_dropped():
 
 
 def test_oracle_cap_boundary_in_discovery_order():
-    w = parse_word("n=3; z1 t2")
-    members = bfs_ball(w, MoveSet.F, 6).members
-    node_cap = 40
-    assert len(members) > node_cap + 1
-    assert oracle_equal(w, members[node_cap - 1], MoveSet.F, 6, node_cap) is OracleVerdict.EQUAL
-    assert oracle_equal(w, members[node_cap], MoveSet.F, 6, node_cap) is OracleVerdict.CAP_EXCEEDED
-    assert oracle_equal(w, w, MoveSet.F, 6, node_cap=1) is OracleVerdict.EQUAL
+    """members[k] of a ball is EQUAL under node_cap exactly when k < node_cap, else CAP_EXCEEDED.
+
+    A capped ball is the uncapped one cut to node_cap members, flagged only
+    if that cut a member off.  The balls of z1 (n = 2, F) and z1 t2 (n = 3,
+    strong) meet x x inserted right after x, the word of the insertion one
+    offset earlier: a word seen before must not count toward the cap.  Their
+    sweep takes every cap up to len(ball) + 1.
+    """
+    for text, moveset, bound, caps in (("n=3; z1 t2", MoveSet.F, 6, (1, 40)),
+                                       ("n=2; z1", MoveSet.F, 5, None),
+                                       ("n=3; z1 t2", MoveSet.STRONG, 6, None)):
+        w = parse_word(text)
+        members = bfs_ball(w, moveset, bound).members
+        for node_cap in caps or range(1, len(members) + 2):
+            capped = bfs_ball(w, moveset, bound, node_cap)
+            assert capped.members == members[:node_cap], (text, moveset, node_cap)
+            assert capped.cap_exceeded is (node_cap < len(members)), (text, moveset, node_cap)
+            for k, member in enumerate(members):
+                expected = OracleVerdict.EQUAL if k < node_cap else OracleVerdict.CAP_EXCEEDED
+                assert oracle_equal(w, member, moveset, bound, node_cap) is expected, \
+                    (text, moveset, node_cap, k)
 
 
 def test_oracle_bound_checked_before_identity():
