@@ -21,6 +21,7 @@ from .words import (
     JSON,
     ParseError,
     PreconditionError,
+    _ascii_int as _ascii_digits,
     closure_components,
     parse_word,
     permutation,
@@ -39,13 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ascii_int(text: str) -> int:
-    """argparse type: `int()` of ASCII text only, so that digits of other scripts are refused."""
-    try:
-        if text.isascii():
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """argparse type: ASCII digits 0-9 read as words read them, with an optional leading `-`."""
+    value = _ascii_digits(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def _load_word(source: str) -> BraidWord:

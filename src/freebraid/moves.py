@@ -6,7 +6,7 @@ commutativity, and the virtual / semivirtual / classical triple slides
 all of it; STRONG is F without the classical R2.  Every relation preserves
 the endpoint permutation.
 
-`scramble` and the oracle's `_discover` run on packed words.  On n
+`scramble` and `_discover`, the oracle's search, run on packed words.  On n
 strands, letter x becomes the code x + n, which lies in 1 .. 2n - 1 and so
 is never 0.  Each code takes b = (2n - 1).bit_length() bits, letter 0 in
 the lowest b, and a word is the one int they make: the empty word is 0, a
@@ -136,13 +136,13 @@ class MoveInstance:
 _FWD, _REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
 
-def _relation_flags(rels: frozenset[Relation]) -> tuple[bool, ...]:
-    """One bool per relation, in declaration order: the switches of `_match_at`."""
-    return tuple(rel in rels for rel in _ALL_RELATIONS)
+def _relation_flags(rels: frozenset[Relation]) -> tuple[bool, bool]:
+    """(classical R2 on, classical R3 on): the switches of `_match_at`; every move set has the rest."""
+    return Relation.CLASSICAL_R2 in rels, Relation.CLASSICAL_R3 in rels
 
 
 def _match_at(letters: tuple[int, ...], p: int,
-              flags: tuple[bool, ...]) -> tuple[Relation, int, Direction, int | None] | None:
+              flags: tuple[bool, bool]) -> tuple[Relation, int, Direction, int | None] | None:
     """The non-insertion move whose source side starts at offset p, or None.
 
     The move is a `(relation, i, direction, j)` tuple that depends only on
@@ -151,41 +151,38 @@ def _match_at(letters: tuple[int, ...], p: int,
     |a| and |b| at least 2 apart and every triple slide |a| and |b|
     adjacent, and among the slides c == -a sets the semivirtual one apart.
     Offsets 0, 1, ... in turn therefore give the scan order that `scramble`
-    draws from and `bfs_ball` discovers in.
+    draws from and `_discover` discovers in.
     """
     if p + 1 >= len(letters):
         return None
-    virtual_r2, classical_r2, virtualization, zz, zt, tt, virtual_r3, semivirtual_r3, classical_r3 = flags
+    classical_r2, classical_r3 = flags
     a, b = letters[p], letters[p + 1]
     ia, ib = abs(a), abs(b)
     if a == b:
         if a < 0:
-            return (_VIRTUAL_R2, ia, _FWD, None) if virtual_r2 else None
+            return (_VIRTUAL_R2, ia, _FWD, None)
         return (_CLASSICAL_R2, a, _FWD, None) if classical_r2 else None
     if b == -a:
-        return (_VIRTUALIZATION, ia, _FWD if a < 0 else _REV, None) if virtualization else None
+        return (_VIRTUALIZATION, ia, _FWD if a < 0 else _REV, None)
     if abs(ia - ib) >= 2:
         if a > 0 and b > 0:
-            return (_FAR_COMM_ZZ, min(a, b), _FWD if a < b else _REV, max(a, b)) if zz else None
+            return (_FAR_COMM_ZZ, min(a, b), _FWD if a < b else _REV, max(a, b))
         if a < 0 and b < 0:
-            return (_FAR_COMM_TT, min(ia, ib), _FWD if ia < ib else _REV, max(ia, ib)) if tt else None
-        if not zt:
-            return None
+            return (_FAR_COMM_TT, min(ia, ib), _FWD if ia < ib else _REV, max(ia, ib))
         return (_FAR_COMM_ZT, a, _FWD, ib) if a > 0 else (_FAR_COMM_ZT, b, _REV, ia)
     if p + 2 >= len(letters):
         return None
     c = letters[p + 2]
     if c == a:
-        if a < 0 and b < 0 and virtual_r3:
+        if a < 0 and b < 0:
             return (_VIRTUAL_R3, ia, _FWD, None) if ib == ia + 1 else (_VIRTUAL_R3, ib, _REV, None)
         if a > 0 and b > 0 and classical_r3:
             return (_CLASSICAL_R3, a, _FWD, None) if b == a + 1 else (_CLASSICAL_R3, b, _REV, None)
         return None
-    if semivirtual_r3:
-        if a < 0 and b == a - 1 and c == ia:
-            return (_SEMIVIRTUAL_R3, ia, _FWD, None)
-        if a > 1 and b == -(a - 1) and c == -a:
-            return (_SEMIVIRTUAL_R3, a - 1, _REV, None)
+    if a < 0 and b == a - 1 and c == ia:
+        return (_SEMIVIRTUAL_R3, ia, _FWD, None)
+    if a > 1 and b == -(a - 1) and c == -a:
+        return (_SEMIVIRTUAL_R3, a - 1, _REV, None)
     return None
 
 
@@ -229,7 +226,7 @@ def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _window_move(window: tuple[int, ...], n: int, b: int, flags: tuple[bool, ...]) -> tuple:
+def _window_move(window: tuple[int, ...], n: int, b: int, flags: tuple[bool, bool]) -> tuple:
     """The move at offset 0 of window as `(relation, i, direction, j, delta)`, or _NO_MOVE.
 
     delta is the packed rewrite: 0 for deleting the first two letters, else
@@ -247,12 +244,12 @@ _NO_MOVE = (None, None, None, None, -1)
 _SLIDE = "slide candidate"
 _MAX_TABLES = 4
 _MAX_ENTRIES = 4096
-# (n, the flags of the six pair relations) -> {packed pair: _SLIDE or `_window_move`'s tuple}
-_pair_tables: dict[tuple[int, tuple[bool, ...]], dict[int, tuple | str]] = {}
+# (n, classical R2 on) -> {packed pair: _SLIDE or `_window_move`'s tuple}
+_pair_tables: dict[tuple[int, bool], dict[int, tuple | str]] = {}
 
 
 def _pair_entry(table: dict[int, tuple | str], key: int, n: int, b: int,
-                flags: tuple[bool, ...]) -> tuple | str:
+                flags: tuple[bool, bool]) -> tuple | str:
     """Make table[key], clearing a full table first."""
     if len(table) >= _MAX_ENTRIES:
         table.clear()
@@ -279,6 +276,8 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         raise PreconditionError(f"steps must be at most {MAX_STEPS}, got {steps}")
     if max_length < len(word.letters):
         raise PreconditionError("max_length must be at least the current word length")
+    if seed < 0:  # random.Random(-s) would replay the walk of seed s
+        raise PreconditionError("seed must be >= 0")
     rng = random.Random(seed)
     rels = relations_in(moveset)
     flags = _relation_flags(rels)
@@ -287,9 +286,9 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     b = _code_bits(n)
     b2 = 2 * b
     mask1, mask2, mask3 = (1 << b) - 1, (1 << b2) - 1, (1 << 3 * b) - 1
-    if (n, flags[:6]) not in _pair_tables and len(_pair_tables) >= _MAX_TABLES:
+    if (n, flags[0]) not in _pair_tables and len(_pair_tables) >= _MAX_TABLES:
         _pair_tables.clear()
-    table = _pair_tables.setdefault((n, flags[:6]), {})
+    table = _pair_tables.setdefault((n, flags[0]), {})
     L = len(word.letters)
     # 64 letters fill 8*b bytes; packing a long word by such chunks keeps it linear.
     w = int.from_bytes(b"".join(_pack(word.letters[k:k + 64], n, b).to_bytes(8 * b, "little")
@@ -351,6 +350,73 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     letters = tuple(x for k in range(0, len(data), 8 * b)
                     for x in _unpack(int.from_bytes(data[k:k + 8 * b], "little"), n, b))
     return BraidWord(n, letters), tuple(history)
+
+
+def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,
+              target: int | None = None) -> tuple[list[int], bool]:
+    """Bounded BFS from word: (packed words in discovery order, cap exceeded).
+
+    The search stops as soon as the packed target is discovered, which is
+    then the last word of the order; the origin counts as discovered first.
+    Discovering one word beyond node_cap aborts the search and reports the
+    cap.  Rewrites and insertions are both discovered as they are made, so
+    the cap bounds memory too.
+    """
+    if length_bound < len(word.letters):
+        raise PreconditionError("length bound must be at least the origin's length")
+    if node_cap < 1:
+        raise PreconditionError("node_cap must be >= 1")
+    n = word.n
+    b = _code_bits(n)
+    b2 = 2 * b
+    mask3 = (1 << 3 * b) - 1
+    origin = _pack(word.letters, n, b)
+    order = [origin]
+    if origin == target:
+        return order, False
+    rels = relations_in(moveset)
+    flags = _relation_flags(rels)
+    pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
+    # The match at offset p depends only on the window of letters p..p+2,
+    # so it is found, oriented and checked once per distinct window.
+    rewrites: dict[int, int] = {}
+    seen = {origin}
+    # BFS visits words in discovery order, so order doubles as the queue.
+    for w in order:
+        length = -(-w.bit_length() // b)
+        for s in range(0, b * (length - 1), b):
+            key = w >> s & mask3
+            delta = rewrites.get(key)
+            if delta is None:
+                delta = rewrites[key] = _window_move(_unpack(key, n, b), n, b, flags)[-1]
+            if delta < 0:
+                continue
+            neighbor = w ^ delta << s if delta else (w & (1 << s) - 1) | (w >> s + b2) << s
+            if neighbor in seen:
+                continue
+            if len(order) >= node_cap:
+                return order, True
+            seen.add(neighbor)
+            order.append(neighbor)
+            if neighbor == target:
+                return order, False
+        if length + 2 <= length_bound:
+            for s in range(0, b * (length + 1), b):
+                low = w & (1 << s) - 1
+                base = low | (w ^ low) << b2
+                # x x inserted right after x makes the word of the insertion one
+                # offset earlier, which this node has discovered, so seen rejects it.
+                for pair in pairs:
+                    neighbor = base | pair << s
+                    if neighbor in seen:
+                        continue
+                    if len(order) >= node_cap:
+                        return order, True
+                    seen.add(neighbor)
+                    order.append(neighbor)
+                    if neighbor == target:
+                        return order, False
+    return order, False
 
 
 def format_history(history: tuple[MoveInstance, ...]) -> str:

@@ -6,7 +6,7 @@ identity, so the oracle makes no assumptions shared with the deciders it
 cross-checks.  It can certify equality but never inequality: a word missing
 from a bounded ball may still be reachable through longer intermediates.
 
-The search runs on packed words, in the format `moves` defines.
+The search is `moves._discover`, on packed words.
 """
 
 from __future__ import annotations
@@ -14,17 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .moves import (
-    _R2_RELATIONS,
-    MoveSet,
-    _code_bits,
-    _pack,
-    _relation_flags,
-    _unpack,
-    _window_move,
-    relation_sides,
-    relations_in,
-)
+from .moves import MoveSet, _code_bits, _discover, _pack, _unpack
 from .words import BraidWord, PreconditionError
 
 
@@ -53,73 +43,6 @@ class EquivalenceBall:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,
-              target: int | None = None) -> tuple[list[int], bool]:
-    """Bounded BFS from word: (packed words in discovery order, cap exceeded).
-
-    The search stops as soon as the packed target is discovered, which is
-    then the last word of the order; the origin counts as discovered first.
-    Discovering one word beyond node_cap aborts the search and reports the
-    cap.  Rewrites and insertions are both discovered as they are made, so
-    the cap bounds memory too.
-    """
-    if length_bound < len(word.letters):
-        raise PreconditionError("length bound must be at least the origin's length")
-    if node_cap < 1:
-        raise PreconditionError("node_cap must be >= 1")
-    n = word.n
-    b = _code_bits(n)
-    b2 = 2 * b
-    mask3 = (1 << 3 * b) - 1
-    origin = _pack(word.letters, n, b)
-    order = [origin]
-    if origin == target:
-        return order, False
-    rels = relations_in(moveset)
-    flags = _relation_flags(rels)
-    pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
-    # The match at offset p depends only on the window of letters p..p+2,
-    # so it is found, oriented and checked once per distinct window.
-    rewrites: dict[int, int] = {}
-    seen = {origin}
-    # BFS visits words in discovery order, so order doubles as the queue.
-    for w in order:
-        length = -(-w.bit_length() // b)
-        for s in range(0, b * (length - 1), b):
-            key = w >> s & mask3
-            delta = rewrites.get(key)
-            if delta is None:
-                delta = rewrites[key] = _window_move(_unpack(key, n, b), n, b, flags)[-1]
-            if delta < 0:
-                continue
-            neighbor = w ^ delta << s if delta else (w & (1 << s) - 1) | (w >> s + b2) << s
-            if neighbor in seen:
-                continue
-            if len(order) >= node_cap:
-                return order, True
-            seen.add(neighbor)
-            order.append(neighbor)
-            if neighbor == target:
-                return order, False
-        if length + 2 <= length_bound:
-            for s in range(0, b * (length + 1), b):
-                low = w & (1 << s) - 1
-                base = low | (w ^ low) << b2
-                # x x inserted right after x makes the word of the insertion one
-                # offset earlier, which this node has discovered, so seen rejects it.
-                for pair in pairs:
-                    neighbor = base | pair << s
-                    if neighbor in seen:
-                        continue
-                    if len(order) >= node_cap:
-                        return order, True
-                    seen.add(neighbor)
-                    order.append(neighbor)
-                    if neighbor == target:
-                        return order, False
-    return order, False
 
 
 def bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,

@@ -556,7 +556,7 @@ def reference_bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
                        node_cap: int = 1_000_000) -> EquivalenceBall:
     """`bfs_ball` through `MoveInstance` objects from a full rescan of every node.
 
-    The reference for the packed-integer search in `oracle`.
+    The reference for the packed-integer search, `moves._discover`.
     """
     if length_bound < len(word.letters):
         raise PreconditionError("length bound must be at least the origin's length")

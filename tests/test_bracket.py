@@ -79,6 +79,11 @@ def test_bracket_requires_applicable_scheme():
         bracket(parse_word("n=3; z1 z1"), GaussianScheme())
 
 
+def test_brackets_equal_rejects_mismatched_strand_counts():
+    with pytest.raises(PreconditionError, match="strand counts differ: 2 vs 3"):
+        brackets_equal(BraidWord(2, (1,)), BraidWord(3, (1,)), GaussianScheme())
+
+
 def test_brackets_equal_reflexive():
     w = parse_word("n=3; z1 t2 z2")
     assert brackets_equal(w, w, one_part_scheme(3))

@@ -72,7 +72,8 @@ ZEROS = "0" * 4400  # int() converts at most 4300 digits
     (("parse", "n=" + ZEROS + "3; t" + ZEROS + "2"), "n=3; t2\n"),
     (("parity", "--parity", "component:N1=" + ZEROS + "1", "n=2; z1"), "pos=0 letter=z1 parity=odd\n"),
     (("parity", "--parity", "qgaussian:Q=" + ZEROS + "1," + ZEROS + "2", "n=2; z1"), "pos=0 letter=z1 parity=even\n"),
-], ids=range(4))
+    (("scramble", "--steps", ZEROS + "5", "--seed", ZEROS + "7", "n=3; z1 z2"), "n=3; t1 t1 z1 z2 t1 t2 t2 t1\n"),
+], ids=range(5))
 def test_leading_zeros_beyond_the_int_digit_limit_are_read(capsys, argv, out):
     assert run(capsys, *argv) == (0, out, "")
 
@@ -178,10 +179,12 @@ def test_distinguish_wording(capsys):
 
 def test_distinguish_rejects_mismatched_strand_counts(capsys):
     """The strand counts are compared before either bracket, so no scheme's own error comes first."""
-    for scheme, word2 in (("gaussian", "n=3; z1 z2"), ("component:N1=1", "n=3; z1"),
-                          ("qgaussian:Q=1,2", "n=3; z1")):
-        code, out, err = run(capsys, "distinguish", "--parity", scheme, "n=2; z1", word2)
-        assert (code, out, err) == (2, "", "freebraid: strand counts differ: 2 vs 3\n"), scheme
+    for command, scheme, word2 in (("distinguish", "gaussian", "n=3; z1 z2"),
+                                   ("distinguish", "component:N1=1", "n=3; z1"),
+                                   ("distinguish", "qgaussian:Q=1,2", "n=3; z1"),
+                                   ("verify", "gaussian", "n=3; z1")):
+        code, out, err = run(capsys, command, "--parity", scheme, "n=2; z1", word2)
+        assert (code, out, err) == (2, "", "freebraid: strand counts differ: 2 vs 3\n"), (command, scheme)
 
 
 def test_scramble_deterministic(capsys):
@@ -205,6 +208,7 @@ def test_scramble_history_lines(capsys):
 @pytest.mark.parametrize("option, message", [
     (("--steps", "-1"), "steps must be >= 0"),
     (("--max-length", "1"), "max_length must be at least the current word length"),
+    (("--seed", "-7"), "seed must be >= 0"),
 ])
 def test_scramble_rejects_bad_bounds(capsys, option, message):
     code, out, err = run(capsys, "scramble", *option, "n=3; z1 z2")
@@ -241,6 +245,7 @@ def test_oracle_rejects_bad_node_cap(capsys, node_cap):
     (("parity", "--parity", "component:N1=\u0661", "n=2; z1"), 2, "bad partition list"),
     (("parity", "--parity", "qgaussian:Q=\u0662,1", "n=2; z1"), 2, "bad permutation image"),
     (("scenario", "beta-prime", "--added", "\u0661,2"), 1, "--added expects two comma-separated positions"),
+    (("scenario", "beta-prime", "--added", "3_8,42"), 1, "--added expects two comma-separated positions"),
 ])
 def test_non_ascii_digits_rejected(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)
@@ -257,8 +262,10 @@ def test_non_ascii_digits_rejected(capsys, argv, code, message):
     (("scenario", "brunnian"), "--steps", ()),
 ])
 def test_non_ascii_digits_rejected_in_integer_options(capsys, command, option, words):
-    expected = f"freebraid {' '.join(command)}: error: argument {option}: invalid int value: '\u0663'\n"
-    assert run(capsys, *command, option, "\u0663", *words) == (1, "", expected)
+    """Integer options read ASCII digits as words do: no other script, underscores, `+` or spaces."""
+    for text in ("\u0663", "1_0", "+3", " 3"):
+        expected = f"freebraid {' '.join(command)}: error: argument {option}: invalid int value: {text!r}\n"
+        assert run(capsys, *command, option, text, *words) == (1, "", expected)
 
 
 def test_option_choices_follow_the_enums():
@@ -335,6 +342,30 @@ def test_scenario_beta_prime_rejects_nine_strands(capsys):
     code, _, err = run(capsys, "scenario", "beta-prime", BRUNNIAN_TEXT)
     assert code == 2
     assert "10 strands" in err
+
+
+def test_scenario_beta_prime_text_golden(capsys):
+    """The built-in report; given as a candidate, the same word has its added crossings located."""
+    golden = (Path(__file__).parent / "golden" / "scenario_beta_prime.txt").read_text()
+    assert run(capsys, "scenario", "beta-prime") == (0, golden, "")
+    lines = golden.splitlines(keepends=True)
+    candidate = "".join(lines[:-1]) + "note: user-supplied candidate\n"
+    assert lines[1] == "added crossings: positions 38, 42\n"
+    assert run(capsys, "scenario", "beta-prime", lines[0].removeprefix("word: ")) == (0, candidate, "")
+
+
+def test_scenario_beta_prime_needs_the_embedded_brunnian_word(capsys):
+    word = "n=10; " + " ".join(f"z{i}" for i in range(1, 10))
+    assert run(capsys, "scenario", "beta-prime", word) == (2, "", "freebraid: cannot locate the embedded "
+                                                           "brunnian word; pass the added crossing positions explicitly\n")
+
+
+@pytest.mark.parametrize("word, message", [
+    ('{"n": 3, "letters": 5}', "JSON field 'letters' must be an array"),
+    ('{"n": 3, "letters": [{"kind": "classical", "i": 3}]}', "letter index 3 out of range for n=3"),
+])
+def test_malformed_json_words_exit_1_with_one_line(capsys, word, message):
+    assert run(capsys, "parse", word) == (1, "", f"freebraid: {message}\n")
 
 
 @pytest.mark.parametrize("moveset", ["F", "FB", "strong"])

@@ -43,6 +43,12 @@ def test_moveset_catalogues():
     assert len(relations_in(MoveSet.FB)) == 9
 
 
+def test_move_sets_differ_only_in_the_classical_r2_and_r3():
+    """`_match_at` and the pair tables' keys read only these two switches."""
+    for moveset in MoveSet:
+        assert set(Relation) - relations_in(moveset) <= {Relation.CLASSICAL_R2, Relation.CLASSICAL_R3}
+
+
 def test_applicable_includes_pair_cancellation():
     moves = applicable_moves(BraidWord(2, (1, 1)), MoveSet.F)
     assert MoveInstance(Relation.CLASSICAL_R2, 1, 0, FWD) in moves
@@ -97,6 +103,18 @@ def test_apply_virtualization():
     word = parse_word("n=2; z1 t1")
     m = next(m for m in applicable_moves(word, MoveSet.F) if m.relation is Relation.VIRTUALIZATION)
     assert apply_move(word, m) == parse_word("n=2; t1 z1")
+
+
+@pytest.mark.parametrize("relation, i, j, message", [
+    (Relation.FAR_COMM_ZT, 1, None, "FarCommutativityZT needs a second index"),
+    (Relation.FAR_COMM_ZZ, 2, 3, "far commutativity needs |i-j| >= 2, got i=2 j=3"),
+    (Relation.FAR_COMM_ZZ, 3, 1, "like-kind far commutativity is canonicalized to i < j"),
+    (Relation.FAR_COMM_TT, 3, 1, "like-kind far commutativity is canonicalized to i < j"),
+])
+def test_apply_rejects_malformed_far_commutativity(relation, i, j, message):
+    with pytest.raises(ValueError) as info:
+        apply_move(parse_word("n=5; z1 z3"), MoveInstance(relation, i, 0, FWD, j))
+    assert str(info.value) == message
 
 
 def test_apply_rejects_stale_instance():
@@ -217,6 +235,12 @@ def test_scramble_steps_capped_at_max_steps():
         scramble(BraidWord(1), MAX_STEPS + 1, MoveSet.FB, seed=0, max_length=5)
 
 
+def test_scramble_refuses_a_negative_seed():
+    """random.Random(-s) seeds with s, so a negative seed would replay another seed's walk."""
+    with pytest.raises(PreconditionError, match="seed must be >= 0"):
+        scramble(parse_word("n=3; z1 z2"), 10, MoveSet.FB, seed=-7, max_length=20)
+
+
 @pytest.mark.parametrize("moveset", list(MoveSet))
 def test_match_at_agrees_with_reference_on_every_short_window(moveset):
     """Every window of 1 to 3 letters on n = 4: the matcher the oracle's window cache relies on."""
@@ -316,7 +340,7 @@ def test_scramble_is_the_same_with_cold_warm_and_capped_pair_tables(monkeypatch)
         word, _, moveset = case[:3]
         table = _CountingTable()
         tables.clear()
-        tables[word.n, _relation_flags(relations_in(moveset))[:6]] = table
+        tables[word.n, _relation_flags(relations_in(moveset))[0]] = table
         assert scramble(*case) == expected
         assert len(table) <= 3
         clears += table.clears
@@ -369,9 +393,9 @@ def test_pair_tables_stay_within_the_stated_worst_case(monkeypatch):
     scramble(parse_word("n=10000; z1 z9999 t5000 z5001 t2 z3"), 20_000, MoveSet.F, 5, 400)
     assert len(tables) <= 4 and all(len(t) <= 4096 for t in tables.values())
     assert sum(len(t) for t in tables.values()) > 1000
-    # A table's slide flags are not part of its key: pair entries never read them.
-    held, rebuilt = _traced_bytes_of_tables([(n, flags + (True,) * 3, list(t))
-                                             for (n, flags), t in tables.items()])
+    # A table's classical R3 switch is not part of its key: pair entries never read it.
+    held, rebuilt = _traced_bytes_of_tables([(n, (classical_r2, True), list(t))
+                                             for (n, classical_r2), t in tables.items()])
     assert rebuilt == list(tables.values())
     assert held <= TABLES_WORST_CASE_BYTES, held
 

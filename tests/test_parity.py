@@ -215,6 +215,13 @@ def test_component_parity_examples():
     assert component_parity(parse_word("n=4; t1 z1"), part).parity_of(1) is Parity.EVEN
 
 
+def test_completion_and_partition_must_cover_the_word_strands():
+    with pytest.raises(PreconditionError, match="completion acts on 3 strands, word has 2"):
+        q_gaussian_parity(BraidWord(2, (1,)), Permutation((2, 3, 1)))
+    with pytest.raises(PreconditionError, match="partition covers 3 strands, word has 2"):
+        component_parity(BraidWord(2, (1,)), StrandPartition.from_first(3, {1}))
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         StrandPartition(frozenset({1}), frozenset({1, 2}))

@@ -9,7 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["brunnian_report.py", "reproduction_experiment.py"])
+@pytest.mark.parametrize("script", ["reproduction_experiment.py"])
 def test_precondition_failure_is_one_line_and_exit_2(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--steps", "2000000"],
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
