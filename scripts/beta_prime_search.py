@@ -18,8 +18,7 @@ import argparse
 import itertools
 
 from freebraid.words import BraidWord, PreconditionError, serialize, strand_trace
-from freebraid.parity import GaussianScheme, chord_diagram, linked
-from freebraid.bracket import bracket
+from freebraid.parity import chord_diagram, linked
 from freebraid.scenarios import brunnian_word, scenario_beta_prime, shifted_brunnian_letters
 
 
@@ -30,8 +29,8 @@ def evaluate(word, added, original_pairs):
         return None
     if not report.findings_met:
         return None
-    br = bracket(word, GaussianScheme())
-    kept_pairs = [pair for pair, x in zip(strand_trace(br.word), br.word.letters) if x > 0]
+    kept = report.bracket_word
+    kept_pairs = [pair for pair, x in zip(strand_trace(kept), kept.letters) if x > 0]
     return {
         "cycles": report.bracket_cycles,
         "trivial": list(report.trivial_components),
@@ -92,17 +91,12 @@ def main():
             for gb in range(ga, L + 1):
                 for gc in range(L + 1):
                     ins = sorted([(ga, 0, 1), (gc, 1, -vidx), (gb, 2, 1)])
-                    out = []
-                    k = 0
-                    for gap in range(L + 1):
-                        while k < len(ins) and ins[k][0] == gap:
-                            out.append((ins[k][2], True))
-                            k += 1
-                        if gap < L:
-                            out.append((shifted[gap], False))
-                    word = BraidWord(10, tuple(x for x, _ in out))
-                    added = tuple(p for p, (x, isnew) in enumerate(out) if isnew and x > 0)
-                    consider(word, added)
+                    letters = list(shifted)
+                    for gap, _, x in reversed(ins):  # from the right, so no earlier gap moves
+                        letters.insert(gap, x)
+                    # The k-th inserted letter lands k places after its gap.
+                    added = tuple(gap + k for k, (gap, _, x) in enumerate(ins) if x > 0)
+                    consider(BraidWord(10, tuple(letters)), added)
                     if hits >= args.limit:
                         return
 

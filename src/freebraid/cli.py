@@ -5,8 +5,10 @@ is invoked outside its domain (for example Gaussian parity of a word whose
 closure is not a single circle, or a `--steps` above
 `moves.MAX_STEPS`, 1000000).
 
+A closed stdout ends the command quietly with exit code 1.
+
 Each handler imports the modules it uses, so the top level stays at
-`argparse`, `json`, `sys` and `words` and a command loads only its own
+`argparse`, `json`, `os`, `sys` and `words` and a command loads only its own
 dependencies.
 """
 
@@ -14,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .words import (
     BraidWord,
     JSON,
+    MAX_LETTERS,
     ParseError,
     PreconditionError,
     _ascii_int as _ascii_digits,
@@ -173,7 +177,8 @@ def _cmd_distinguish(args) -> None:
 def _cmd_scramble(args) -> None:
     from .moves import MoveSet, format_history, scramble
     word = _load_word(args.word)
-    max_length = args.max_length if args.max_length is not None else max(len(word.letters) * 2, len(word.letters) + 20)
+    L = len(word.letters)
+    max_length = args.max_length if args.max_length is not None else min(max(2 * L, L + 20), MAX_LETTERS)
     result, history = scramble(word, args.steps, MoveSet(args.moveset), args.seed, max_length)
     if args.json:
         print(json.dumps({
@@ -324,6 +329,13 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not in the interpreter's exit flush
+    except BrokenPipeError:  # the reader closed stdout
+        try:  # point stdout at devnull, so that the exit flush prints nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # an in-process stdout without a descriptor
+            pass
+        return 1
     except ParseError as e:
         print(f"freebraid: {e}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
 
-from .words import BraidWord, PreconditionError
+from .words import MAX_LETTERS, BraidWord, PreconditionError
 
 
 class Relation(Enum):
@@ -268,7 +268,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     insertions are excluded whenever they would push the word past
     max_length.  The result is equivalent to the input in the chosen move
     set.  The history keeps one move per step, so steps is capped at
-    MAX_STEPS.
+    MAX_STEPS; max_length is capped at MAX_LETTERS, so the result parses again.
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
@@ -276,6 +276,8 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         raise PreconditionError(f"steps must be at most {MAX_STEPS}, got {steps}")
     if max_length < len(word.letters):
         raise PreconditionError("max_length must be at least the current word length")
+    if max_length > MAX_LETTERS:
+        raise PreconditionError(f"max_length must be at most {MAX_LETTERS}, got {max_length}")
     if seed < 0:  # random.Random(-s) would replay the walk of seed s
         raise PreconditionError("seed must be >= 0")
     rng = random.Random(seed)

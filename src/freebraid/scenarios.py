@@ -135,6 +135,7 @@ class BetaPrimeReport:
     word: BraidWord
     added_positions: tuple[int, int]
     added_parities: tuple[Parity, Parity]
+    bracket_word: BraidWord  # neither printed nor in the JSON
     bracket_components: int
     bracket_cycles: tuple[tuple[int, ...], ...]
     trivial_components: tuple[tuple[int, ...], ...]
@@ -236,6 +237,7 @@ def scenario_beta_prime(word: BraidWord | None = None,
         word=word,
         added_positions=(added[0], added[1]),
         added_parities=tuple(Parity.ODD if t in br.kept_positions else Parity.EVEN for t in added[:2]),
+        bracket_word=br.word,
         bracket_components=ncomp,
         bracket_cycles=cycles,
         trivial_components=trivial,

@@ -128,6 +128,8 @@ class Permutation:
 
 # Larger strand counts are refused at parse time, before anything of size n is built.
 MAX_STRANDS = 10_000
+# Longer words are refused at parse time, after at most MAX_LETTERS + 1 tokens are split off.
+MAX_LETTERS = 1_000_000
 
 # Indices are ASCII digits only: `\d` and `int` would also take other scripts' digits.
 _HEADER_RE = re.compile(r"\An=([0-9]+)\s*;")
@@ -140,7 +142,8 @@ def parse_word(text: str) -> BraidWord:
     Text: optional header ``n=<int>;`` followed by whitespace-separated
     letters ``z<i>`` (classical) and ``t<i>`` (virtual).  Without a header
     the strand count is the smallest one making the word valid.  JSON input
-    is detected by a leading ``{``.  Strand counts above `MAX_STRANDS` are refused.
+    is detected by a leading ``{``.  Strand counts above `MAX_STRANDS` and
+    words of more than `MAX_LETTERS` letters are refused.
     """
     s = text.strip()
     if s.startswith("{"):
@@ -150,7 +153,9 @@ def parse_word(text: str) -> BraidWord:
     if m:
         n = _checked_strand_count(_ascii_int(m.group(1)))
         s = s[m.end():]
-    tokens = s.split()
+    tokens = s.split(maxsplit=MAX_LETTERS)
+    if len(tokens) > MAX_LETTERS:
+        raise ParseError(f"letter count must be at most {MAX_LETTERS}")
     # Each distinct token is checked and converted once; the rest are lookups.
     value = {tok: i if tok[0] == "z" else -i
              for tok in set(tokens) if _LETTER_RE.match(tok) and (i := _ascii_int(tok[1:])) is not None}
@@ -211,6 +216,8 @@ def _parse_word_json(s: str) -> BraidWord:
     if not isinstance(raw, list):
         raise ParseError("JSON field 'letters' must be an array")
     n = _checked_strand_count(obj["n"])
+    if len(raw) > MAX_LETTERS:
+        raise ParseError(f"letter count must be at most {MAX_LETTERS}")
     letters = []
     for entry in raw:
         if not isinstance(entry, dict) or entry.get("kind") not in (CLASSICAL, VIRTUAL):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from collections import deque
@@ -26,9 +27,9 @@ from freebraid.moves import (
     relation_sides,
     relations_in,
 )
-from freebraid.normalform import Bigon, CanonicalCode
+from freebraid.normalform import Bigon, CanonicalCode, canonical_code, irreducible_code
 from freebraid.parity import ComponentScheme, GaussianScheme, Parity, QGaussianScheme, StrandPartition
-from freebraid.oracle import EquivalenceBall, OracleVerdict
+from freebraid.oracle import EquivalenceBall, OracleVerdict, bfs_ball
 
 
 def permutation_braid(q: Permutation) -> BraidWord:
@@ -600,3 +601,37 @@ def reference_oracle_equal(w1: BraidWord, w2: BraidWord, moveset: MoveSet, lengt
     if ball.cap_exceeded:
         return OracleVerdict.CAP_EXCEEDED
     return OracleVerdict.NOT_FOUND_WITHIN_BOUND
+
+
+def oracle_disagreements(n: int, max_length: int, bound: int) -> tuple[int, int]:
+    """Criterion 6's check: do the deciders split words exactly as the oracle does?
+
+    Every word over the letters +-1 ... +-(n-1) of length at most max_length is
+    grouped by its `canonical_code` (`STRONG`) and its `irreducible_code` (`F`),
+    and by the oracle's ball of length bound, which must not be capped.  Returns
+    the word count and the number of decider classes that are not exactly one
+    oracle class.
+    """
+    alphabet = [*range(1, n), *range(-1, -n, -1)]
+    words = [BraidWord(n, seq) for k in range(max_length + 1) for seq in itertools.product(alphabet, repeat=k)]
+    disagreements = 0
+    for moveset, key in ((MoveSet.STRONG, canonical_code), (MoveSet.F, irreducible_code)):
+        class_of = {}
+        for w in words:
+            if w.letters in class_of:
+                continue
+            ball = bfs_ball(w, moveset, bound, node_cap=1_000_000)
+            assert not ball.cap_exceeded, (moveset, w)
+            for member in ball.members:
+                if len(member.letters) <= max_length:
+                    class_of.setdefault(member.letters, w.letters)
+        decider_class = {}
+        for w in words:
+            decider_class.setdefault(key(w).format(), []).append(w.letters)
+        oracle_roots = set()
+        for group in decider_class.values():
+            roots = {class_of[letters] for letters in group}
+            root = next(iter(roots))
+            disagreements += (len(roots) != 1) + (root in oracle_roots)
+            oracle_roots.add(root)
+    return len(words), disagreements

@@ -9,7 +9,7 @@ import time
 
 from freebraid.words import BraidWord, closure_components, is_cyclic, parse_word, permutation
 from freebraid.moves import MoveSet, scramble
-from freebraid.normalform import canonical_code, f_equal, find_bigons, strongly_equal
+from freebraid.normalform import canonical_code, f_equal, find_bigons
 from freebraid.parity import (
     ComponentScheme,
     GaussianScheme,
@@ -18,7 +18,7 @@ from freebraid.parity import (
     gaussian_parity,
 )
 from freebraid.bracket import bracket, brackets_equal, verify_reproduction
-from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
+from freebraid.oracle import OracleVerdict, oracle_equal
 from freebraid.scenarios import BETA_PRIME_ADDED, beta_prime_word, brunnian_word
 
 from helpers import (
@@ -27,6 +27,7 @@ from helpers import (
     check_parity_axioms,
     completion_for,
     delete_bigon,
+    oracle_disagreements,
     random_cyclic_word,
     random_partition,
     random_scheme,
@@ -171,48 +172,8 @@ def test_c5_confluence_of_bigon_reduction():
 
 def test_c6_oracle_agreement():
     start = time.perf_counter()
-    alphabet = (1, 2, -1, -2)
-    words = [BraidWord(3)]
-    frontier = [()]
-    for _ in range(5):
-        frontier = [seq + (a,) for seq in frontier for a in alphabet]
-        words += [BraidWord(3, seq) for seq in frontier]
-    assert len(words) == 1365
-
-    disagreements = 0
-    for moveset, decide in ((MoveSet.STRONG, strongly_equal), (MoveSet.F, f_equal)):
-        class_of = {}
-        cap_exceeded = 0
-        for w in words:
-            if w.letters in class_of:
-                continue
-            ball = bfs_ball(w, moveset, 9, node_cap=1_000_000)
-            if ball.cap_exceeded:
-                cap_exceeded += 1
-                continue
-            for member in ball.members:
-                if len(member.letters) <= 5:
-                    class_of.setdefault(member.letters, w.letters)
-        assert cap_exceeded == 0
-        # decider partition: group words by their decision key
-        if moveset is MoveSet.STRONG:
-            key = lambda w: canonical_code(w).format()
-        else:
-            from freebraid.normalform import irreducible_form
-            key = lambda w: canonical_code(irreducible_form(w)).format()
-        decider_class = {}
-        for w in words:
-            decider_class.setdefault(key(w), []).append(w.letters)
-        # each decider class must be exactly one oracle class
-        oracle_roots = {}
-        for group in decider_class.values():
-            roots = {class_of[ls] for ls in group}
-            if len(roots) != 1:
-                disagreements += 1
-            root = next(iter(roots))
-            if root in oracle_roots:
-                disagreements += 1
-            oracle_roots[root] = True
+    count, disagreements = oracle_disagreements(3, 5, 9)
+    assert count == 1365
     elapsed = time.perf_counter() - start
     ok = disagreements == 0
     _verdict("6 (oracle agreement, n=3 len<=5)", ok,

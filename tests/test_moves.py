@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from freebraid.words import BraidWord, PreconditionError, parse_word, permutation
+from freebraid.words import MAX_LETTERS, BraidWord, PreconditionError, parse_word, permutation
 import freebraid.moves
 from freebraid.moves import (
     MAX_STEPS,
@@ -233,6 +233,14 @@ def test_scramble_steps_capped_at_max_steps():
     assert scramble(BraidWord(1), MAX_STEPS, MoveSet.FB, seed=0, max_length=5) == (BraidWord(1), ())
     with pytest.raises(PreconditionError, match="steps must be at most 1000000, got 1000001"):
         scramble(BraidWord(1), MAX_STEPS + 1, MoveSet.FB, seed=0, max_length=5)
+
+
+def test_scramble_caps_max_length_at_the_letter_cap():
+    """A scrambled word always parses again."""
+    word = parse_word("n=3; z1 z2")
+    assert len(scramble(word, 50, MoveSet.FB, seed=1, max_length=MAX_LETTERS)[0]) <= MAX_LETTERS
+    with pytest.raises(PreconditionError, match="max_length must be at most 1000000, got 1000001"):
+        scramble(word, 50, MoveSet.FB, seed=1, max_length=MAX_LETTERS + 1)
 
 
 def test_scramble_refuses_a_negative_seed():

@@ -9,7 +9,7 @@ from freebraid.parity import GaussianScheme
 from freebraid.bracket import brackets_equal
 from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
 
-from helpers import random_scheme, random_word, reference_bfs_ball, reference_oracle_equal
+from helpers import oracle_disagreements, random_scheme, random_word, reference_bfs_ball, reference_oracle_equal
 import random
 
 
@@ -287,3 +287,8 @@ def test_window_rewrite_check_still_fires(monkeypatch):
         oracle_equal(w, parse_word("n=3; t2"), MoveSet.F, 5)
     with pytest.raises(PreconditionError, match="does not match at position"):
         scramble(w, 50, MoveSet.F, 0, 9)
+
+
+def test_deciders_split_words_as_the_oracle_does_at_four_strands():
+    """Criterion 6's check at n = 4: the 259 words of length at most 3, balls of length 7."""
+    assert oracle_disagreements(4, 3, 7) == (259, 0)

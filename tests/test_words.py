@@ -137,6 +137,17 @@ def test_strand_cap_is_inclusive():
     assert parse_word(f'{{"n": {MAX_STRANDS}}}').n == MAX_STRANDS
 
 
+def test_letter_cap_is_inclusive(monkeypatch):
+    """Text is refused from its token count, before any token is read; JSON from its array's length."""
+    monkeypatch.setattr("freebraid.words.MAX_LETTERS", 5)
+    json_word = lambda k: '{"n": 2, "letters": [' + ", ".join(['{"kind": "virtual", "i": 1}'] * k) + "]}"
+    assert parse_word("n=2;  z1 t1\tz1\nt1 z1 ").letters == (1, -1, 1, -1, 1)
+    assert parse_word(json_word(5)).letters == (-1,) * 5
+    for text in ("n=2; z1 t1 z1 t1 z1 t1", "z1 t1 z1 t1 z1 q1", json_word(6)):
+        with pytest.raises(ParseError, match="^letter count must be at most 5$"):
+            parse_word(text)
+
+
 def test_letters_validated_on_construction():
     with pytest.raises(ValueError):
         BraidWord(2, (2,))
