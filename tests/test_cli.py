@@ -22,11 +22,96 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+BY_ID = {case.id: case for case in CASES}
+OWNED = set()
+
+
+def rows_of(groups):
+    """Parametrize a test over {test id: ids of table rows}; `test_cli_case` leaves those rows to it."""
+    OWNED.update(row for rows in groups.values() for row in rows)
+    return pytest.mark.parametrize("rows", list(groups.values()), ids=list(groups))
+
+
+def numbered(*rows):
+    return {str(i): [row] for i, row in enumerate(rows)}
+
+
+def check(capsys, monkeypatch, rows):
+    for case in map(BY_ID.__getitem__, rows):
+        if case.stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(case.stdin))
+        assert run(capsys, *case.argv) == (case.code, case.out, case.err), case.id
+
+
+# Rows that a parametrized test of their own checked before the table still run under its name and ids.
+@rows_of(numbered("parse-zeros-index", "parse-zeros-header", "parity-zeros-component", "parity-zeros-qgaussian",
+                  "scramble-zeros-options"))
+def test_leading_zeros_beyond_the_int_digit_limit_are_read(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@rows_of(numbered("parse-long-header", "parse-long-index", "parse-long-index-after-header",
+                  "parse-unknown-token-first", "parse-json-long-n", "parse-json-long-index", "parity-long-component",
+                  "parity-long-qgaussian", "parse-nines-index", "perm-nines-index", "parse-json-nested-n",
+                  "parse-json-nested-letters"))
+def test_numbers_too_long_to_convert_exit_with_one_line(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@rows_of({"argv0-99999999999": ["parse-header-above-cap"], "argv1-10000000000": ["perm-index-above-cap"],
+          "argv2-99999999999": ["parse-json-n-above-cap"]})
+def test_strand_counts_above_the_cap_exit_1(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@rows_of({'{"n": 3, "letters": 5}-JSON field \'letters\' must be an array': ["parse-json-letters-not-array"],
+          '{"n": 3, "letters": [{"kind": "classical", "i": 3}]}-letter index 3 out of range for n=3':
+          ["parse-json-index-out-of-range"]})
+def test_malformed_json_words_exit_1_with_one_line(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@rows_of({"argv0-1-unknown token": ["perm-arabic-index"], "argv1-1-unknown token": ["parse-arabic-header"],
+          "argv2-2-bad partition list": ["parity-arabic-component"],
+          "argv3-2-bad permutation image": ["parity-arabic-qgaussian"],
+          "argv4-1---added expects two comma-separated positions": ["beta-prime-arabic-added"],
+          "argv5-1---added expects two comma-separated positions": ["beta-prime-underscore-added"]})
+def test_non_ascii_digits_rejected(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@rows_of({f"command{i}-{option}-words{i}": [f"{command}{option}-{kind}" for kind in ("arabic", "underscore", "plus",
+                                                                                   "space")]
+          for i, (command, option) in enumerate([("scramble", "--steps"), ("scramble", "--seed"),
+                                                 ("scramble", "--max-length"), ("oracle", "--bound"),
+                                                 ("oracle", "--node-cap"), ("brunnian", "--steps")])})
+def test_non_ascii_digits_rejected_in_integer_options(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@rows_of({"component:N1=9-n=4; z2-bad partition in 'component:N1=9': part [9] is not a subset of 1..4":
+          ["parity-component-out-of-range"],
+          "qgaussian:Q=1,1-n=2; z1-bad completion in 'qgaussian:Q=1,1': (1, 1) is not a bijection of 1..2":
+          ["parity-qgaussian-not-bijective"]})
+def test_parity_rejects_out_of_range_scheme_lists(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@rows_of({"option0-steps must be >= 0": ["scramble-negative-steps"],
+          "option1-max_length must be at least the current word length": ["scramble-max-length-below-word"],
+          "option2-seed must be >= 0": ["scramble-negative-seed"]})
+def test_scramble_rejects_bad_bounds(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@rows_of({"0": ["oracle-node-cap-0"], "-3": ["oracle-node-cap-negative"]})
+def test_oracle_rejects_bad_node_cap(capsys, monkeypatch, rows):
+    check(capsys, monkeypatch, rows)
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.id not in OWNED], ids=lambda case: case.id)
 def test_cli_case(capsys, monkeypatch, case):
-    if case.stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(case.stdin))
-    assert run(capsys, *case.argv) == (case.code, case.out, case.err)
+    check(capsys, monkeypatch, [case.id])
 
 
 def test_closed_stdout_exits_1_quietly(capsys, monkeypatch):
