@@ -17,16 +17,16 @@ appended-block family the repository ships as its default reading.
 import argparse
 import itertools
 
-from freebraid.words import BraidWord, PreconditionError, serialize, strand_trace
+from freebraid.words import BraidWord, is_cyclic, permutation, serialize, strand_trace
 from freebraid.parity import chord_diagram, linked
 from freebraid.scenarios import brunnian_word, scenario_beta_prime, shifted_brunnian_letters
 
 
 def evaluate(word, added, original_pairs):
-    try:
-        report = scenario_beta_prime(word, added)
-    except PreconditionError:  # the permutation is not cyclic
+    # Most candidates are not cyclic; they are dropped before any report is built.
+    if not is_cyclic(permutation(word)):
         return None
+    report = scenario_beta_prime(word, added)
     if not report.findings_met:
         return None
     kept = report.bracket_word

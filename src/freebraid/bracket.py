@@ -36,7 +36,7 @@ def bracket(word: BraidWord, scheme: ParityScheme) -> BracketResult:
     """Delete even classical letters; virtual and odd classical letters survive in order."""
     parities, odd = scheme.assignment(word).parities, Parity.ODD
     kept = tuple([t for t, x in enumerate(word.letters) if x < 0 or parities[t] is odd])
-    return BracketResult(BraidWord(word.n, tuple([word.letters[t] for t in kept])), kept)
+    return BracketResult(BraidWord._trusted(word.n, tuple([word.letters[t] for t in kept])), kept)
 
 
 def brackets_equal(w1: BraidWord, w2: BraidWord, scheme: ParityScheme) -> bool:

@@ -351,7 +351,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     data = w.to_bytes(-(-w.bit_length() // 8), "little")  # unpacked by the same chunks
     letters = tuple(x for k in range(0, len(data), 8 * b)
                     for x in _unpack(int.from_bytes(data[k:k + 8 * b], "little"), n, b))
-    return BraidWord(n, letters), tuple(history)
+    return BraidWord._trusted(n, letters), tuple(history)
 
 
 def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,

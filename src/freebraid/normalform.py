@@ -9,10 +9,10 @@ forms plus the canonical code below decide F-equality.
 Reduction runs in O(L log L) for a word of L letters.  Deleting a bigon p, q
 changes no other classical letter's strand pair and no order along any strand
 (a virtual letter between p and q only has the pair's two strands swapped), so
-it is a splice of both strands' links (see `_reduce`).  Since F moves also
-keep the endpoint permutation, F-codes come straight from the reduced links
-and the input's single `strand_walk` (`irreducible_code`); no reduced word
-is built.
+it is a splice of both strands' links that moves a strand's head when its
+first crossing goes (see `_reduce`).  Since F moves also keep the endpoint
+permutation, F-codes are read off the reduced links, from each strand's head,
+and the input's single `strand_walk` (`irreducible_code`); no reduced word is built.
 
 Strong equivalence (all F moves except classical pair cancellation) is
 decided by canonicalizing the crossing graph: virtual crossings are
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain, compress, count
 
 from .words import BraidWord, PreconditionError, crossings_by_strand, strand_walk
 
@@ -36,19 +37,20 @@ class Bigon:
     strands: frozenset[int]
 
 
-def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], tuple[int, ...]]:
+def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], list[int], tuple]:
     """Doubly linked classical letters along every strand, from one `strand_walk`.
 
     Classical letter t with strand pair a < b is node 2t on strand a and node
-    2t + 1 on strand b; strand holds each node's strand, nxt and prv each
-    node's neighbour on its strand, or -1.  A bigon is fixed by its first
-    letter p: both of p's nodes have successors on the same letter q.
-    Returns strand, nxt, prv, the sorted bigon first letters and the image.
+    2t + 1 on strand b.  Returns strand, nxt, prv and head (each node's strand
+    and its neighbours on that strand, each strand s's first node at head[s];
+    -1 for none), the sorted first letters p of the bigons, whose two nodes
+    both have successors on one letter q, and the image.
     """
     strand, image = strand_walk(word)
     nxt = [-1] * len(strand)
     prv = nxt.copy()
-    last = [-1] * (word.n + 1)  # 1-based: the last node seen on each strand
+    head = [-1] * (word.n + 1)
+    last = head.copy()  # the last node seen on each strand
     starts = []
     for t, x in enumerate(word.letters):
         if x < 0:
@@ -59,15 +61,19 @@ def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], lis
         if la >= 0:
             nxt[la] = u
             prv[u] = la
+        else:
+            head[a] = u
         if lb >= 0:
             nxt[lb] = u + 1
             prv[u + 1] = lb
             if la >> 1 == lb >> 1:
                 starts.append(lb >> 1)
+        else:
+            head[b] = u + 1
         last[a] = u
         last[b] = u + 1
     starts.sort()
-    return strand, nxt, prv, starts, image
+    return strand, nxt, prv, head, starts, image
 
 
 def _bigon_end(nxt: list[int], p: int) -> int | None:
@@ -78,7 +84,7 @@ def _bigon_end(nxt: list[int], p: int) -> int | None:
 
 def find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
     """All bigons, sorted by positions.  Virtual letters never block one."""
-    strand, nxt, _, starts, _ = _strand_links(word)
+    strand, nxt, _, _, starts, _ = _strand_links(word)
     return tuple([Bigon((p, _bigon_end(nxt, p)), frozenset(strand[2 * p:2 * p + 2])) for p in starts])
 
 
@@ -89,21 +95,21 @@ def irreducible_form(word: BraidWord) -> BraidWord:
 
 def irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tuple[int, ...]]:
     """Irreducible form plus the surviving letters' positions in the input."""
-    _, _, alive = _reduce(word)
-    kept = tuple([t for t in range(len(alive)) if alive[t]])
-    letters = word.letters
-    return BraidWord(word.n, tuple([letters[t] for t in kept])), kept
+    alive = _reduce(word)[-1]
+    kept = tuple(compress(range(len(alive)), alive))
+    return BraidWord._trusted(word.n, tuple(compress(word.letters, alive))), kept
 
 
-def _reduce(word: BraidWord) -> tuple[list[int], tuple[int, ...], bytearray]:
-    """Reduce leftmost bigons: `_strand_links`' strand and image, and alive[t] per letter t.
+def _reduce(word: BraidWord) -> tuple[list[int], list[int], tuple[int, ...], bytearray]:
+    """Reduce leftmost bigons: the reduced links nxt and head, the image, and alive[t] per letter t.
 
     Pops candidate first letters from a min-heap, so the leftmost bigon of
     the current word is always the one deleted.  A popped letter is skipped
-    if it is gone or no longer starts a bigon.  After a deletion only the two
-    splice points, p's predecessors on its strands, can start a new bigon.
+    if it is gone or no longer starts a bigon.  After a deletion only p's
+    predecessors on its strands can start a new bigon; where p's node has
+    none, the node after q's becomes its strand's head.
     """
-    strand, nxt, prv, heap, image = _strand_links(word)
+    strand, nxt, prv, head, heap, image = _strand_links(word)
     alive = bytearray(b"\x01") * len(word.letters)
     while heap:
         p = heappop(heap)
@@ -118,7 +124,9 @@ def _reduce(word: BraidWord) -> tuple[list[int], tuple[int, ...], bytearray]:
             if before >= 0:
                 nxt[before] = after
                 heappush(heap, before >> 1)
-    return strand, image, alive
+            else:
+                head[strand[2 * p + side]] = after
+    return nxt, head, image, alive
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,25 +150,25 @@ class CanonicalCode:
 
 
 def canonical_code(word: BraidWord) -> CanonicalCode:
-    return _code(word, *strand_walk(word))
+    strand, image = strand_walk(word)
+    return _code(word.n, image, crossings_by_strand(word, strand)[1:])
 
 
 def irreducible_code(word: BraidWord) -> CanonicalCode:
     """`canonical_code(irreducible_form(word))`, read off the reduced links and the input's walk."""
-    return _code(word, *_reduce(word))
+    nxt, head, image, _ = _reduce(word)
+    seqs = [[] for _ in range(word.n)]
+    for seq, u in zip(seqs, head[1:]):
+        while u >= 0:
+            seq.append(u >> 1)
+            u = nxt[u]
+    return _code(word.n, image, seqs)
 
 
-def _code(word: BraidWord, strand: list[int], image: tuple[int, ...],
-          alive: bytearray | None = None) -> CanonicalCode:
-    """The code of `strand_walk(word)`'s strands and image; only letters with alive[t], if given."""
-    seqs = crossings_by_strand(word, strand, alive)
-    label: dict[int, int] = {}
-    for seq in seqs[1:]:
-        for t in seq:
-            if t not in label:
-                label[t] = len(label) + 1
-    return CanonicalCode(word.n, image, len(label),
-                         tuple([tuple([label[t] for t in seq]) for seq in seqs[1:]]))
+def _code(n: int, image: tuple[int, ...], seqs: list[list[int]]) -> CanonicalCode:
+    """The code of the endpoint map image and each strand's classical letter positions, strands 1..n."""
+    label = dict(zip(dict.fromkeys(chain.from_iterable(seqs)), count(1)))  # in order of first encounter
+    return CanonicalCode(n, image, len(label), tuple([tuple([label[t] for t in seq]) for seq in seqs]))
 
 
 def strongly_equal(w1: BraidWord, w2: BraidWord) -> bool:

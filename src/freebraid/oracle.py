@@ -55,7 +55,7 @@ def bfs_ball(word: BraidWord, moveset: MoveSet, length_bound: int,
     order, cap_exceeded = _discover(word, moveset, length_bound, node_cap)
     n = word.n
     b = _code_bits(n)
-    members = tuple(BraidWord(n, _unpack(w, n, b)) for w in order)
+    members = tuple([BraidWord._trusted(n, _unpack(w, n, b)) for w in order])
     return EquivalenceBall(word, moveset, length_bound, members, cap_exceeded)
 
 

@@ -7,8 +7,8 @@ diagram.  Virtual crossings are disregarded.  A crossing's Gaussian parity
 is the number of chords linked with its chord, mod 2.  Every chord nested
 inside a chord with ends a < b contributes two endpoints between them, so
 that count is congruent to b - a - 1: the crossing is odd iff the
-endpoint gap b - a is even.  Each diagram and each assignment reads the
-strands and the endpoint map from one `strand_walk` of the word.
+endpoint gap b - a is even.  The Gaussian schemes read the gaps off the
+Gauss sequence, from one `strand_walk` and with no `ChordDiagram`.
 
 Two further schemes avoid the cyclicity requirement: the component scheme
 marks a crossing odd when its strands lie in different parts of a fixed
@@ -117,8 +117,13 @@ class ParityAssignment:
 
 
 def _linking_parities(gauss: tuple[int, ...]) -> dict[int, Parity]:
-    return {c: Parity.EVEN if (b - a) % 2 else Parity.ODD
-            for c, (a, b) in ChordDiagram(gauss).chord_of.items()}
+    """Gap-rule parities in one pass, in first-encounter order: gap 0 on entry, set at the second end."""
+    even, odd = Parity.EVEN, Parity.ODD
+    first: dict[int, int] = {}
+    parities = {}
+    for k, c in enumerate(gauss):
+        parities[c] = even if (k - first.setdefault(c, k)) % 2 else odd
+    return parities
 
 
 def gaussian_parity(word: BraidWord) -> ParityAssignment:
@@ -181,11 +186,9 @@ def component_parity(word: BraidWord, partition: StrandPartition) -> ParityAssig
     if partition.n != word.n:
         raise PreconditionError(f"partition covers {partition.n} strands, word has {word.n}")
     strands = strand_walk(word)[0]
-    parities = {}
-    for t, x in enumerate(word.letters):
-        if x > 0:
-            a, b = strands[2 * t], strands[2 * t + 1]
-            parities[t] = Parity.ODD if partition.crosses(a, b) else Parity.EVEN
+    part, even, odd = partition.first, Parity.EVEN, Parity.ODD
+    parities = {t: odd if (strands[2 * t] in part) != (strands[2 * t + 1] in part) else even
+                for t, x in enumerate(word.letters) if x > 0}
     first = ",".join(map(str, sorted(partition.first)))
     return ParityAssignment(f"component:N1={first}", parities)
 

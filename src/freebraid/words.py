@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import count
 
 CLASSICAL = "classical"
 VIRTUAL = "virtual"
@@ -53,6 +54,15 @@ class BraidWord:
             if type(x) is not int or x == 0 or not (1 <= abs(x) <= self.n - 1):
                 raise ValueError(f"letter {x!r} is not valid on {self.n} strands")
 
+    @classmethod
+    def _trusted(cls, n: int, letters: tuple[int, ...]) -> "BraidWord":
+        """BraidWord(n, letters) unchecked, for letters valid by construction: the caller
+        guarantees an int n >= 1 and a tuple of ints x with 1 <= abs(x) <= n - 1."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "n", n)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -62,7 +72,7 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
             raise PreconditionError(f"cannot concatenate words on {self.n} and {other.n} strands")
-        return BraidWord(self.n, self.letters + other.letters)
+        return BraidWord._trusted(self.n, self.letters + other.letters)
 
     @property
     def classical_positions(self) -> tuple[int, ...]:
@@ -143,7 +153,7 @@ def parse_word(text: str) -> BraidWord:
     letters ``z<i>`` (classical) and ``t<i>`` (virtual).  Without a header
     the strand count is the smallest one making the word valid.  JSON input
     is detected by a leading ``{``.  Strand counts above `MAX_STRANDS` and
-    words of more than `MAX_LETTERS` letters are refused.
+    words of more than `MAX_LETTERS` letters, or JSON of more than `MAX_LETTERS` + 1 objects, are refused.
     """
     s = text.strip()
     if s.startswith("{"):
@@ -174,7 +184,7 @@ def parse_word(text: str) -> BraidWord:
     elif top > n - 1:
         raise ParseError(f"letter index {next(i for i in map(abs, letters) if i > n - 1)} "
                          f"out of range for n={n}")
-    return BraidWord(n, letters)
+    return BraidWord._trusted(n, letters)
 
 
 def _ascii_int(digits: str) -> int | None:
@@ -202,10 +212,19 @@ def _checked_strand_count(n: int | None) -> int:
 
 
 def _parse_word_json(s: str) -> BraidWord:
+    objects = count(1)
+
+    def counted(pairs: list[tuple[str, object]]) -> dict:
+        if next(objects) > MAX_LETTERS + 1:  # one object per letter and one for the word
+            raise ParseError(f"letter count must be at most {MAX_LETTERS}")
+        return dict(pairs)
+
     try:
-        obj = json.loads(s)
+        obj = json.loads(s, object_pairs_hook=counted)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON word: {e}") from e
+    except ParseError:
+        raise
     except ValueError:  # a number with more digits than int() converts
         raise ParseError("invalid JSON word: a number has too many digits") from None
     except RecursionError:
@@ -228,7 +247,7 @@ def _parse_word_json(s: str) -> BraidWord:
         if idx > n - 1:
             raise ParseError(f"letter index {idx} out of range for n={n}")
         letters.append(idx if entry["kind"] == CLASSICAL else -idx)
-    return BraidWord(n, tuple(letters))
+    return BraidWord._trusted(n, tuple(letters))
 
 
 def serialize(word: BraidWord, format: str = TEXT) -> str:
@@ -303,15 +322,12 @@ def strand_trace(word: BraidWord) -> tuple[tuple[int, int], ...]:
     return tuple(zip(strands[::2], strands[1::2]))
 
 
-def crossings_by_strand(word: BraidWord, strands: list[int],
-                        alive: bytearray | None = None) -> list[list[int]]:
-    """For each strand s, the positions of its classical letters in order, at index s (0 is unused).
-
-    strands is `strand_walk(word)[0]`; letters t with alive[t] false are left out.
-    """
+def crossings_by_strand(word: BraidWord, strands: list[int]) -> list[list[int]]:
+    """For each strand s, the positions of its classical letters in order, at index s (0 is unused);
+    strands is `strand_walk(word)[0]`."""
     seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
     for t, x in enumerate(word.letters):
-        if x > 0 and (alive is None or alive[t]):
+        if x > 0:
             seqs[strands[2 * t]].append(t)
             seqs[strands[2 * t + 1]].append(t)
     return seqs

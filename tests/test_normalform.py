@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,10 @@ from helpers import (
     delete_bigon,
     random_cyclic_word,
     random_word,
+    reference_canonical_code,
     reference_find_bigons,
     reference_irreducible_form_tracked,
+    reference_strand_trace,
 )
 from strategies import bigon_rich_words, braid_words
 
@@ -111,6 +114,38 @@ def test_irreducible_code_matches_code_of_irreducible_form():
 @given(bigon_rich_words(max_n=9, max_len=60))
 def test_irreducible_code_matches_rescan_reference(word):
     assert irreducible_code(word) == canonical_code(reference_irreducible_form_tracked(word)[0])
+
+
+def test_irreducible_code_follows_moved_heads_like_the_rescan_reference():
+    """The code read from each strand's head after reduction, against the rescan reference.
+
+    Classical pairs are planted, often at the front, around short cores that
+    are often virtual only, so that reduction deletes strands' first
+    crossings, empties strands and empties whole words.
+    """
+    rng = random.Random(17)
+    seen = Counter()
+    for k in range(800):
+        n = (2, 3, 5, 9)[k % 4]
+        letters = list(random_word(rng, n, rng.randint(0, 12)).letters)
+        if k % 3 == 0:
+            letters = [-abs(x) for x in letters]
+        for _ in range(rng.randint(0, 6)):
+            i = rng.randint(1, n - 1)
+            at = rng.choice((0, rng.randint(0, len(letters))))
+            letters[at:at] = [i] + [-rng.randint(1, n - 1) for _ in range(rng.randint(0, 2))] + [i]
+        word = BraidWord(n, tuple(letters))
+        reduced, kept = reference_irreducible_form_tracked(word)
+        assert irreducible_code(word) == reference_canonical_code(reduced)
+        trace, alive = reference_strand_trace(word), set(kept)
+        for s in range(1, n + 1):
+            on_s = [t for t, x in enumerate(letters) if x > 0 and s in trace[t]]
+            left = [t for t in on_s if t in alive]
+            seen["strand without classical letters"] += not on_s
+            seen["head moved to a later crossing"] += bool(left) and left[0] != on_s[0]
+            seen["strand emptied"] += bool(on_s) and not left
+        seen["word emptied"] += any(x > 0 for x in letters) and all(x < 0 for x in reduced.letters)
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
 
 def test_canonical_code_leaves_no_tuples_behind():

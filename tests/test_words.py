@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,14 @@ from freebraid.words import (
     serialize,
     strand_trace,
 )
+from freebraid.bracket import bracket
+from freebraid.moves import MoveSet, scramble
+from freebraid.normalform import irreducible_form_tracked
+from freebraid.oracle import bfs_ball
+from freebraid.parity import ComponentScheme, GaussianScheme
 from freebraid.scenarios import BRUNNIAN_TEXT
 
-from helpers import reference_parse_word
+from helpers import random_cyclic_word, random_partition, random_word, reference_parse_word
 from strategies import braid_words, permutations, word_pairs_same_n
 
 
@@ -137,15 +143,36 @@ def test_strand_cap_is_inclusive():
     assert parse_word(f'{{"n": {MAX_STRANDS}}}').n == MAX_STRANDS
 
 
+def _json_word(k):
+    return '{"n": 2, "letters": [' + ", ".join(['{"kind": "virtual", "i": 1}'] * k) + "]}"
+
+
 def test_letter_cap_is_inclusive(monkeypatch):
-    """Text is refused from its token count, before any token is read; JSON from its array's length."""
+    """Text is refused from its token count, before any token is read; JSON from its object count."""
     monkeypatch.setattr("freebraid.words.MAX_LETTERS", 5)
-    json_word = lambda k: '{"n": 2, "letters": [' + ", ".join(['{"kind": "virtual", "i": 1}'] * k) + "]}"
     assert parse_word("n=2;  z1 t1\tz1\nt1 z1 ").letters == (1, -1, 1, -1, 1)
-    assert parse_word(json_word(5)).letters == (-1,) * 5
-    for text in ("n=2; z1 t1 z1 t1 z1 t1", "z1 t1 z1 t1 z1 q1", json_word(6)):
+    assert parse_word(_json_word(5)).letters == (-1,) * 5
+    for text in ("n=2; z1 t1 z1 t1 z1 t1", "z1 t1 z1 t1 z1 q1", _json_word(6)):
         with pytest.raises(ParseError, match="^letter count must be at most 5$"):
             parse_word(text)
+
+
+def test_json_word_above_the_cap_is_refused_while_decoding(monkeypatch):
+    """A JSON word ten times over the cap peaks near one at the cap: decoding stops at cap + 1 entries."""
+    cap = 2000
+    monkeypatch.setattr("freebraid.words.MAX_LETTERS", cap)
+    at_cap, over = _json_word(cap), _json_word(10 * cap)
+    tracemalloc.start()
+    try:
+        assert len(parse_word(at_cap)) == cap
+        at_cap_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ParseError, match=f"^letter count must be at most {cap}$"):
+            parse_word(over)
+        over_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert over_peak < 1.5 * at_cap_peak, (over_peak, at_cap_peak)
 
 
 def test_letters_validated_on_construction():
@@ -157,6 +184,33 @@ def test_letters_validated_on_construction():
         BraidWord(3, (True,))
     with pytest.raises(ValueError, match="strand count must be an integer"):
         BraidWord(True)
+
+
+def test_words_built_without_checks_equal_checked_words():
+    """Each result of the unchecked constructor is a word the checking constructor accepts and equals."""
+    rng = random.Random(9)
+    built = list(bfs_ball(BraidWord(3, (1, -2)), MoveSet.FB, 6).members)
+    for k in range(80):
+        n = rng.randint(1, 9)
+        word = random_word(rng, n, rng.randint(0, 30))
+        cyclic = random_cyclic_word(rng, max(n, 2), rng.randint(0, 30))
+        built += [
+            parse_word(serialize(word)),
+            parse_word(serialize(word)[serialize(word).index(";") + 1:]),  # strand count inferred
+            parse_word(serialize(word, JSON)),
+            word * word,
+            bracket(word, ComponentScheme(random_partition(rng, n))).word,
+            bracket(cyclic, GaussianScheme()).word,
+            irreducible_form_tracked(word)[0],
+            scramble(word, 20, MoveSet.FB, k, len(word) + 10)[0],
+        ]
+    assert len(built) > 600
+    for w in built:
+        assert type(w.n) is int and type(w.letters) is tuple
+        assert w == BraidWord(w.n, w.letters)
+    for letters in ((0,), (3,), (-3,), (True,), (1.0,)):
+        with pytest.raises(ValueError, match="not valid on 3 strands"):
+            BraidWord(3, letters)
 
 
 def test_serialize_examples():
