@@ -78,7 +78,7 @@ def main():
                 if tail in seen:
                     continue
                 seen.add(tail)
-                consider(BraidWord(10, shifted + tail),
+                consider(BraidWord._trusted(10, shifted + tail),
                          tuple(L + i for i, x in enumerate(tail) if x > 0))
                 if hits >= args.limit:
                     return
@@ -96,7 +96,7 @@ def main():
                         letters.insert(gap, x)
                     # The k-th inserted letter lands k places after its gap.
                     added = tuple(gap + k for k, (gap, _, x) in enumerate(ins) if x > 0)
-                    consider(BraidWord(10, tuple(letters)), added)
+                    consider(BraidWord._trusted(10, tuple(letters)), added)
                     if hits >= args.limit:
                         return
 

@@ -3,8 +3,9 @@
 The catalogue covers pair cancellations (R2), virtualization, far
 commutativity, and the virtual / semivirtual / classical triple slides
 (R3).  The move set F admits everything except the classical R3; FB admits
-all of it; STRONG is F without the classical R2.  Every relation preserves
-the endpoint permutation.
+all of it; STRONG is F without the classical R2.  A move set only filters
+the one relation that `_match_at` finds at an offset.  Every relation
+preserves the endpoint permutation.
 
 `scramble` and `_discover`, the oracle's search, run on packed words.  On n
 strands, letter x becomes the code x + n, which lies in 1 .. 2n - 1 and so
@@ -13,10 +14,11 @@ the lowest b, and a word is the one int they make: the empty word is 0, a
 word's length is its bit length divided by b, rounded up, and equal ints
 are equal letter sequences.  Both build moves through `_window_move`.
 
-`scramble` keeps a flag per offset saying whether a move matches there, and
-their running count, and rescans only the window a move changes.  The
-moves that pairs of adjacent letters start are cached across calls in
-at most _MAX_TABLES tables of _MAX_ENTRIES entries.  A pair whose |a| and
+`scramble` keeps a flag per offset saying whether a move of the set matches
+there, and their running count, and rescans only the window a move changes.
+The moves that pairs of adjacent letters start are cached across calls in
+one table per strand count, shared by all move sets, and at most
+_MAX_TABLES tables of _MAX_ENTRIES entries are kept.  A pair whose |a| and
 |b| are adjacent may start a triple slide: it is cached only as _SLIDE.
 """
 
@@ -136,13 +138,7 @@ class MoveInstance:
 _FWD, _REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
 
-def _relation_flags(rels: frozenset[Relation]) -> tuple[bool, bool]:
-    """(classical R2 on, classical R3 on): the switches of `_match_at`; every move set has the rest."""
-    return Relation.CLASSICAL_R2 in rels, Relation.CLASSICAL_R3 in rels
-
-
-def _match_at(letters: tuple[int, ...], p: int,
-              flags: tuple[bool, bool]) -> tuple[Relation, int, Direction, int | None] | None:
+def _match_at(letters: tuple[int, ...], p: int) -> tuple[Relation, int, Direction, int | None] | None:
     """The non-insertion move whose source side starts at offset p, or None.
 
     The move is a `(relation, i, direction, j)` tuple that depends only on
@@ -155,13 +151,12 @@ def _match_at(letters: tuple[int, ...], p: int,
     """
     if p + 1 >= len(letters):
         return None
-    classical_r2, classical_r3 = flags
     a, b = letters[p], letters[p + 1]
     ia, ib = abs(a), abs(b)
     if a == b:
         if a < 0:
             return (_VIRTUAL_R2, ia, _FWD, None)
-        return (_CLASSICAL_R2, a, _FWD, None) if classical_r2 else None
+        return (_CLASSICAL_R2, a, _FWD, None)
     if b == -a:
         return (_VIRTUALIZATION, ia, _FWD if a < 0 else _REV, None)
     if abs(ia - ib) >= 2:
@@ -176,7 +171,7 @@ def _match_at(letters: tuple[int, ...], p: int,
     if c == a:
         if a < 0 and b < 0:
             return (_VIRTUAL_R3, ia, _FWD, None) if ib == ia + 1 else (_VIRTUAL_R3, ib, _REV, None)
-        if a > 0 and b > 0 and classical_r3:
+        if a > 0 and b > 0:
             return (_CLASSICAL_R3, a, _FWD, None) if b == a + 1 else (_CLASSICAL_R3, b, _REV, None)
         return None
     if a < 0 and b == a - 1 and c == ia:
@@ -226,13 +221,13 @@ def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _window_move(window: tuple[int, ...], n: int, b: int, flags: tuple[bool, bool]) -> tuple:
+def _window_move(window: tuple[int, ...], n: int, b: int) -> tuple:
     """The move at offset 0 of window as `(relation, i, direction, j, delta)`, or _NO_MOVE.
 
     delta is the packed rewrite: 0 for deleting the first two letters, else
     the XOR of the packed source and target, and -1 in _NO_MOVE.
     """
-    match = _match_at(window, 0, flags)
+    match = _match_at(window, 0)
     if match is None:
         return _NO_MOVE
     source, target = _oriented_sides(*match)
@@ -244,17 +239,16 @@ _NO_MOVE = (None, None, None, None, -1)
 _SLIDE = "slide candidate"
 _MAX_TABLES = 4
 _MAX_ENTRIES = 4096
-# (n, classical R2 on) -> {packed pair: _SLIDE or `_window_move`'s tuple}
-_pair_tables: dict[tuple[int, bool], dict[int, tuple | str]] = {}
+# n -> {packed pair: _SLIDE or `_window_move`'s tuple}, for every move set
+_pair_tables: dict[int, dict[int, tuple | str]] = {}
 
 
-def _pair_entry(table: dict[int, tuple | str], key: int, n: int, b: int,
-                flags: tuple[bool, bool]) -> tuple | str:
+def _pair_entry(table: dict[int, tuple | str], key: int, n: int, b: int) -> tuple | str:
     """Make table[key], clearing a full table first."""
     if len(table) >= _MAX_ENTRIES:
         table.clear()
     a, c = (key & (1 << b) - 1) - n, (key >> b) - n
-    return table.setdefault(key, _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c), n, b, flags))
+    return table.setdefault(key, _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c), n, b))
 
 
 MAX_STEPS = 1_000_000
@@ -282,20 +276,21 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         raise PreconditionError("seed must be >= 0")
     rng = random.Random(seed)
     rels = relations_in(moveset)
-    flags = _relation_flags(rels)
+    # What the set lacks (FB lacks nothing) as a tuple: its `in` needs no hash, and Enum's runs in Python.
+    off = (None, *relations_in(MoveSet.FB) - rels)
     ins_kinds = [rel for rel in _R2_RELATIONS if rel in rels]
     n = word.n
     b = _code_bits(n)
     b2 = 2 * b
     mask1, mask2, mask3 = (1 << b) - 1, (1 << b2) - 1, (1 << 3 * b) - 1
-    if (n, flags[0]) not in _pair_tables and len(_pair_tables) >= _MAX_TABLES:
+    if n not in _pair_tables and len(_pair_tables) >= _MAX_TABLES:
         _pair_tables.clear()
-    table = _pair_tables.setdefault((n, flags[0]), {})
+    table = _pair_tables.setdefault(n, {})
     L = len(word.letters)
     # 64 letters fill 8*b bytes; packing a long word by such chunks keeps it linear.
     w = int.from_bytes(b"".join(_pack(word.letters[k:k + 64], n, b).to_bytes(8 * b, "little")
                                 for k in range(0, L, 64)), "little")
-    matched = bytearray(_match_at(word.letters, p, flags) is not None for p in range(L))
+    matched = bytearray((_match_at(word.letters, p) or _NO_MOVE)[0] not in off for p in range(L))
     n_matches = matched.count(1)
     history: list[MoveInstance] = []
     for _ in range(steps):
@@ -309,10 +304,10 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
             p = next(islice(compress(range(L), matched), r, None))
             s = b * p
             key = w >> s & mask2
-            move = table.get(key) or _pair_entry(table, key, n, b, flags)
+            move = table.get(key) or _pair_entry(table, key, n, b)
             width = 2
             if move is _SLIDE:
-                move = _window_move(_unpack(w >> s & mask3, n, b), n, b, flags)
+                move = _window_move(_unpack(w >> s & mask3, n, b), n, b)
                 width = 3
             rel, i, direction, j, delta = move
             m = MoveInstance(rel, i, p, direction, j)
@@ -341,10 +336,10 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         for q in range(lo, new_end):
             s = b * q
             key = w >> s & mask2
-            entry = (table.get(key) or _pair_entry(table, key, n, b, flags)) if q + 1 < L else _NO_MOVE
-            fresh.append(entry[0] is not None if entry is not _SLIDE else
-                         q + 2 < L and _match_at(((key & mask1) - n, (key >> b) - n,
-                                                  (w >> s + b2 & mask1) - n), 0, flags) is not None)
+            entry = (table.get(key) or _pair_entry(table, key, n, b)) if q + 1 < L else _NO_MOVE
+            fresh.append(entry[0] not in off if entry is not _SLIDE else
+                         q + 2 < L and (_match_at(((key & mask1) - n, (key >> b) - n,
+                                                   (w >> s + b2 & mask1) - n), 0) or _NO_MOVE)[0] not in off)
         n_matches += sum(fresh) - sum(matched[lo:old_end])
         matched[lo:old_end] = bytes(fresh)
         history.append(m)
@@ -377,7 +372,6 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     if origin == target:
         return order, False
     rels = relations_in(moveset)
-    flags = _relation_flags(rels)
     pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
     # The match at offset p depends only on the window of letters p..p+2,
     # so it is found, oriented and checked once per distinct window.
@@ -390,7 +384,8 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
             key = w >> s & mask3
             delta = rewrites.get(key)
             if delta is None:
-                delta = rewrites[key] = _window_move(_unpack(key, n, b), n, b, flags)[-1]
+                move = _window_move(_unpack(key, n, b), n, b)
+                delta = rewrites[key] = move[-1] if move[0] in rels else -1
             if delta < 0:
                 continue
             neighbor = w ^ delta << s if delta else (w & (1 << s) - 1) | (w >> s + b2) << s

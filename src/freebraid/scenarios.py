@@ -226,6 +226,8 @@ def scenario_beta_prime(word: BraidWord | None = None,
     for t in added:
         if not (0 <= t < len(word.letters)) or word.letters[t] <= 0:
             raise PreconditionError(f"position {t} is not a classical letter of the word")
+    if added[0] == added[1]:
+        raise PreconditionError(f"the two added crossings need two different positions, got {added[0]} twice")
     # Both added positions are classical, so each is odd exactly when the bracket keeps it.
     br = bracket(word, GaussianScheme())
     ncomp, cycles = closure_components(br.word)

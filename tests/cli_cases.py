@@ -214,6 +214,8 @@ CASES = [
     Case("beta-prime-no-embedded-word", ["scenario", "beta-prime", "n=10; z1 z2 z3 z4 z5 z6 z7 z8 z9"], 2,
          err="freebraid: cannot locate the embedded brunnian word; pass the added crossing positions explicitly\n"),
     Case("beta-prime-arabic-added", ["scenario", "beta-prime", "--added", "\u0661,2"], 1, err=ADDED + "'\u0661,2'\n"),
+    Case("beta-prime-same-added-twice", ["scenario", "beta-prime", "--added", "38,38"], 2,
+         err="freebraid: the two added crossings need two different positions, got 38 twice\n"),
     Case("beta-prime-underscore-added", ["scenario", "beta-prime", "--added", "3_8,42"], 1, err=ADDED + "'3_8,42'\n"),
 ]
 assert len({case.id for case in CASES}) == len(CASES), "case ids must be unique"

@@ -14,7 +14,6 @@ from freebraid.moves import (
     MoveSet,
     Relation,
     _match_at,
-    _relation_flags,
     apply_move,
     relation_sides,
     relations_in,
@@ -44,7 +43,7 @@ def test_moveset_catalogues():
 
 
 def test_move_sets_differ_only_in_the_classical_r2_and_r3():
-    """`_match_at` and the pair tables' keys read only these two switches."""
+    """A move set filters out at most these two relations of what the switch-free matcher finds."""
     for moveset in MoveSet:
         assert set(Relation) - relations_in(moveset) <= {Relation.CLASSICAL_R2, Relation.CLASSICAL_R3}
 
@@ -251,15 +250,19 @@ def test_scramble_refuses_a_negative_seed():
 
 @pytest.mark.parametrize("moveset", list(MoveSet))
 def test_match_at_agrees_with_reference_on_every_short_window(moveset):
-    """Every window of 1 to 3 letters on n = 4: the matcher the oracle's window cache relies on."""
+    """Every window of 1 to 3 letters on n = 4: the matcher the oracle's window cache relies on.
+
+    `_match_at` finds a relation whatever the move set; the set's filter keeps only its own relations.
+    """
     rels = relations_in(moveset)
-    flags = _relation_flags(rels)
     alphabet = (1, 2, 3, -1, -2, -3)
     windows = [()]
     for length in range(1, 4):
         windows = [w + (x,) for w in windows for x in alphabet]
         for window in windows:
-            match = _match_at(window, 0, flags)
+            match = _match_at(window, 0)
+            if match is not None and match[0] not in rels:
+                match = None
             expected = [(m.relation, m.i, m.direction, m.j)
                         for m in reference_match_instances(window, rels) if m.position == 0]
             assert ([] if match is None else [match]) == expected, (window, moveset)
@@ -348,20 +351,39 @@ def test_scramble_is_the_same_with_cold_warm_and_capped_pair_tables(monkeypatch)
         word, _, moveset = case[:3]
         table = _CountingTable()
         tables.clear()
-        tables[word.n, _relation_flags(relations_in(moveset))[0]] = table
+        tables[word.n] = table
         assert scramble(*case) == expected
         assert len(table) <= 3
         clears += table.clears
     assert clears > len(cases)
 
-    # F and FB share a table; STRONG, without the classical R2, has its own.
+    # All three move sets share one table per strand count.
     tables.clear()
     word = random_word(rng, 5, 20)
-    for moveset in (MoveSet.F, MoveSet.FB):
+    for moveset in MoveSet:
         scramble(word, 50, moveset, 1, 30)
-    assert len(tables) == 1
-    scramble(word, 50, MoveSet.STRONG, 1, 30)
-    assert len(tables) == 2
+    assert list(tables) == [5]
+
+
+def test_scramble_filters_a_table_warmed_by_another_move_set(monkeypatch):
+    """A table warmed by FB walks holds classical R2 entries and slide candidates; strong and F walks filter them."""
+    rng = random.Random(73)
+    cases = []
+    for _ in range(40):
+        word = _slide_rich_word(rng, rng.randint(0, 20), rng.randint(1, 6))
+        word = BraidWord(3, word.letters + (1, 1, 2, 2))
+        cases.append((word, rng.randint(20, 120), rng.getrandbits(32), len(word) + rng.randint(0, 10)))
+    monkeypatch.setattr(freebraid.moves, "_pair_tables", {})
+    for word, steps, seed, max_length in cases:
+        scramble(word, steps, MoveSet.FB, seed, max_length)
+    table = freebraid.moves._pair_tables[3]
+    slide = freebraid.moves._SLIDE
+    assert {Relation.CLASSICAL_R2, slide} <= {entry if entry is slide else entry[0] for entry in table.values()}
+    for moveset in (MoveSet.STRONG, MoveSet.F):
+        for word, steps, seed, max_length in cases:
+            assert scramble(word, steps, moveset, seed, max_length) == \
+                reference_scramble(word, steps, moveset, seed, max_length), (word, moveset, seed)
+    assert freebraid.moves._pair_tables[3] is table
 
 
 # The README's bound on the pair tables: _MAX_TABLES tables of _MAX_ENTRIES entries,
@@ -370,7 +392,7 @@ TABLES_WORST_CASE_BYTES = 4 * 2**20
 
 
 def _traced_bytes_of_tables(specs):
-    """tracemalloc's count of pair tables rebuilt from `(n, flags, keys)` specs, and the tables.
+    """tracemalloc's count of pair tables rebuilt from `(n, keys)` specs, and the tables.
 
     The entries are made by the same builder from the same keys, so a rebuild
     holds what the original holds; tracing the walks themselves is ten times slower.
@@ -379,10 +401,10 @@ def _traced_bytes_of_tables(specs):
     try:
         before = tracemalloc.get_traced_memory()[0]
         rebuilt = []
-        for n, flags, keys in specs:
+        for n, keys in specs:
             table = {}
             for key in keys:
-                freebraid.moves._pair_entry(table, key, n, (2 * n - 1).bit_length(), flags)
+                freebraid.moves._pair_entry(table, key, n, (2 * n - 1).bit_length())
             rebuilt.append(table)
         return tracemalloc.get_traced_memory()[0] - before, rebuilt
     finally:
@@ -401,16 +423,13 @@ def test_pair_tables_stay_within_the_stated_worst_case(monkeypatch):
     scramble(parse_word("n=10000; z1 z9999 t5000 z5001 t2 z3"), 20_000, MoveSet.F, 5, 400)
     assert len(tables) <= 4 and all(len(t) <= 4096 for t in tables.values())
     assert sum(len(t) for t in tables.values()) > 1000
-    # A table's classical R3 switch is not part of its key: pair entries never read it.
-    held, rebuilt = _traced_bytes_of_tables([(n, (classical_r2, True), list(t))
-                                             for (n, classical_r2), t in tables.items()])
+    held, rebuilt = _traced_bytes_of_tables([(n, list(t)) for n, t in tables.items()])
     assert rebuilt == list(tables.values())
     assert held <= TABLES_WORST_CASE_BYTES, held
 
     # The worst case itself: full tables of far commutativities z_i z_j on 10 000 strands.
-    flags = _relation_flags(relations_in(MoveSet.F))
     held, rebuilt = _traced_bytes_of_tables(
-        [(10_000, flags, [freebraid.moves._pack((300 + t, 2000 + k), 10_000, 15) for k in range(4096)])
+        [(10_000, [freebraid.moves._pack((300 + t, 2000 + k), 10_000, 15) for k in range(4096)])
          for t in range(4)])
     assert all(entry[0] is Relation.FAR_COMM_ZZ for table in rebuilt for entry in table.values())
     assert held <= TABLES_WORST_CASE_BYTES, held

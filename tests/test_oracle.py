@@ -29,6 +29,13 @@ def test_f_ball_from_empty_word_contains_insertions():
     assert BraidWord(2, (-1, -1)) in ball
 
 
+def test_ball_members_have_the_origin_strand_count():
+    """The same letters on another strand count are another word."""
+    ball = bfs_ball(BraidWord(2, (1, 1)), MoveSet.F, 4)
+    assert BraidWord(2, (1, 1)) in ball
+    assert BraidWord(3, (1, 1)) not in ball
+
+
 def test_ball_members_deterministic_and_start_at_origin():
     w = parse_word("n=3; z1 t2")
     b1 = bfs_ball(w, MoveSet.F, 6)

@@ -60,6 +60,8 @@ def test_beta_prime_rejects_non_cyclic():
 def test_beta_prime_rejects_bad_added_positions():
     with pytest.raises(PreconditionError):
         scenario_beta_prime(beta_prime_word(), added=(0, 1))  # virtual letters
+    with pytest.raises(PreconditionError, match="two different positions, got 38 twice"):
+        scenario_beta_prime(beta_prime_word(), added=(38, 38))
 
 
 def test_beta_prime_added_parities_match_gaussian_parity_on_appended_family():
