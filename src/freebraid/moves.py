@@ -7,19 +7,21 @@ all of it; STRONG is F without the classical R2.  A move set only filters
 the one relation that `_match_at` finds at an offset.  Every relation
 preserves the endpoint permutation.
 
-`scramble` and `_discover`, the oracle's search, run on packed words.  On n
-strands, letter x becomes the code x + n, which lies in 1 .. 2n - 1 and so
-is never 0.  Each code takes b = (2n - 1).bit_length() bits, letter 0 in
-the lowest b, and a word is the one int they make: the empty word is 0, a
-word's length is its bit length divided by b, rounded up, and equal ints
-are equal letter sequences.  Both build moves through `_window_move`.
+`_discover`, the oracle's search, runs on packed words, because it hashes
+millions of them.  On n strands, letter x becomes the code x + n, which lies
+in 1 .. 2n - 1 and so is never 0.  Each code takes b = (2n - 1).bit_length()
+bits, letter 0 in the lowest b, and a word is the one int they make: the
+empty word is 0, a word's length is its bit length divided by b, rounded
+up, and equal ints are equal letter sequences.
 
-`scramble` keeps a flag per offset saying whether a move of the set matches
-there, and their running count, and rescans only the window a move changes.
-The moves that pairs of adjacent letters start are cached across calls in
-one table per strand count, shared by all move sets, and at most
-_MAX_TABLES tables of _MAX_ENTRIES entries are kept.  A pair whose |a| and
-|b| are adjacent may start a triple slide: it is cached only as _SLIDE.
+`scramble` walks a list of letters.  It keeps a flag per offset saying
+whether a move of the set matches there, and their running count, and
+rescans only the window a move changes.  The moves that pairs of adjacent
+letters start are cached across calls in one table per strand count, keyed
+by the packed pair and shared by all move sets, and at most _MAX_TABLES
+tables of _MAX_ENTRIES entries are kept.  A pair whose |a| and |b| are
+adjacent may start a triple slide: it is cached only as _SLIDE.  Both build
+moves through `_window_move`.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class MoveInstance:
 _FWD, _REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
 
-def _match_at(letters: tuple[int, ...], p: int) -> tuple[Relation, int, Direction, int | None] | None:
+def _match_at(letters: tuple[int, ...] | list[int], p: int) -> tuple[Relation, int, Direction, int | None] | None:
     """The non-insertion move whose source side starts at offset p, or None.
 
     The move is a `(relation, i, direction, j)` tuple that depends only on
@@ -221,21 +223,20 @@ def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _window_move(window: tuple[int, ...], n: int, b: int) -> tuple:
-    """The move at offset 0 of window as `(relation, i, direction, j, delta)`, or _NO_MOVE.
+def _window_move(window: tuple[int, ...]) -> tuple:
+    """The move at offset 0 of window as `(relation, i, direction, j, target)`, or _NO_MOVE.
 
-    delta is the packed rewrite: 0 for deleting the first two letters, else
-    the XOR of the packed source and target, and -1 in _NO_MOVE.
+    The move's source is the first len(target) letters of window, or the first two for a deletion.
     """
     match = _match_at(window, 0)
     if match is None:
         return _NO_MOVE
     source, target = _oriented_sides(*match)
     _rewrite(window, 0, source, target, match[0], match[2])
-    return (*match, _pack(source, n, b) ^ _pack(target, n, b) if target else 0)
+    return (*match, target)
 
 
-_NO_MOVE = (None, None, None, None, -1)
+_NO_MOVE = (None, None, None, None, None)
 _SLIDE = "slide candidate"
 _MAX_TABLES = 4
 _MAX_ENTRIES = 4096
@@ -248,7 +249,7 @@ def _pair_entry(table: dict[int, tuple | str], key: int, n: int, b: int) -> tupl
     if len(table) >= _MAX_ENTRIES:
         table.clear()
     a, c = (key & (1 << b) - 1) - n, (key >> b) - n
-    return table.setdefault(key, _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c), n, b))
+    return table.setdefault(key, _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c)))
 
 
 MAX_STEPS = 1_000_000
@@ -281,16 +282,12 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     ins_kinds = [rel for rel in _R2_RELATIONS if rel in rels]
     n = word.n
     b = _code_bits(n)
-    b2 = 2 * b
-    mask1, mask2, mask3 = (1 << b) - 1, (1 << b2) - 1, (1 << 3 * b) - 1
     if n not in _pair_tables and len(_pair_tables) >= _MAX_TABLES:
         _pair_tables.clear()
     table = _pair_tables.setdefault(n, {})
-    L = len(word.letters)
-    # 64 letters fill 8*b bytes; packing a long word by such chunks keeps it linear.
-    w = int.from_bytes(b"".join(_pack(word.letters[k:k + 64], n, b).to_bytes(8 * b, "little")
-                                for k in range(0, L, 64)), "little")
-    matched = bytearray((_match_at(word.letters, p) or _NO_MOVE)[0] not in off for p in range(L))
+    letters = list(word.letters)
+    L = len(letters)
+    matched = bytearray((_match_at(letters, p) or _NO_MOVE)[0] not in off for p in range(L))
     n_matches = matched.count(1)
     history: list[MoveInstance] = []
     for _ in range(steps):
@@ -302,51 +299,35 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         r = rng.randrange(total)
         if r < n_matches:
             p = next(islice(compress(range(L), matched), r, None))
-            s = b * p
-            key = w >> s & mask2
+            key = letters[p] + n | letters[p + 1] + n << b
             move = table.get(key) or _pair_entry(table, key, n, b)
-            width = 2
             if move is _SLIDE:
-                move = _window_move(_unpack(w >> s & mask3, n, b), n, b)
-                width = 3
-            rel, i, direction, j, delta = move
+                move = _window_move(tuple(letters[p:p + 3]))
+            rel, i, direction, j, target = move
             m = MoveInstance(rel, i, p, direction, j)
-            if delta:
-                w ^= delta << s
-                old_end = new_end = p + width
-            else:
-                w = (w & (1 << s) - 1) | (w >> s + b2) << s
-                L -= 2
-                old_end, new_end = p + 2, p
+            old_end = p + (len(target) or 2)
         else:
             q = r - n_matches
             rel = ins_kinds[q // per_kind]
             q %= per_kind
             p = q % (L + 1)
             m = MoveInstance(rel, q // (L + 1) + 1, p, _REV)
-            s = b * p
-            low = w & (1 << s) - 1
-            code = relation_sides(rel, m.i)[0][0] + n
-            w = low | (w ^ low) << b2 | (code << b | code) << s
-            L += 2
-            old_end, new_end = p, p + 2
-        # A match at q reads only letters q..q+2, so only offsets [p-2, new_end) change.
+            target = relation_sides(rel, m.i)[0]
+            old_end = p
+        letters[p:old_end] = target
+        L = len(letters)
+        # A match at q reads only letters q..q+2, so only offsets [p-2, p + len(target)) change.
         lo = max(p - 2, 0)
         fresh = []
-        for q in range(lo, new_end):
-            s = b * q
-            key = w >> s & mask2
-            entry = (table.get(key) or _pair_entry(table, key, n, b)) if q + 1 < L else _NO_MOVE
+        for q in range(lo, p + len(target)):
+            entry = (table.get(key := letters[q] + n | letters[q + 1] + n << b)
+                     or _pair_entry(table, key, n, b)) if q + 1 < L else _NO_MOVE
             fresh.append(entry[0] not in off if entry is not _SLIDE else
-                         q + 2 < L and (_match_at(((key & mask1) - n, (key >> b) - n,
-                                                   (w >> s + b2 & mask1) - n), 0) or _NO_MOVE)[0] not in off)
+                         (_match_at(letters, q) or _NO_MOVE)[0] not in off)
         n_matches += sum(fresh) - sum(matched[lo:old_end])
         matched[lo:old_end] = bytes(fresh)
         history.append(m)
-    data = w.to_bytes(-(-w.bit_length() // 8), "little")  # unpacked by the same chunks
-    letters = tuple(x for k in range(0, len(data), 8 * b)
-                    for x in _unpack(int.from_bytes(data[k:k + 8 * b], "little"), n, b))
-    return BraidWord._trusted(n, letters), tuple(history)
+    return BraidWord._trusted(n, tuple(letters)), tuple(history)
 
 
 def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,
@@ -384,8 +365,9 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
             key = w >> s & mask3
             delta = rewrites.get(key)
             if delta is None:
-                move = _window_move(_unpack(key, n, b), n, b)
-                delta = rewrites[key] = move[-1] if move[0] in rels else -1
+                rel, *_, into = _window_move(_unpack(key, n, b))
+                # The packed rewrite: the XOR of source and target, 0 for a deletion, -1 for no move.
+                delta = rewrites[key] = (key & (1 << b * len(into)) - 1) ^ _pack(into, n, b) if rel in rels else -1
             if delta < 0:
                 continue
             neighbor = w ^ delta << s if delta else (w & (1 << s) - 1) | (w >> s + b2) << s

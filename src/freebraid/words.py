@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import count
 
 CLASSICAL = "classical"
 VIRTUAL = "virtual"
@@ -153,7 +152,7 @@ def parse_word(text: str) -> BraidWord:
     letters ``z<i>`` (classical) and ``t<i>`` (virtual).  Without a header
     the strand count is the smallest one making the word valid.  JSON input
     is detected by a leading ``{``.  Strand counts above `MAX_STRANDS` and
-    words of more than `MAX_LETTERS` letters, or JSON of more than `MAX_LETTERS` + 1 objects, are refused.
+    words of more than `MAX_LETTERS` letters are refused, JSON ones before they are decoded.
     """
     s = text.strip()
     if s.startswith("{"):
@@ -212,19 +211,15 @@ def _checked_strand_count(n: int | None) -> int:
 
 
 def _parse_word_json(s: str) -> BraidWord:
-    objects = count(1)
-
-    def counted(pairs: list[tuple[str, object]]) -> dict:
-        if next(objects) > MAX_LETTERS + 1:  # one object per letter and one for the word
-            raise ParseError(f"letter count must be at most {MAX_LETTERS}")
-        return dict(pairs)
-
+    # A word of L letters opens L + 1 objects and one array, and holds at most 2L + 1 commas.
+    # Each entry of an array or object after its first follows a comma, so counting these
+    # before decoding bounds what json builds.  Brackets or commas inside strings only count high.
+    if s.count("{") + s.count("[") > MAX_LETTERS + 2 or s.count(",") > 2 * MAX_LETTERS + 1:
+        raise ParseError(f"letter count must be at most {MAX_LETTERS}")
     try:
-        obj = json.loads(s, object_pairs_hook=counted)
+        obj = json.loads(s)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON word: {e}") from e
-    except ParseError:
-        raise
     except ValueError:  # a number with more digits than int() converts
         raise ParseError("invalid JSON word: a number has too many digits") from None
     except RecursionError:

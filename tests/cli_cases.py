@@ -87,6 +87,8 @@ CASES = [
          err="freebraid: strand count must be at most 10000, got 99999999999\n"),
     Case("parse-stdin-above-letter-cap", ["parse", "-"], 1, err="freebraid: letter count must be at most 1000000\n",
          stdin="z1 " * 1_000_001),
+    Case("parse-json-arrays-above-letter-cap", ["parse", "-"], 1, err="freebraid: letter count must be at most 1000000\n",
+         stdin='{"n": 2, "letters": [' + "[], " * 1_000_000 + "[]]}"),
     Case("parse-zeros-index", ["parse", "z" + ZEROS + "1"], out="n=2; z1\n"),
     Case("parse-zeros-header", ["parse", "n=" + ZEROS + "3; t" + ZEROS + "2"], out="n=3; t2\n"),
     Case("parity-zeros-component", ["parity", "--parity", "component:N1=" + ZEROS + "1", "n=2; z1"],

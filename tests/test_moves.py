@@ -279,31 +279,33 @@ def _slide_rich_word(rng: random.Random, length: int, windows: int) -> BraidWord
 
 
 def test_scramble_matches_full_rescan_reference():
-    """The windowed rescan on packed words replays the full rescan's draws exactly.
+    """The windowed rescan on a letter list replays the full rescan's draws exactly.
 
-    Every code width: n = 1 .. 9, then 17 and 40, where words of 11 and 10
-    letters pack past 64 bits.  Short words, words already at max_length
-    and long walks drive deletions at offsets 0 and L-2 and insertions at L
-    through the splice boundaries; planted slides at n = 3 drive the slide
-    candidates, and words of 56 to 72 letters cross the 64-letter chunks
-    in which `scramble` packs and unpacks.
+    Every pair-key width: n = 1 .. 9, then 17 and 40.  Short words, words
+    already at max_length and long walks drive deletions at offsets 0 and
+    L-2 and insertions at L through the window boundaries; planted slides
+    at n = 3 drive the slide candidates.  Long words, 56 to 72 letters and
+    then 65 to 600 on 9, 40 and 10 000 strands under every move set, drive
+    moves far from either end.
     """
     rng = random.Random(41)
-    words = [random_word(rng, n, rng.randint(0, 3) if rng.random() < 0.3 else rng.randint(0, 40))
+    cases = [(random_word(rng, n, rng.randint(0, 3) if rng.random() < 0.3 else rng.randint(0, 40)), None, 60)
              for n in (*range(1, 10), 17, 40) for _ in range(100)]
-    words += [_slide_rich_word(rng, rng.randint(0, 12), rng.randint(1, 6)) for _ in range(150)]
-    words += [random_word(rng, n, rng.randint(56, 72)) for n in (3, 9, 40) for _ in range(8)]
-    for word in words:
+    cases += [(_slide_rich_word(rng, rng.randint(0, 12), rng.randint(1, 6)), None, 60) for _ in range(150)]
+    cases += [(random_word(rng, n, rng.randint(56, 72)), None, 60) for n in (3, 9, 40) for _ in range(8)]
+    cases += [(random_word(rng, n, rng.randint(65, 600)), moveset, 40)
+              for n in (9, 40, 10_000) for moveset in MoveSet for _ in range(3)]
+    for word, moveset, max_steps in cases:
         max_length = len(word) + (0 if rng.random() < 0.2 else rng.randint(0, 12))
-        moveset = rng.choice((MoveSet.F, MoveSet.FB, MoveSet.STRONG))
+        moveset = moveset or rng.choice((MoveSet.F, MoveSet.FB, MoveSet.STRONG))
         seed = rng.getrandbits(32)
-        steps = rng.randint(0, 60)
+        steps = rng.randint(0, max_steps)
         assert scramble(word, steps, moveset, seed, max_length) == \
             reference_scramble(word, steps, moveset, seed, max_length), (word, moveset, seed, max_length)
 
 
 def test_pack_and_unpack_across_64_letter_chunks():
-    """`scramble` packs and unpacks long words by 64-letter chunks; a walk of no steps gives the word back.
+    """`_pack` and `_unpack` round-trip words across 64-letter multiples; a walk of no steps gives the word back.
 
     `_pack` gives the int of the letter-by-letter rule, and `_unpack` inverts it.
     """

@@ -143,36 +143,43 @@ def test_strand_cap_is_inclusive():
     assert parse_word(f'{{"n": {MAX_STRANDS}}}').n == MAX_STRANDS
 
 
-def _json_word(k):
-    return '{"n": 2, "letters": [' + ", ".join(['{"kind": "virtual", "i": 1}'] * k) + "]}"
+def _json_word(k, entry='{"kind": "virtual", "i": 1}'):
+    return '{"n": 2, "letters": [' + ", ".join([entry] * k) + "]}"
 
 
 def test_letter_cap_is_inclusive(monkeypatch):
-    """Text is refused from its token count, before any token is read; JSON from its object count."""
+    """Text is refused from its token count, before any token is read; JSON from its counts of
+    objects, arrays and commas, before it is decoded.  Every serialized word at the cap parses."""
     monkeypatch.setattr("freebraid.words.MAX_LETTERS", 5)
     assert parse_word("n=2;  z1 t1\tz1\nt1 z1 ").letters == (1, -1, 1, -1, 1)
     assert parse_word(_json_word(5)).letters == (-1,) * 5
+    word = BraidWord(MAX_STRANDS, (MAX_STRANDS - 1, -1, 1, -(MAX_STRANDS - 1), 5000))
+    assert parse_word(serialize(word, JSON)) == word
     for text in ("n=2; z1 t1 z1 t1 z1 t1", "z1 t1 z1 t1 z1 q1", _json_word(6)):
         with pytest.raises(ParseError, match="^letter count must be at most 5$"):
             parse_word(text)
 
 
 def test_json_word_above_the_cap_is_refused_while_decoding(monkeypatch):
-    """A JSON word ten times over the cap peaks near one at the cap: decoding stops at cap + 1 entries."""
+    """A JSON array ten times over the cap peaks near a word at the cap, whether its entries are
+    letter objects, arrays or strings: no more entries than a word at the cap are built."""
     cap = 2000
     monkeypatch.setattr("freebraid.words.MAX_LETTERS", cap)
-    at_cap, over = _json_word(cap), _json_word(10 * cap)
+    at_cap = _json_word(cap)
+    overs = [_json_word(10 * cap), _json_word(10 * cap, "[]"), _json_word(10 * cap, '"ab"')]
+    over_peaks = []
     tracemalloc.start()
     try:
         assert len(parse_word(at_cap)) == cap
         at_cap_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        with pytest.raises(ParseError, match=f"^letter count must be at most {cap}$"):
-            parse_word(over)
-        over_peak = tracemalloc.get_traced_memory()[1]
+        for over in overs:
+            tracemalloc.reset_peak()
+            with pytest.raises(ParseError, match=f"^letter count must be at most {cap}$"):
+                parse_word(over)
+            over_peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert over_peak < 1.5 * at_cap_peak, (over_peak, at_cap_peak)
+    assert max(over_peaks) < 1.5 * at_cap_peak, (over_peaks, at_cap_peak)
 
 
 def test_letters_validated_on_construction():
