@@ -11,7 +11,6 @@ verifier extracts that subword as a set of letter positions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .normalform import (
     CanonicalCode,
@@ -21,15 +20,17 @@ from .normalform import (
     irreducible_form_tracked,
 )
 from .parity import Parity, ParityScheme
-from .words import BraidWord, PreconditionError, permutation
+from .words import BraidWord, PreconditionError, _Value, permutation
 
 
-@dataclass(frozen=True, slots=True)
-class BracketResult:
+class BracketResult(_Value):
     """The surviving word plus the source positions of its letters."""
 
-    word: BraidWord
-    kept_positions: tuple[int, ...]
+    __slots__ = _fields = ("word", "kept_positions")
+
+    def __init__(self, word: BraidWord, kept_positions: tuple[int, ...]):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "kept_positions", kept_positions)
 
 
 def bracket(word: BraidWord, scheme: ParityScheme) -> BracketResult:
@@ -51,8 +52,7 @@ def is_odd_irreducible(word: BraidWord, scheme: ParityScheme) -> bool:
     return scheme.assignment(word).all_odd() and not find_bigons(word)
 
 
-@dataclass(frozen=True, slots=True)
-class ReproductionReport:
+class ReproductionReport(_Value):
     """Outcome of the subword-reproduction check.
 
     On success, witness_positions lists the candidate's letters realizing a
@@ -60,10 +60,14 @@ class ReproductionReport:
     are certified non-equivalent under the full move set.
     """
 
-    success: bool
-    witness_positions: tuple[int, ...] | None
-    reduced_code: CanonicalCode | None
-    reason: str = ""
+    __slots__ = _fields = ("success", "witness_positions", "reduced_code", "reason")
+
+    def __init__(self, success: bool, witness_positions: tuple[int, ...] | None,
+                 reduced_code: CanonicalCode | None, reason: str = ""):
+        object.__setattr__(self, "success", success)
+        object.__setattr__(self, "witness_positions", witness_positions)
+        object.__setattr__(self, "reduced_code", reduced_code)
+        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> str:
         return json.dumps({

@@ -27,11 +27,10 @@ moves through `_window_move`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
 
-from .words import MAX_LETTERS, BraidWord, PreconditionError
+from .words import MAX_LETTERS, BraidWord, PreconditionError, _Value
 
 
 class Relation(Enum):
@@ -115,8 +114,7 @@ def _oriented_sides(relation: Relation, i: int, direction: Direction,
     return (left, right) if direction is Direction.LEFT_TO_RIGHT else (right, left)
 
 
-@dataclass(frozen=True, slots=True)
-class MoveInstance:
+class MoveInstance(_Value):
     """One relation applied at a letter offset, in one of the two directions.
 
     LEFT_TO_RIGHT rewrites the relation's left side into its right side.
@@ -124,11 +122,14 @@ class MoveInstance:
     inserts it (at any offset from 0 to the word length).
     """
 
-    relation: Relation
-    i: int
-    position: int
-    direction: Direction
-    j: int | None = None
+    __slots__ = _fields = ("relation", "i", "position", "direction", "j")
+
+    def __init__(self, relation: Relation, i: int, position: int, direction: Direction, j: int | None = None):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "j", j)
 
     def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(source, target) letter sequences, oriented by direction."""

@@ -24,17 +24,18 @@ which canonicalizes structure-preserving graph isomorphism in linear time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, compress, count
 
-from .words import BraidWord, PreconditionError, crossings_by_strand, strand_walk
+from .words import BraidWord, PreconditionError, _Value, crossings_by_strand, strand_walk
 
 
-@dataclass(frozen=True, slots=True)
-class Bigon:
-    positions: tuple[int, int]
-    strands: frozenset[int]
+class Bigon(_Value):
+    __slots__ = _fields = ("positions", "strands")
+
+    def __init__(self, positions: tuple[int, int], strands: frozenset[int]):
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "strands", strands)
 
 
 def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], list[int], tuple]:
@@ -129,14 +130,17 @@ def _reduce(word: BraidWord) -> tuple[list[int], list[int], tuple[int, ...], byt
     return nxt, head, image, alive
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalCode:
+class CanonicalCode(_Value):
     """Canonical form of a word's crossing graph; equal codes decide strong equivalence."""
 
-    n: int
-    permutation: tuple[int, ...]
-    crossing_count: int
-    strand_sequences: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("n", "permutation", "crossing_count", "strand_sequences")
+
+    def __init__(self, n: int, permutation: tuple[int, ...], crossing_count: int,
+                 strand_sequences: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "permutation", permutation)
+        object.__setattr__(self, "crossing_count", crossing_count)
+        object.__setattr__(self, "strand_sequences", strand_sequences)
 
     def format(self) -> str:
         """Byte-stable serialization, one strand per line after the header."""

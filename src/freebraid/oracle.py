@@ -11,11 +11,10 @@ The search is `moves._discover`, on packed words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .moves import MoveSet, _code_bits, _discover, _pack, _unpack
-from .words import BraidWord, PreconditionError
+from .words import BraidWord, PreconditionError, _Value
 
 
 class OracleVerdict(Enum):
@@ -24,19 +23,20 @@ class OracleVerdict(Enum):
     CAP_EXCEEDED = "CapExceeded"
 
 
-@dataclass(frozen=True)
-class EquivalenceBall:
+class EquivalenceBall(_Value):
     """Words reachable from the origin without exceeding the length bound."""
 
-    origin: BraidWord
-    moveset: MoveSet
-    length_bound: int
-    members: tuple[BraidWord, ...]
-    cap_exceeded: bool
-    _member_set: frozenset[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _fields = ("origin", "moveset", "length_bound", "members", "cap_exceeded")
+    __slots__ = _fields + ("_member_set",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_member_set", frozenset(w.letters for w in self.members))
+    def __init__(self, origin: BraidWord, moveset: MoveSet, length_bound: int,
+                 members: tuple[BraidWord, ...], cap_exceeded: bool):
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "moveset", moveset)
+        object.__setattr__(self, "length_bound", length_bound)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "cap_exceeded", cap_exceeded)
+        object.__setattr__(self, "_member_set", frozenset([w.letters for w in members]))
 
     def __contains__(self, word: BraidWord) -> bool:
         return word.n == self.origin.n and word.letters in self._member_set

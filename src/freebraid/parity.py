@@ -18,7 +18,6 @@ completing permutation before reading off Gaussian parities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .words import (
@@ -26,6 +25,7 @@ from .words import (
     Permutation,
     PreconditionError,
     _ascii_int,
+    _Value,
     crossings_by_strand,
     strand_walk,
 )
@@ -36,20 +36,21 @@ class Parity(Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
-    """A cyclic sequence over crossing identities, each appearing twice."""
+class ChordDiagram(_Value):
+    """A cyclic sequence over crossing identities, each appearing twice; chord_of maps each
+    crossing to its two endpoints."""
 
-    gauss_sequence: tuple[int, ...]
-    chord_of: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _fields = ("gauss_sequence",)
+    __slots__ = _fields + ("chord_of",)
 
-    def __post_init__(self):
+    def __init__(self, gauss_sequence: tuple[int, ...]):
         chords: dict[int, list[int]] = {}
-        for k, c in enumerate(self.gauss_sequence):
+        for k, c in enumerate(gauss_sequence):
             chords.setdefault(c, []).append(k)
         for c, ends in chords.items():
             if len(ends) != 2:
                 raise ValueError(f"crossing {c} appears {len(ends)} times in the gauss sequence")
+        object.__setattr__(self, "gauss_sequence", gauss_sequence)
         object.__setattr__(self, "chord_of", {c: (e[0], e[1]) for c, e in chords.items()})
 
 
@@ -72,7 +73,7 @@ def _gauss_sequence(word: BraidWord, q: Permutation | None, failure: str) -> tup
     with the cycle count, is raised when walk is not a single n-cycle.
     """
     strands, image = strand_walk(word)
-    walk = Permutation(image) if q is None else Permutation(image).compose(q)
+    walk = Permutation._trusted(image) if q is None else Permutation._trusted(image).compose(q)
     count = len(walk.cycles())
     if count != 1:
         raise PreconditionError(failure.format(count))
@@ -92,12 +93,14 @@ def chord_diagram(word: BraidWord) -> ChordDiagram:
         "closure has {} components; the chord diagram requires a cyclic permutation"))
 
 
-@dataclass(frozen=True)
-class ParityAssignment:
+class ParityAssignment(_Value):
     """One parity per classical letter position of a specific word."""
 
-    scheme: str
-    parities: dict[int, Parity] = field(compare=True)
+    __slots__ = _fields = ("scheme", "parities")
+
+    def __init__(self, scheme: str, parities: dict[int, Parity]):
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "parities", parities)
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -148,23 +151,20 @@ def q_gaussian_parity(word: BraidWord, q: Permutation) -> ParityAssignment:
     return ParityAssignment(f"qgaussian:Q={','.join(map(str, q.image))}", parities)
 
 
-@dataclass(frozen=True, slots=True)
-class StrandPartition:
+class StrandPartition(_Value):
     """A two-part split of the strand identities 1..n (either part may be empty)."""
 
-    first: frozenset[int]
-    second: frozenset[int]
+    __slots__ = _fields = ("first", "second")
 
-    def __post_init__(self):
-        if not isinstance(self.first, frozenset):
-            object.__setattr__(self, "first", frozenset(self.first))
-        if not isinstance(self.second, frozenset):
-            object.__setattr__(self, "second", frozenset(self.second))
-        if self.first & self.second:
+    def __init__(self, first: frozenset[int], second: frozenset[int]):
+        first, second = frozenset(first), frozenset(second)
+        if first & second:
             raise ValueError("partition parts must be disjoint")
-        union = self.first | self.second
+        union = first | second
         if union != set(range(1, len(union) + 1)):
             raise ValueError("partition parts must cover 1..n exactly")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     @classmethod
     def from_first(cls, n: int, first) -> "StrandPartition":
@@ -193,23 +193,28 @@ def component_parity(word: BraidWord, partition: StrandPartition) -> ParityAssig
     return ParityAssignment(f"component:N1={first}", parities)
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianScheme:
+class GaussianScheme(_Value):
+    __slots__ = _fields = ()
+
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return gaussian_parity(word)
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentScheme:
-    partition: StrandPartition
+class ComponentScheme(_Value):
+    __slots__ = _fields = ("partition",)
+
+    def __init__(self, partition: StrandPartition):
+        object.__setattr__(self, "partition", partition)
 
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return component_parity(word, self.partition)
 
 
-@dataclass(frozen=True, slots=True)
-class QGaussianScheme:
-    completion: Permutation
+class QGaussianScheme(_Value):
+    __slots__ = _fields = ("completion",)
+
+    def __init__(self, completion: Permutation):
+        object.__setattr__(self, "completion", completion)
 
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return q_gaussian_parity(word, self.completion)

@@ -15,7 +15,6 @@ closure splits into three components, one of them trivial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .bracket import bracket, verify_reproduction
 from .moves import MoveSet, scramble
@@ -24,6 +23,7 @@ from .parity import GaussianScheme, Parity
 from .words import (
     BraidWord,
     PreconditionError,
+    _Value,
     closure_components,
     is_cyclic,
     parse_word,
@@ -60,18 +60,24 @@ def shifted_brunnian_letters() -> tuple[int, ...]:
     return tuple((abs(x) + 1) * (1 if x > 0 else -1) for x in w.letters)
 
 
-@dataclass(frozen=True, slots=True)
-class BrunnianReport:
-    word: BraidWord
-    cyclic: bool
-    classical_count: int
-    odd_count: int
-    bigon_count: int
-    bracket_equals_input: bool
-    reproduction_ok: bool
-    scramble_seed: int
-    scramble_steps: int
-    scramble_max_length: int
+class BrunnianReport(_Value):
+    __slots__ = _fields = ("word", "cyclic", "classical_count", "odd_count", "bigon_count",
+                           "bracket_equals_input", "reproduction_ok",
+                           "scramble_seed", "scramble_steps", "scramble_max_length")
+
+    def __init__(self, word: BraidWord, cyclic: bool, classical_count: int, odd_count: int,
+                 bigon_count: int, bracket_equals_input: bool, reproduction_ok: bool,
+                 scramble_seed: int, scramble_steps: int, scramble_max_length: int):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "cyclic", cyclic)
+        object.__setattr__(self, "classical_count", classical_count)
+        object.__setattr__(self, "odd_count", odd_count)
+        object.__setattr__(self, "bigon_count", bigon_count)
+        object.__setattr__(self, "bracket_equals_input", bracket_equals_input)
+        object.__setattr__(self, "reproduction_ok", reproduction_ok)
+        object.__setattr__(self, "scramble_seed", scramble_seed)
+        object.__setattr__(self, "scramble_steps", scramble_steps)
+        object.__setattr__(self, "scramble_max_length", scramble_max_length)
 
     @property
     def passed(self) -> bool:
@@ -130,16 +136,23 @@ def scenario_brunnian(seed: int = 0, steps: int = 1000, max_length: int = 200) -
     )
 
 
-@dataclass(frozen=True, slots=True)
-class BetaPrimeReport:
-    word: BraidWord
-    added_positions: tuple[int, int]
-    added_parities: tuple[Parity, Parity]
-    bracket_word: BraidWord  # neither printed nor in the JSON
-    bracket_components: int
-    bracket_cycles: tuple[tuple[int, ...], ...]
-    trivial_components: tuple[tuple[int, ...], ...]
-    reconstruction_note: str
+class BetaPrimeReport(_Value):
+    __slots__ = _fields = ("word", "added_positions", "added_parities", "bracket_word",
+                           "bracket_components", "bracket_cycles", "trivial_components",
+                           "reconstruction_note")
+
+    def __init__(self, word: BraidWord, added_positions: tuple[int, int],
+                 added_parities: tuple[Parity, Parity], bracket_word: BraidWord,
+                 bracket_components: int, bracket_cycles: tuple[tuple[int, ...], ...],
+                 trivial_components: tuple[tuple[int, ...], ...], reconstruction_note: str):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "added_positions", added_positions)
+        object.__setattr__(self, "added_parities", added_parities)
+        object.__setattr__(self, "bracket_word", bracket_word)  # neither printed nor in the JSON
+        object.__setattr__(self, "bracket_components", bracket_components)
+        object.__setattr__(self, "bracket_cycles", bracket_cycles)
+        object.__setattr__(self, "trivial_components", trivial_components)
+        object.__setattr__(self, "reconstruction_note", reconstruction_note)
 
     @property
     def findings_met(self) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 CLASSICAL = "classical"
 VIRTUAL = "virtual"
@@ -35,23 +34,57 @@ def virtual(i: int) -> int:
     return -i
 
 
-@dataclass(frozen=True, slots=True)
-class BraidWord:
+class _Value:
+    """Base of the package's value classes: immutable, slotted, equal and hashed by their fields.
+
+    A subclass sets `__slots__ = _fields = (...)` and writes its own `__init__`, taking the
+    fields in that order, one `object.__setattr__` per field; copies and pickles call it.
+    Slots outside `_fields` hold derived data that is neither compared nor printed.
+    Equality holds only between instances of one class.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+class BraidWord(_Value):
     """An n-strand braid word.  The empty sequence is the identity braid."""
 
-    n: int
-    letters: tuple[int, ...] = ()
+    __slots__ = _fields = ("n", "letters")
 
-    def __post_init__(self):
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        if type(self.n) is not int:
-            raise ValueError(f"strand count must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.n}")
-        for x in self.letters:
-            if type(x) is not int or x == 0 or not (1 <= abs(x) <= self.n - 1):
-                raise ValueError(f"letter {x!r} is not valid on {self.n} strands")
+    def __init__(self, n: int, letters: tuple[int, ...] = ()):
+        letters = tuple(letters)  # tuple() of a tuple is that tuple: no copy
+        if type(n) is not int:
+            raise ValueError(f"strand count must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"strand count must be >= 1, got {n}")
+        for x in letters:
+            if type(x) is not int or x == 0 or not (1 <= abs(x) <= n - 1):
+                raise ValueError(f"letter {x!r} is not valid on {n} strands")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def _trusted(cls, n: int, letters: tuple[int, ...]) -> "BraidWord":
@@ -82,22 +115,29 @@ class BraidWord:
         return sum(1 for x in self.letters if x > 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class Permutation(_Value):
     """A bijection of {1,...,n}; image[k-1] holds the value at k."""
 
-    image: tuple[int, ...]
+    __slots__ = _fields = ("image",)
 
-    def __post_init__(self):
-        if not isinstance(self.image, tuple):
-            object.__setattr__(self, "image", tuple(self.image))
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"{self.image!r} is not a bijection of 1..{n}")
+    def __init__(self, image: tuple[int, ...]):
+        image = tuple(image)
+        n = len(image)
+        if sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"{image!r} is not a bijection of 1..{n}")
+        object.__setattr__(self, "image", image)
+
+    @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
+        """Permutation(image) unchecked, for an image valid by construction: the caller
+        guarantees a tuple holding each of 1..len(image) once."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "image", image)
+        return perm
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -113,10 +153,10 @@ class Permutation:
         """
         if self.n != other.n:
             raise PreconditionError("cannot compose permutations of different sizes")
-        return Permutation(tuple(other.image[v - 1] for v in self.image))
+        return Permutation._trusted(tuple([other.image[v - 1] for v in self.image]))
 
     def inverse(self) -> "Permutation":
-        return Permutation(_image((0,) + self.image))
+        return Permutation._trusted(_image((0,) + self.image))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition; each cycle starts at its least element, cycles sorted."""
@@ -297,7 +337,7 @@ def permutation(word: BraidWord) -> Permutation:
     pos = list(range(word.n + 1))
     for i in map(abs, word.letters):
         pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    return Permutation(_image(pos))
+    return Permutation._trusted(_image(pos))
 
 
 def is_cyclic(p: Permutation) -> bool:

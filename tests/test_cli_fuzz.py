@@ -96,3 +96,11 @@ def test_cli_exits_0_1_or_2_and_never_raises(argv):
         assert err.getvalue().startswith("freebraid: ") and err.getvalue().count("\n") == 1
     if code == 0 and "--json" in argv:
         json.loads(out.getvalue())
+
+
+def test_huge_bound_under_the_default_node_cap_ends_in_cap_exceeded():
+    """The draws above keep node caps small; here a 31-digit `--bound` meets the default cap of 1 000 000 nodes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["oracle", "--bound", "1" + "0" * 30, "n=3; z1 z2 z1", "n=3; z2 z1 z2 t1"])
+    assert (code, out.getvalue()) == (0, "CapExceeded\n")

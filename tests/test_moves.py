@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 
@@ -129,7 +128,7 @@ def test_every_move_preserves_permutation_and_inverts(word):
     for m in applicable_moves(word, MoveSet.FB):
         result = apply_move(word, m)
         assert permutation(result) == permutation(word)
-        flipped = dataclasses.replace(m, direction=REV if m.direction is FWD else FWD)
+        flipped = MoveInstance(m.relation, m.i, m.position, REV if m.direction is FWD else FWD, m.j)
         assert apply_move(result, flipped) == word
         src, tgt = m.sides()
         shift = len(tgt) - len(src)
@@ -167,7 +166,7 @@ def test_correspondence_window_pairings():
             m = MoveInstance(relation, i, 1, FWD, j)
             if direction is REV:
                 word = apply_move(word, m)
-                m = dataclasses.replace(m, direction=REV)
+                m = MoveInstance(m.relation, m.i, m.position, REV, m.j)
             source, target = m.sides()
             assert apply_move(word, m).letters == (-1,) + target + (-1,)
             expected = {0: 0, len(word) - 1: len(word) - 1 + len(target) - len(source)}

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -20,13 +23,31 @@ from freebraid.words import (
     permutation,
     serialize,
     strand_trace,
+    strand_walk,
+    _Value,
 )
-from freebraid.bracket import bracket
-from freebraid.moves import MoveSet, scramble
-from freebraid.normalform import irreducible_form_tracked
-from freebraid.oracle import bfs_ball
-from freebraid.parity import ComponentScheme, GaussianScheme
-from freebraid.scenarios import BRUNNIAN_TEXT
+from freebraid.bracket import BracketResult, ReproductionReport, bracket, verify_reproduction
+from freebraid.moves import Direction, MoveInstance, MoveSet, Relation, scramble
+from freebraid.normalform import Bigon, CanonicalCode, canonical_code, find_bigons, irreducible_form_tracked
+from freebraid.oracle import EquivalenceBall, bfs_ball
+from freebraid.parity import (
+    ChordDiagram,
+    ComponentScheme,
+    GaussianScheme,
+    Parity,
+    ParityAssignment,
+    QGaussianScheme,
+    StrandPartition,
+    chord_diagram,
+    gaussian_parity,
+)
+from freebraid.scenarios import (
+    BRUNNIAN_TEXT,
+    BetaPrimeReport,
+    BrunnianReport,
+    scenario_beta_prime,
+    scenario_brunnian,
+)
 
 from helpers import random_cyclic_word, random_partition, random_word, reference_parse_word
 from strategies import braid_words, permutations, word_pairs_same_n
@@ -307,3 +328,109 @@ def test_importing_words_loads_no_other_module():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True, timeout=60)
     assert proc.stdout == "['freebraid', 'freebraid.words']\n"
+
+
+def test_trusted_permutations_equal_checked_ones():
+    """`permutation`, `compose`, `inverse`, `identity` and the strand walk's image build without the
+    bijection check; each result is a permutation the checking constructor accepts and equals."""
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        w1, w2 = random_word(rng, n, rng.randint(0, 30)), random_word(rng, n, rng.randint(0, 30))
+        p, q = permutation(w1), permutation(w2)
+        built = [p, p.compose(q), p.inverse(), Permutation.identity(n), Permutation(strand_walk(w1)[1])]
+        for r in built:
+            assert type(r.image) is tuple and r == Permutation(r.image)
+        assert p.compose(q) == Permutation(tuple(q(p(k)) for k in range(1, n + 1))) == permutation(w1 * w2)
+        assert p.inverse() == Permutation(tuple(sorted(range(1, n + 1), key=p)))
+        assert p.compose(p.inverse()) == Permutation(tuple(range(1, n + 1)))
+    for image in ((1, 1), (0, 1), (2, 3), [3, 1]):
+        with pytest.raises(ValueError, match="is not a bijection"):
+            Permutation(image)
+
+
+def _value_samples():
+    """Per value class, two equal instances built apart, then (if any) one that differs from them."""
+    brunnian = parse_word(BRUNNIAN_TEXT)
+    word, partition = BraidWord(3, (1, -2, 1)), StrandPartition.from_first(3, [1])
+    fwd = Direction.LEFT_TO_RIGHT
+    return {
+        BraidWord: [BraidWord(3, (1, -2)), BraidWord(3, [1, -2]), BraidWord(3, (1, 2))],
+        Permutation: [Permutation((2, 1, 3)), permutation(BraidWord(3, (1,))), Permutation((1, 2, 3))],
+        ChordDiagram: [ChordDiagram((0, 1, 0, 1)), ChordDiagram((0, 1, 0, 1)), chord_diagram(brunnian)],
+        ParityAssignment: [ParityAssignment("gaussian", {0: Parity.EVEN}),
+                           gaussian_parity(BraidWord(2, (1,))), ParityAssignment("gaussian", {0: Parity.ODD})],
+        StrandPartition: [partition, StrandPartition({1}, {2, 3}), StrandPartition.from_first(3, [2])],
+        GaussianScheme: [GaussianScheme(), GaussianScheme()],
+        ComponentScheme: [ComponentScheme(partition), ComponentScheme(StrandPartition({1}, {2, 3})),
+                          ComponentScheme(StrandPartition.from_first(3, []))],
+        QGaussianScheme: [QGaussianScheme(Permutation((2, 3, 1))), QGaussianScheme(Permutation([2, 3, 1])),
+                          QGaussianScheme(Permutation((3, 1, 2)))],
+        Bigon: [*find_bigons(BraidWord(3, (1, 1))), Bigon((0, 1), frozenset({1, 2})),
+                Bigon((0, 2), frozenset({1, 2}))],
+        CanonicalCode: [canonical_code(word), canonical_code(BraidWord(3, (1, -2, 1))), canonical_code(brunnian)],
+        BracketResult: [bracket(word, ComponentScheme(partition)), bracket(word, ComponentScheme(partition)),
+                        bracket(brunnian, GaussianScheme())],
+        ReproductionReport: [verify_reproduction(brunnian, brunnian, GaussianScheme()),
+                             verify_reproduction(brunnian, brunnian, GaussianScheme()),
+                             ReproductionReport(False, None, None, "not reproduced")],
+        MoveInstance: [MoveInstance(Relation.FAR_COMM_ZZ, 1, 0, fwd, 3),
+                       MoveInstance(Relation.FAR_COMM_ZZ, 1, 0, fwd, 3),
+                       MoveInstance(Relation.CLASSICAL_R2, 1, 0, fwd)],
+        EquivalenceBall: [bfs_ball(word, MoveSet.F, 3), bfs_ball(word, MoveSet.F, 3),
+                          bfs_ball(word, MoveSet.F, 4)],
+        BrunnianReport: [scenario_brunnian(steps=5), scenario_brunnian(steps=5),
+                         scenario_brunnian(seed=1, steps=5)],
+        BetaPrimeReport: [scenario_beta_prime(), scenario_beta_prime()],
+    }
+
+
+def test_value_classes_behave_as_frozen_dataclasses():
+    """Every value class against `make_dataclass(name, fields, frozen=True)` on the same field values:
+    the same repr, ==, != and hash (where the fields hash); assignment fails; other classes compare unequal."""
+    samples = _value_samples()
+    assert set(samples) == set(_Value.__subclasses__()) and len(samples) == 16
+    others = [values[0] for values in samples.values()]
+    for cls, values in samples.items():
+        reference = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+        refs = [reference(*(getattr(v, f) for f in cls._fields)) for v in values]
+        assert values[0] == values[1] and values[0] is not values[1], cls
+        for a, ra in zip(values, refs):
+            assert repr(a) == repr(ra)
+            assert not hasattr(a, "__dict__")
+            try:
+                expected = hash(ra)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    hash(a)
+            else:
+                assert hash(a) == expected
+            for b, rb in zip(values, refs):
+                assert (a == b, a != b) == (ra == rb, ra != rb), (a, b)
+            for name in cls._fields or ("other",):
+                with pytest.raises(AttributeError):
+                    setattr(a, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(a, name)
+            for other in others:
+                if type(other) is not cls:
+                    assert a != other and not a == other and a.__eq__(other) is NotImplemented
+            assert a != ra and copy.copy(a) == a == pickle.loads(pickle.dumps(a))
+    assert copy.deepcopy(samples[ChordDiagram][2]).chord_of == samples[ChordDiagram][2].chord_of
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """`freebraid.cli` and every submodule, imported without `site` so that nothing is preloaded."""
+    pkg = Path(__file__).resolve().parent.parent / "src" / "freebraid"
+    modules = sorted(f"freebraid.{p.stem}" for p in pkg.glob("*.py") if p.stem != "__init__")
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import freebraid.cli\n"
+            f"for name in {modules!r}:\n"
+            "    __import__(name)\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(pkg.parent)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    new = proc.stdout.split()
+    assert "freebraid.cli" in modules and set(modules) <= set(new)
+    assert "dataclasses" not in new and "inspect" not in new, new
