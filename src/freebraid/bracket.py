@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 
 from .normalform import (
-    CanonicalCode,
     canonical_code,
     f_equal,
     find_bigons,
@@ -27,10 +26,6 @@ class BracketResult(_Value):
     """The surviving word plus the source positions of its letters."""
 
     __slots__ = _fields = ("word", "kept_positions")
-
-    def __init__(self, word: BraidWord, kept_positions: tuple[int, ...]):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "kept_positions", kept_positions)
 
 
 def bracket(word: BraidWord, scheme: ParityScheme) -> BracketResult:
@@ -61,13 +56,7 @@ class ReproductionReport(_Value):
     """
 
     __slots__ = _fields = ("success", "witness_positions", "reduced_code", "reason")
-
-    def __init__(self, success: bool, witness_positions: tuple[int, ...] | None,
-                 reduced_code: CanonicalCode | None, reason: str = ""):
-        object.__setattr__(self, "success", success)
-        object.__setattr__(self, "witness_positions", witness_positions)
-        object.__setattr__(self, "reduced_code", reduced_code)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"reason": ""}
 
     def to_json(self) -> str:
         return json.dumps({

@@ -33,10 +33,6 @@ from .words import BraidWord, PreconditionError, _Value, crossings_by_strand, st
 class Bigon(_Value):
     __slots__ = _fields = ("positions", "strands")
 
-    def __init__(self, positions: tuple[int, int], strands: frozenset[int]):
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "strands", strands)
-
 
 def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], list[int], tuple]:
     """Doubly linked classical letters along every strand, from one `strand_walk`.
@@ -134,13 +130,6 @@ class CanonicalCode(_Value):
     """Canonical form of a word's crossing graph; equal codes decide strong equivalence."""
 
     __slots__ = _fields = ("n", "permutation", "crossing_count", "strand_sequences")
-
-    def __init__(self, n: int, permutation: tuple[int, ...], crossing_count: int,
-                 strand_sequences: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "permutation", permutation)
-        object.__setattr__(self, "crossing_count", crossing_count)
-        object.__setattr__(self, "strand_sequences", strand_sequences)
 
     def format(self) -> str:
         """Byte-stable serialization, one strand per line after the header."""

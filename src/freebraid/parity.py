@@ -98,10 +98,6 @@ class ParityAssignment(_Value):
 
     __slots__ = _fields = ("scheme", "parities")
 
-    def __init__(self, scheme: str, parities: dict[int, Parity]):
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "parities", parities)
-
     @property
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.parities))
@@ -203,18 +199,12 @@ class GaussianScheme(_Value):
 class ComponentScheme(_Value):
     __slots__ = _fields = ("partition",)
 
-    def __init__(self, partition: StrandPartition):
-        object.__setattr__(self, "partition", partition)
-
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return component_parity(word, self.partition)
 
 
 class QGaussianScheme(_Value):
     __slots__ = _fields = ("completion",)
-
-    def __init__(self, completion: Permutation):
-        object.__setattr__(self, "completion", completion)
 
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return q_gaussian_parity(word, self.completion)

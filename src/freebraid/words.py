@@ -37,13 +37,29 @@ def virtual(i: int) -> int:
 class _Value:
     """Base of the package's value classes: immutable, slotted, equal and hashed by their fields.
 
-    A subclass sets `__slots__ = _fields = (...)` and writes its own `__init__`, taking the
-    fields in that order, one `object.__setattr__` per field; copies and pickles call it.
-    Slots outside `_fields` hold derived data that is neither compared nor printed.
-    Equality holds only between instances of one class.
+    A subclass sets `__slots__ = _fields = (...)`, and `_defaults` for fields that have one. The
+    constructor binds arguments to `_fields` as a frozen dataclass's does, TypeError included;
+    copies and pickles pass every field by position. `BraidWord`, `Permutation`, `ChordDiagram` and
+    `StrandPartition` override it to check or derive data, `EquivalenceBall` to fill `_member_set`,
+    and `MoveInstance`, built every scramble step, for speed. Slots outside `_fields` hold derived
+    data that is neither compared nor printed. Equality holds only between instances of one class.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self._fields
+        for key in kwargs:
+            if key not in fields[len(args):]:
+                what = "multiple values for" if key in fields else "an unexpected keyword"
+                raise TypeError(f"{name}() got {what} argument {key!r}")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(args) > len(fields) or len(values) < len(fields):
+            missing = [f for f in fields if f not in values]
+            raise TypeError(f"{name}() takes the fields {fields}; got {len(args)} by position, missing {missing}")
+        for field in fields:
+            object.__setattr__(self, field, values[field])
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

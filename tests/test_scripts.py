@@ -37,3 +37,22 @@ def test_reproduction_experiment_reproduces_every_seed():
 def test_beta_prime_search_golden(args, digest):
     proc = run_script("beta_prime_search.py", *args, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_warning_settings_fail_warnings_and_report_a_failing_property_test(tmp_path):
+    """With the project's pytest settings, a warning fails its test and a failing `@given` test is reported
+    as a failure, not as an INTERNALERROR that hides the rest of the run."""
+    (tmp_path / "test_module.py").write_text(
+        "import warnings\n"
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\n"
+        "def test_property_fails(x):\n"
+        "    assert False\n"
+        "def test_passes():\n"
+        "    pass\n"
+        "def test_warns():\n"
+        "    warnings.warn('old', DeprecationWarning)\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "-p", "no:cacheprovider",
+                           str(tmp_path / "test_module.py")], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert " 2 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]

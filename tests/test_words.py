@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import os
 import pickle
 import random
@@ -386,14 +387,39 @@ def _value_samples():
 
 
 def test_value_classes_behave_as_frozen_dataclasses():
-    """Every value class against `make_dataclass(name, fields, frozen=True)` on the same field values:
-    the same repr, ==, != and hash (where the fields hash); assignment fails; other classes compare unequal."""
+    """Every value class against `make_dataclass(name, fields, frozen=True)` with the class's defaults, on the
+    same field values: the same repr, ==, != and hash (where the fields hash); assignment fails; other classes
+    compare unequal; keyword and positional construction agree, and a call with a field missing, an unknown
+    keyword, a positional argument too many or a field given twice raises TypeError wherever the reference does."""
     samples = _value_samples()
     assert set(samples) == set(_Value.__subclasses__()) and len(samples) == 16
+    assert {cls for cls in samples if "__init__" in vars(cls)} == {
+        BraidWord, Permutation, ChordDiagram, StrandPartition, EquivalenceBall, MoveInstance}
+    assert ReproductionReport(True, (), None).reason == "" and ReproductionReport(True, (), None, "r").reason == "r"
     others = [values[0] for values in samples.values()]
     for cls, values in samples.items():
-        reference = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+        own = inspect.signature(cls).parameters.values()
+        defaults = {**cls._defaults, **{p.name: p.default for p in own if p.default is not p.empty}}
+        reference = dataclasses.make_dataclass(cls.__name__, [
+            (f, object, dataclasses.field(default=defaults[f])) if f in defaults else f for f in cls._fields],
+            frozen=True)
         refs = [reference(*(getattr(v, f) for f in cls._fields)) for v in values]
+        for v in values:
+            assert cls(**dict(zip(cls._fields, v._astuple()))) == cls(*v._astuple()) == v, cls
+        args = values[0]._astuple()
+        kwargs = dict(zip(cls._fields, args))
+        bad_calls = [((), {k: v for k, v in kwargs.items() if k != f}) for f in cls._fields]
+        bad_calls += [(args, {"unknown": None}), ((*args, None), {})]
+        bad_calls += [(args, {cls._fields[0]: args[0]})] if args else []
+        for call_args, call_kwargs in bad_calls:
+            try:
+                expected = reference(*call_args, **call_kwargs)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    cls(*call_args, **call_kwargs)
+            else:
+                got = cls(*call_args, **call_kwargs)
+                assert [getattr(got, f) for f in cls._fields] == [getattr(expected, f) for f in cls._fields]
         assert values[0] == values[1] and values[0] is not values[1], cls
         for a, ra in zip(values, refs):
             assert repr(a) == repr(ra)
