@@ -17,17 +17,18 @@ up, and equal ints are equal letter sequences.
 `scramble` walks a list of letters.  It keeps a flag per offset saying
 whether a move of the set matches there, and their running count, and
 rescans only the window a move changes.  The moves that pairs of adjacent
-letters start are cached across calls in one table per strand count, keyed
-by the packed pair and shared by all move sets, and at most _MAX_TABLES
-tables of _MAX_ENTRIES entries are kept.  A pair whose |a| and |b| are
-adjacent may start a triple slide: it is cached only as _SLIDE.  Both build
-moves through `_window_move`.
+letters start are cached across calls in one LRU cache, `_pair_move`, keyed
+by the two letters and shared by every move set and strand count; it holds
+at most 4096 entries.  A pair whose |a| and |b| are adjacent may start a
+triple slide: it is cached only as _SLIDE.  Both build moves through
+`_window_move`.
 """
 
 from __future__ import annotations
 
 import random
 from enum import Enum
+from functools import lru_cache
 from itertools import compress, islice
 
 from .words import MAX_LETTERS, BraidWord, PreconditionError, _Value
@@ -239,18 +240,12 @@ def _window_move(window: tuple[int, ...]) -> tuple:
 
 _NO_MOVE = (None, None, None, None, None)
 _SLIDE = "slide candidate"
-_MAX_TABLES = 4
-_MAX_ENTRIES = 4096
-# n -> {packed pair: _SLIDE or `_window_move`'s tuple}, for every move set
-_pair_tables: dict[int, dict[int, tuple | str]] = {}
 
 
-def _pair_entry(table: dict[int, tuple | str], key: int, n: int, b: int) -> tuple | str:
-    """Make table[key], clearing a full table first."""
-    if len(table) >= _MAX_ENTRIES:
-        table.clear()
-    a, c = (key & (1 << b) - 1) - n, (key >> b) - n
-    return table.setdefault(key, _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c)))
+@lru_cache(maxsize=4096)
+def _pair_move(a: int, c: int) -> tuple | str:
+    """_SLIDE if |a| and |c| are adjacent, else `_window_move` of the pair, for every move set and strand count."""
+    return _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c))
 
 
 MAX_STEPS = 1_000_000
@@ -282,10 +277,6 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     off = (None, *relations_in(MoveSet.FB) - rels)
     ins_kinds = [rel for rel in _R2_RELATIONS if rel in rels]
     n = word.n
-    b = _code_bits(n)
-    if n not in _pair_tables and len(_pair_tables) >= _MAX_TABLES:
-        _pair_tables.clear()
-    table = _pair_tables.setdefault(n, {})
     letters = list(word.letters)
     L = len(letters)
     matched = bytearray((_match_at(letters, p) or _NO_MOVE)[0] not in off for p in range(L))
@@ -300,8 +291,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         r = rng.randrange(total)
         if r < n_matches:
             p = next(islice(compress(range(L), matched), r, None))
-            key = letters[p] + n | letters[p + 1] + n << b
-            move = table.get(key) or _pair_entry(table, key, n, b)
+            move = _pair_move(letters[p], letters[p + 1])
             if move is _SLIDE:
                 move = _window_move(tuple(letters[p:p + 3]))
             rel, i, direction, j, target = move
@@ -321,8 +311,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         lo = max(p - 2, 0)
         fresh = []
         for q in range(lo, p + len(target)):
-            entry = (table.get(key := letters[q] + n | letters[q + 1] + n << b)
-                     or _pair_entry(table, key, n, b)) if q + 1 < L else _NO_MOVE
+            entry = _pair_move(letters[q], letters[q + 1]) if q + 1 < L else _NO_MOVE
             fresh.append(entry[0] not in off if entry is not _SLIDE else
                          (_match_at(letters, q) or _NO_MOVE)[0] not in off)
         n_matches += sum(fresh) - sum(matched[lo:old_end])

@@ -164,7 +164,12 @@ class StrandPartition(_Value):
 
     @classmethod
     def from_first(cls, n: int, first) -> "StrandPartition":
-        first = frozenset(first)
+        part = set()
+        for strand in first:
+            if strand in part:
+                raise ValueError(f"strand {strand} given twice")
+            part.add(strand)
+        first = frozenset(part)
         if not first <= set(range(1, n + 1)):
             raise ValueError(f"part {sorted(first)} is not a subset of 1..{n}")
         return cls(first, frozenset(range(1, n + 1)) - first)
@@ -214,8 +219,8 @@ ParityScheme = GaussianScheme | ComponentScheme | QGaussianScheme
 
 
 def _ascii_int_list(body: str, failure: str) -> list[int]:
-    """The integers of a comma list of ASCII digit strings; empty items are skipped."""
-    values = [_ascii_int(tok) for tok in body.split(",") if tok != ""]
+    """The integers of a comma list of ASCII digit strings; an empty body is the empty list."""
+    values = [_ascii_int(tok) for tok in body.split(",")] if body else []
     if None in values:
         raise PreconditionError(failure)
     return values

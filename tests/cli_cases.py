@@ -138,6 +138,16 @@ CASES = [
          err="freebraid: bad partition list in 'component:N1=\u0661'\n"),
     Case("parity-arabic-qgaussian", ["parity", "--parity", "qgaussian:Q=\u0662,1", "n=2; z1"], 2,
          err="freebraid: bad permutation image in 'qgaussian:Q=\u0662,1'\n"),
+    Case("parity-component-empty-first", ["parity", "--parity", "component:N1=", "n=3; z1 z2"],
+         out="pos=0 letter=z1 parity=even\npos=1 letter=z2 parity=even\n"),
+    Case("parity-component-repeated", ["parity", "--parity", "component:N1=1,1", "n=3; z1 z2"], 2,
+         err="freebraid: bad partition in 'component:N1=1,1': strand 1 given twice\n"),
+    Case("parity-component-empty-item", ["parity", "--parity", "component:N1=1,,2", "n=3; z1 z2"], 2,
+         err="freebraid: bad partition list in 'component:N1=1,,2'\n"),
+    Case("parity-component-comma", ["parity", "--parity", "component:N1=,", "n=3; z1 z2"], 2,
+         err="freebraid: bad partition list in 'component:N1=,'\n"),
+    Case("parity-qgaussian-empty-items", ["parity", "--parity", "qgaussian:Q=,,2,,1", "n=2; z1"], 2,
+         err="freebraid: bad permutation image in 'qgaussian:Q=,,2,,1'\n"),
     # normal forms and deciders
     Case("reduce", ["reduce", "n=2; z1 t1 z1"], out="n=2; t1\n"),
     Case("canon", ["canon", "n=3; z1 z2 z1"], out="n=3; perm=3,2,1; m=3\ns1: 1,2\ns2: 1,3\ns3: 2,3\n"),

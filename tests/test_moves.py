@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -319,16 +320,8 @@ def test_pack_and_unpack_across_64_letter_chunks():
             assert scramble(word, 0, MoveSet.FB, 0, length) == (word, ()), (n, length)
 
 
-class _CountingTable(dict):
-    clears = 0
-
-    def clear(self):
-        self.clears += 1
-        super().clear()
-
-
-def test_scramble_is_the_same_with_cold_warm_and_capped_pair_tables(monkeypatch):
-    """The pair tables only cache: emptied, warm, or cleared during a call, the walk is the same."""
+def test_scramble_is_the_same_with_cold_warm_and_capped_pair_cache(monkeypatch):
+    """The pair cache only caches: cold, warm, or evicting during a call, the walk is the same."""
     rng = random.Random(59)
     cases = []
     for n in (2, 3, 4, 9, 17):
@@ -336,101 +329,110 @@ def test_scramble_is_the_same_with_cold_warm_and_capped_pair_tables(monkeypatch)
             word = random_word(rng, n, rng.randint(0, 30))
             cases.append((word, rng.randint(20, 150), rng.choice(list(MoveSet)), rng.getrandbits(32),
                           len(word) + rng.randint(0, 10)))
-    monkeypatch.setattr(freebraid.moves, "_pair_tables", {})
-    tables = freebraid.moves._pair_tables
+    pair_move = freebraid.moves._pair_move
     cold = []
     for case in cases:
-        tables.clear()
+        pair_move.cache_clear()
         cold.append(scramble(*case))
     assert cold == [reference_scramble(*case) for case in cases]
     assert [scramble(*case) for case in cases] == cold
-    assert len(tables) <= freebraid.moves._MAX_TABLES
+    # The warm pass has met every pair of every walk, and the cache has evicted none of them.
+    distinct = pair_move.cache_info().currsize
+    assert distinct < pair_move.cache_info().maxsize
 
-    monkeypatch.setattr(freebraid.moves, "_MAX_ENTRIES", 3)
-    clears = 0
-    for case, expected in zip(cases, cold):
-        word, _, moveset = case[:3]
-        table = _CountingTable()
-        tables.clear()
-        tables[word.n] = table
-        assert scramble(*case) == expected
-        assert len(table) <= 3
-        clears += table.clears
-    assert clears > len(cases)
+    capped = lru_cache(maxsize=3)(pair_move.__wrapped__)
+    monkeypatch.setattr(freebraid.moves, "_pair_move", capped)
+    assert [scramble(*case) for case in cases] == cold
+    assert capped.cache_info().currsize <= 3
+    assert capped.cache_info().misses > distinct
 
-    # All three move sets share one table per strand count.
-    tables.clear()
-    word = random_word(rng, 5, 20)
+
+def test_one_pair_cache_serves_every_strand_count():
+    """Walks on 3 strands fill the cache that 9-strand walks of the same letters read.
+
+    The 9-strand walks equal the reference and miss fewer pairs than they do
+    on a cold cache: the pairs of indices 1 and 2 were cached on 3 strands.
+    """
+    rng = random.Random(79)
+    cases = []
     for moveset in MoveSet:
-        scramble(word, 50, moveset, 1, 30)
-    assert list(tables) == [5]
+        for _ in range(10):
+            word = random_word(rng, 3, rng.randint(10, 30))
+            cases.append((word.letters, rng.randint(20, 100), moveset, rng.getrandbits(32)))
+
+    def walk(n):
+        for letters, steps, moveset, seed in cases:
+            word = BraidWord(n, letters)
+            assert scramble(word, steps, moveset, seed, len(letters) + 4) == \
+                reference_scramble(word, steps, moveset, seed, len(letters) + 4), (n, letters, moveset, seed)
+
+    pair_move = freebraid.moves._pair_move
+    pair_move.cache_clear()
+    walk(9)
+    cold_misses = pair_move.cache_info().misses
+    pair_move.cache_clear()
+    walk(3)
+    before = pair_move.cache_info()
+    walk(9)
+    after = pair_move.cache_info()
+    assert after.hits > before.hits
+    assert after.misses - before.misses < cold_misses
 
 
-def test_scramble_filters_a_table_warmed_by_another_move_set(monkeypatch):
-    """A table warmed by FB walks holds classical R2 entries and slide candidates; strong and F walks filter them."""
+def test_scramble_filters_a_cache_warmed_by_another_move_set():
+    """A cache warmed by FB walks holds classical R2 moves and slide candidates; strong and F walks filter them."""
     rng = random.Random(73)
     cases = []
     for _ in range(40):
         word = _slide_rich_word(rng, rng.randint(0, 20), rng.randint(1, 6))
         word = BraidWord(3, word.letters + (1, 1, 2, 2))
         cases.append((word, rng.randint(20, 120), rng.getrandbits(32), len(word) + rng.randint(0, 10)))
-    monkeypatch.setattr(freebraid.moves, "_pair_tables", {})
+    pair_move = freebraid.moves._pair_move
+    pair_move.cache_clear()
     for word, steps, seed, max_length in cases:
         scramble(word, steps, MoveSet.FB, seed, max_length)
-    table = freebraid.moves._pair_tables[3]
-    slide = freebraid.moves._SLIDE
-    assert {Relation.CLASSICAL_R2, slide} <= {entry if entry is slide else entry[0] for entry in table.values()}
+    before = pair_move.cache_info()
+    assert pair_move(1, 1)[0] is Relation.CLASSICAL_R2
+    assert pair_move(1, 2) is freebraid.moves._SLIDE
+    after = pair_move.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     for moveset in (MoveSet.STRONG, MoveSet.F):
         for word, steps, seed, max_length in cases:
             assert scramble(word, steps, moveset, seed, max_length) == \
                 reference_scramble(word, steps, moveset, seed, max_length), (word, moveset, seed)
-    assert freebraid.moves._pair_tables[3] is table
 
 
-# The README's bound on the pair tables: _MAX_TABLES tables of _MAX_ENTRIES entries,
-# each a far commutativity on 10 000 strands, the largest kind of entry.
-TABLES_WORST_CASE_BYTES = 4 * 2**20
+# The README's bound on the pair cache: 4096 entries, each a far commutativity of
+# virtual letters on 10 000 strands, the largest kind of entry (its letters, its
+# indices and its target letters are all ints beyond the small-int cache).
+PAIR_CACHE_WORST_CASE_BYTES = 2 * 2**20
 
 
-def _traced_bytes_of_tables(specs):
-    """tracemalloc's count of pair tables rebuilt from `(n, keys)` specs, and the tables.
+def test_pair_cache_stays_within_the_stated_worst_case():
+    """Scrambles at 24 strand counts, then 20 000 steps on 10 000 strands, keep at most 4096 entries.
 
-    The entries are made by the same builder from the same keys, so a rebuild
-    holds what the original holds; tracing the walks themselves is ten times slower.
+    The cache cannot be listed, so its bytes are counted on the worst case
+    itself, filled afresh under tracemalloc: tracing the walks is ten times slower.
     """
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        rebuilt = []
-        for n, keys in specs:
-            table = {}
-            for key in keys:
-                freebraid.moves._pair_entry(table, key, n, (2 * n - 1).bit_length())
-            rebuilt.append(table)
-        return tracemalloc.get_traced_memory()[0] - before, rebuilt
-    finally:
-        tracemalloc.stop()
-
-
-def test_pair_tables_stay_within_the_stated_worst_case(monkeypatch):
-    """Scrambles at 24 strand counts, then 20 000 steps on 10 000 strands, stay within the README's bound."""
-    monkeypatch.setattr(freebraid.moves, "_pair_tables", {})
-    tables = freebraid.moves._pair_tables
-    assert (freebraid.moves._MAX_TABLES, freebraid.moves._MAX_ENTRIES) == (4, 4096)
+    pair_move = freebraid.moves._pair_move
+    assert pair_move.cache_info().maxsize == 4096
+    pair_move.cache_clear()
     rng = random.Random(61)
     for n in range(2, 26):
         for moveset in (MoveSet.F, MoveSet.STRONG):
             scramble(random_word(rng, n, 40), 300, moveset, n, 80)
     scramble(parse_word("n=10000; z1 z9999 t5000 z5001 t2 z3"), 20_000, MoveSet.F, 5, 400)
-    assert len(tables) <= 4 and all(len(t) <= 4096 for t in tables.values())
-    assert sum(len(t) for t in tables.values()) > 1000
-    held, rebuilt = _traced_bytes_of_tables([(n, list(t)) for n, t in tables.items()])
-    assert rebuilt == list(tables.values())
-    assert held <= TABLES_WORST_CASE_BYTES, held
+    assert 1000 < pair_move.cache_info().currsize <= 4096
 
-    # The worst case itself: full tables of far commutativities z_i z_j on 10 000 strands.
-    held, rebuilt = _traced_bytes_of_tables(
-        [(10_000, [freebraid.moves._pack((300 + t, 2000 + k), 10_000, 15) for k in range(4096)])
-         for t in range(4)])
-    assert all(entry[0] is Relation.FAR_COMM_ZZ for table in rebuilt for entry in table.values())
-    assert held <= TABLES_WORST_CASE_BYTES, held
+    # The worst case itself: a full cache of far commutativities t_i t_j on 10 000 strands.
+    pair_move.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        moves = [pair_move(-300, -2000 - k) for k in range(4096)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        pair_move.cache_clear()
+    assert all(move[0] is Relation.FAR_COMM_TT for move in moves)
+    assert held <= PAIR_CACHE_WORST_CASE_BYTES, held

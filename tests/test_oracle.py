@@ -277,7 +277,8 @@ def test_node_cap_below_one_is_rejected(node_cap):
 def test_window_rewrite_check_still_fires(monkeypatch):
     """`moves._window_move`, the one builder of a window's move, refuses sides that do not match.
 
-    The pair tables start empty: a warm table would hold moves built before the patch.
+    The pair cache starts empty, as a warm cache would hold moves built before
+    the patch, and is emptied again so that no move built under it outlives it.
     """
     import freebraid.moves
 
@@ -285,15 +286,18 @@ def test_window_rewrite_check_still_fires(monkeypatch):
         source, target = relation_sides(relation, i, j)
         return tuple(-x for x in source), target
 
+    freebraid.moves._pair_move.cache_clear()
     monkeypatch.setattr(freebraid.moves, "_oriented_sides", mismatched)
-    monkeypatch.setattr(freebraid.moves, "_pair_tables", {})
     w = parse_word("n=3; z1 z1 t2")
-    with pytest.raises(PreconditionError, match="does not match at position"):
-        bfs_ball(w, MoveSet.F, 5)
-    with pytest.raises(PreconditionError, match="does not match at position"):
-        oracle_equal(w, parse_word("n=3; t2"), MoveSet.F, 5)
-    with pytest.raises(PreconditionError, match="does not match at position"):
-        scramble(w, 50, MoveSet.F, 0, 9)
+    try:
+        with pytest.raises(PreconditionError, match="does not match at position"):
+            bfs_ball(w, MoveSet.F, 5)
+        with pytest.raises(PreconditionError, match="does not match at position"):
+            oracle_equal(w, parse_word("n=3; t2"), MoveSet.F, 5)
+        with pytest.raises(PreconditionError, match="does not match at position"):
+            scramble(w, 50, MoveSet.F, 0, 9)
+    finally:
+        freebraid.moves._pair_move.cache_clear()
 
 
 def test_deciders_split_words_as_the_oracle_does_at_four_strands():

@@ -229,6 +229,9 @@ def test_partition_validation():
         StrandPartition.from_first(3, {4})
     part = StrandPartition.from_first(3, set())
     assert part.second == frozenset({1, 2, 3})
+    with pytest.raises(ValueError, match="strand 2 given twice"):
+        StrandPartition.from_first(3, [2, 1, 2])
+    assert StrandPartition.from_first(3, range(1, 3)).second == frozenset({3})
 
 
 def test_parse_scheme_designations():
@@ -251,6 +254,15 @@ def test_parse_scheme_designations():
         parse_scheme("component:N1=9", 4)
     with pytest.raises(PreconditionError, match="not a bijection"):
         parse_scheme("qgaussian:Q=1,1", 2)
+    assert parse_scheme("component:N1=", 3) == ComponentScheme(StrandPartition.from_first(3, ()))
+    with pytest.raises(PreconditionError, match="bad partition in 'component:N1=1,1': strand 1 given twice"):
+        parse_scheme("component:N1=1,1", 3)
+    for body in ("1,,2", ",", ",1", "1,"):
+        with pytest.raises(PreconditionError, match="bad partition list"):
+            parse_scheme(f"component:N1={body}", 3)
+    for body in (",,2,,1", "2,1,", ","):
+        with pytest.raises(PreconditionError, match="bad permutation image"):
+            parse_scheme(f"qgaussian:Q={body}", 2)
     zeros = "0" * 4400  # int() converts at most 4300 digits
     assert parse_scheme(f"component:N1={zeros}2", 3) == ComponentScheme(StrandPartition.from_first(3, {2}))
     assert parse_scheme(f"qgaussian:Q={zeros}2,1", 2) == qg
