@@ -12,7 +12,9 @@ changes no other classical letter's strand pair and no order along any strand
 it is a splice of both strands' links that moves a strand's head when its
 first crossing goes (see `_reduce`).  Since F moves also keep the endpoint
 permutation, F-codes are read off the reduced links, from each strand's head,
-and the input's single `strand_walk` (`irreducible_code`); no reduced word is built.
+and the input's image (`irreducible_code`); no reduced word is built.  The
+links and the image come from one pass over the letters, `_strand_links`, which
+swaps positions itself rather than read `strand_walk`'s list, for speed.
 
 Strong equivalence (all F moves except classical pair cancellation) is
 decided by canonicalizing the crossing graph: virtual crossings are
@@ -27,7 +29,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import chain, compress, count
 
-from .words import BraidWord, PreconditionError, _Value, crossings_by_strand, strand_walk
+from .words import BraidWord, PreconditionError, _image, _Value, crossings_by_strand
 
 
 class Bigon(_Value):
@@ -35,15 +37,18 @@ class Bigon(_Value):
 
 
 def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], list[int], tuple]:
-    """Doubly linked classical letters along every strand, from one `strand_walk`.
+    """Doubly linked classical letters along every strand, in one pass over the letters.
 
     Classical letter t with strand pair a < b is node 2t on strand a and node
-    2t + 1 on strand b.  Returns strand, nxt, prv and head (each node's strand
-    and its neighbours on that strand, each strand s's first node at head[s];
-    -1 for none), the sorted first letters p of the bigons, whose two nodes
-    both have successors on one letter q, and the image.
+    2t + 1 on strand b.  Returns strand, nxt, prv and head (each classical
+    node's strand and its neighbours on that strand, each strand s's first
+    node at head[s]; -1 for none), the sorted first letters p of the bigons,
+    whose two nodes both have successors on one letter q, and the image.
+    The pass swaps positions itself, as `strand_walk` does, rather than read
+    its list: a virtual letter is only a swap, and `strand` is not set at its nodes.
     """
-    strand, image = strand_walk(word)
+    pos = list(range(word.n + 1))  # 1-based: the strand at each position
+    strand = [0] * (2 * len(word.letters))
     nxt = [-1] * len(strand)
     prv = nxt.copy()
     head = [-1] * (word.n + 1)
@@ -51,9 +56,16 @@ def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], lis
     starts = []
     for t, x in enumerate(word.letters):
         if x < 0:
+            x = -x
+            pos[x], pos[x + 1] = pos[x + 1], pos[x]
             continue
+        a, b = pos[x], pos[x + 1]
+        pos[x], pos[x + 1] = b, a
+        if a > b:
+            a, b = b, a
         u = 2 * t
-        a, b = strand[u], strand[u + 1]
+        strand[u] = a
+        strand[u + 1] = b
         la, lb = last[a], last[b]
         if la >= 0:
             nxt[la] = u
@@ -70,7 +82,7 @@ def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], lis
         last[a] = u
         last[b] = u + 1
     starts.sort()
-    return strand, nxt, prv, head, starts, image
+    return strand, nxt, prv, head, starts, _image(pos)
 
 
 def _bigon_end(nxt: list[int], p: int) -> int | None:
@@ -143,12 +155,12 @@ class CanonicalCode(_Value):
 
 
 def canonical_code(word: BraidWord) -> CanonicalCode:
-    strand, image = strand_walk(word)
-    return _code(word.n, image, crossings_by_strand(word, strand)[1:])
+    seqs, image = crossings_by_strand(word)
+    return _code(word.n, image, seqs[1:])
 
 
 def irreducible_code(word: BraidWord) -> CanonicalCode:
-    """`canonical_code(irreducible_form(word))`, read off the reduced links and the input's walk."""
+    """`canonical_code(irreducible_form(word))`, read off the reduced links and the input's image."""
     nxt, head, image, _ = _reduce(word)
     seqs = [[] for _ in range(word.n)]
     for seq, u in zip(seqs, head[1:]):

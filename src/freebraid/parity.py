@@ -8,7 +8,8 @@ is the number of chords linked with its chord, mod 2.  Every chord nested
 inside a chord with ends a < b contributes two endpoints between them, so
 that count is congruent to b - a - 1: the crossing is odd iff the
 endpoint gap b - a is even.  The Gaussian schemes read the gaps off the
-Gauss sequence, from one `strand_walk` and with no `ChordDiagram`.
+Gauss sequence, built from one pass of `crossings_by_strand` (which swaps
+positions itself, for speed) and with no `ChordDiagram`.
 
 Two further schemes avoid the cyclicity requirement: the component scheme
 marks a crossing odd when its strands lie in different parts of a fixed
@@ -72,12 +73,11 @@ def _gauss_sequence(word: BraidWord, q: Permutation | None, failure: str) -> tup
     walk is the word's endpoint map, then q if given.  `failure`, formatted
     with the cycle count, is raised when walk is not a single n-cycle.
     """
-    strands, image = strand_walk(word)
+    on_strand, image = crossings_by_strand(word)
     walk = Permutation._trusted(image) if q is None else Permutation._trusted(image).compose(q)
     count = len(walk.cycles())
     if count != 1:
         raise PreconditionError(failure.format(count))
-    on_strand = crossings_by_strand(word, strands)
     gauss: list[int] = []
     strand = 1
     for _ in range(word.n):
@@ -227,18 +227,17 @@ def _ascii_int_list(body: str, failure: str) -> list[int]:
 
 
 def parse_scheme(text: str, n: int) -> ParityScheme:
-    """Parse a scheme designation: `gaussian`, `component:N1=...`, `qgaussian:Q=...`."""
-    s = text.strip()
-    if s == "gaussian":
+    """Parse a scheme designation: `gaussian`, `component:N1=...`, `qgaussian:Q=...`; no spaces around it."""
+    if text == "gaussian":
         return GaussianScheme()
-    if s.startswith("component:N1="):
-        members = _ascii_int_list(s[len("component:N1="):], f"bad partition list in {text!r}")
+    if text.startswith("component:N1="):
+        members = _ascii_int_list(text[len("component:N1="):], f"bad partition list in {text!r}")
         try:
             return ComponentScheme(StrandPartition.from_first(n, members))
         except ValueError as e:
             raise PreconditionError(f"bad partition in {text!r}: {e}") from None
-    if s.startswith("qgaussian:Q="):
-        image = tuple(_ascii_int_list(s[len("qgaussian:Q="):], f"bad permutation image in {text!r}"))
+    if text.startswith("qgaussian:Q="):
+        image = tuple(_ascii_int_list(text[len("qgaussian:Q="):], f"bad permutation image in {text!r}"))
         if len(image) != n:
             raise PreconditionError(f"completion image has {len(image)} entries, expected {n}")
         try:

@@ -5,7 +5,10 @@ strands at adjacent positions (i, i+1).  Letters are stored as signed
 integers: +i is the classical crossing at position i, -i the virtual one.
 Strands are identified by their top endpoint number throughout; "position"
 means the slot a strand currently occupies as the word is read top to
-bottom, in the one walk, `strand_walk`, that every layer reads strands from.
+bottom.  Four loops swap positions: `strand_walk`, which the layers read
+strands from, `permutation`, which keeps only the endpoints, and two passes
+fused for speed with the one thing their callers read, `crossings_by_strand`
+here and `normalform._strand_links`; tests check both against `strand_walk`.
 Generator and strand indices are 1-based; letter positions are 0-based.
 """
 
@@ -373,12 +376,22 @@ def strand_trace(word: BraidWord) -> tuple[tuple[int, int], ...]:
     return tuple(zip(strands[::2], strands[1::2]))
 
 
-def crossings_by_strand(word: BraidWord, strands: list[int]) -> list[list[int]]:
-    """For each strand s, the positions of its classical letters in order, at index s (0 is unused);
-    strands is `strand_walk(word)[0]`."""
+def crossings_by_strand(word: BraidWord) -> tuple[list[list[int]], tuple[int, ...]]:
+    """For each strand s, the positions of its classical letters in order, at index s (0 is unused),
+    and the endpoint map's image.
+
+    One pass that swaps positions itself, for speed, rather than read `strand_walk`'s list;
+    a test checks it against that two-pass form.
+    """
+    pos = list(range(word.n + 1))
     seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
     for t, x in enumerate(word.letters):
-        if x > 0:
-            seqs[strands[2 * t]].append(t)
-            seqs[strands[2 * t + 1]].append(t)
-    return seqs
+        if x < 0:
+            x = -x
+            pos[x], pos[x + 1] = pos[x + 1], pos[x]
+        else:
+            a, b = pos[x], pos[x + 1]
+            pos[x], pos[x + 1] = b, a
+            seqs[a].append(t)
+            seqs[b].append(t)
+    return seqs, _image(pos)

@@ -148,6 +148,12 @@ CASES = [
          err="freebraid: bad partition list in 'component:N1=,'\n"),
     Case("parity-qgaussian-empty-items", ["parity", "--parity", "qgaussian:Q=,,2,,1", "n=2; z1"], 2,
          err="freebraid: bad permutation image in 'qgaussian:Q=,,2,,1'\n"),
+    Case("parity-padded-component", ["parity", "--parity", " component:N1=1 ", "n=3; z1 z2"], 2,
+         err="freebraid: unknown parity scheme ' component:N1=1 '\n"),
+    Case("parity-gaussian-newline", ["parity", "--parity", "gaussian\n", "n=2; z1 t1 z1"], 2,
+         err="freebraid: unknown parity scheme 'gaussian\\n'\n"),
+    Case("parity-component-trailing-space", ["parity", "--parity", "component:N1=1 ", "n=3; z1 z2"], 2,
+         err="freebraid: bad partition list in 'component:N1=1 '\n"),
     # normal forms and deciders
     Case("reduce", ["reduce", "n=2; z1 t1 z1"], out="n=2; t1\n"),
     Case("canon", ["canon", "n=3; z1 z2 z1"], out="n=3; perm=3,2,1; m=3\ns1: 1,2\ns2: 1,3\ns3: 2,3\n"),

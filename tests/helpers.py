@@ -16,6 +16,7 @@ from freebraid.words import (
     _parse_word_json,
     is_cyclic,
     permutation,
+    strand_walk,
     virtual,
 )
 from freebraid.moves import (
@@ -153,6 +154,51 @@ def reference_canonical_code(word: BraidWord) -> CanonicalCode:
             label.setdefault(t, len(label) + 1)
     return CanonicalCode(word.n, reference_permutation(word).image, len(label),
                          tuple(tuple(label[t] for t in seq) for seq in seqs[1:]))
+
+
+def reference_crossings_by_strand(word: BraidWord, strands: list[int]) -> list[list[int]]:
+    """`crossings_by_strand` as a second pass over `strand_walk(word)[0]`, as it was before the pass was fused."""
+    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
+    for t, x in enumerate(word.letters):
+        if x > 0:
+            seqs[strands[2 * t]].append(t)
+            seqs[strands[2 * t + 1]].append(t)
+    return seqs
+
+
+def reference_strand_links(word: BraidWord):
+    """`normalform._strand_links` as a second pass over `strand_walk`, as it was before the pass was fused.
+
+    Here `strand` holds both strands of every letter, virtual ones too.
+    """
+    strand, image = strand_walk(word)
+    nxt = [-1] * len(strand)
+    prv = nxt.copy()
+    head = [-1] * (word.n + 1)
+    last = head.copy()
+    starts = []
+    for t, x in enumerate(word.letters):
+        if x < 0:
+            continue
+        u = 2 * t
+        a, b = strand[u], strand[u + 1]
+        la, lb = last[a], last[b]
+        if la >= 0:
+            nxt[la] = u
+            prv[u] = la
+        else:
+            head[a] = u
+        if lb >= 0:
+            nxt[lb] = u + 1
+            prv[u + 1] = lb
+            if la >> 1 == lb >> 1:
+                starts.append(lb >> 1)
+        else:
+            head[b] = u + 1
+        last[a] = u
+        last[b] = u + 1
+    starts.sort()
+    return strand, nxt, prv, head, starts, image
 
 
 def reference_parities(word: BraidWord, q: Permutation | None = None):

@@ -8,11 +8,23 @@ whose tests cannot be run, is stale.
 """
 
 WORDS, MOVES, PARITY = "src/freebraid/words.py", "src/freebraid/moves.py", "src/freebraid/parity.py"
+NORMALFORM = "src/freebraid/normalform.py"
 VALUE_TEST = "tests/test_words.py::test_value_classes_behave_as_frozen_dataclasses"
 SCRAMBLE_TESTS = ["tests/test_moves.py::test_scramble_matches_full_rescan_reference",
                   "tests/test_moves.py::test_scramble_filters_a_cache_warmed_by_another_move_set"]
 SCHEME_TEST = "tests/test_parity.py::test_parse_scheme_designations"
 CLI_CASE = "tests/test_cli.py::test_cli_case[{}]"
+FUSED_TEST = "tests/test_strand_walk.py::test_fused_passes_match_their_two_pass_references"
+_LINK_HEADS = """        else:
+            head[a] = u
+        if lb >= 0:
+            nxt[lb] = u + 1
+            prv[u + 1] = lb
+            if la >> 1 == lb >> 1:
+                starts.append(lb >> 1)
+        else:
+            head[b] = u + 1
+"""
 
 MUTANTS = [
     # The pair cache of `scramble`.
@@ -51,6 +63,9 @@ MUTANTS = [
      "old": 'values = [_ascii_int(tok) for tok in body.split(",")] if body else []',
      "new": 'values = [_ascii_int(tok) for tok in body.split(",")]',
      "tests": [SCHEME_TEST, CLI_CASE.format("parity-component-empty-first")]},
+    {"id": "scheme-designation-stripped", "file": PARITY,
+     "old": '    if text == "gaussian":', "new": '    text = text.strip()\n    if text == "gaussian":',
+     "tests": [SCHEME_TEST, CLI_CASE.format("parity-padded-component")]},
     {"id": "partition-accepts-a-strand-twice", "file": PARITY,
      "old": 'raise ValueError(f"strand {strand} given twice")', "new": "continue",
      "tests": ["tests/test_parity.py::test_partition_validation", CLI_CASE.format("parity-component-repeated")]},
@@ -74,4 +89,17 @@ MUTANTS = [
      "old": "values = {**self._defaults, **dict(zip(fields, args)), **kwargs}",
      "new": "values = {**dict(zip(fields, args)), **kwargs, **self._defaults}",
      "tests": [VALUE_TEST]},
+    # The two passes that swap positions themselves instead of reading `strand_walk`.
+    {"id": "crossings-by-strand-virtual-skips-its-swap", "file": WORDS,
+     "old": "pos[x], pos[x + 1] = pos[x + 1], pos[x]", "new": "pass",
+     "tests": [FUSED_TEST]},
+    {"id": "crossings-by-strand-appends-to-a-twice", "file": WORDS,
+     "old": "            seqs[b].append(t)\n", "new": "            seqs[a].append(t)\n",
+     "tests": [FUSED_TEST]},
+    {"id": "strand-links-virtual-skips-its-swap", "file": NORMALFORM,
+     "old": "pos[x], pos[x + 1] = pos[x + 1], pos[x]", "new": "pass",
+     "tests": [FUSED_TEST]},
+    {"id": "strand-links-never-set-head", "file": NORMALFORM,
+     "old": _LINK_HEADS, "new": _LINK_HEADS.replace("head[a] = u", "pass").replace("head[b] = u + 1", "pass"),
+     "tests": [FUSED_TEST]},
 ]

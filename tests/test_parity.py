@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -270,6 +271,13 @@ def test_parse_scheme_designations():
         parse_scheme(f"component:N1=1{zeros}", 2)
     with pytest.raises(PreconditionError, match="bad permutation image"):
         parse_scheme(f"qgaussian:Q=1{zeros},1", 2)
+    for padded in (" gaussian", "gaussian\n", " component:N1=1 ", "\tqgaussian:Q=2,1"):
+        with pytest.raises(PreconditionError, match=f"^unknown parity scheme {re.escape(repr(padded))}$"):
+            parse_scheme(padded, 2)
+    with pytest.raises(PreconditionError, match="bad partition list in 'component:N1=1 '"):
+        parse_scheme("component:N1=1 ", 2)
+    with pytest.raises(PreconditionError, match="bad permutation image in " + re.escape(repr("qgaussian:Q=2,1\n"))):
+        parse_scheme("qgaussian:Q=2,1\n", 2)
 
 
 def test_axioms_on_virtualization_instance():

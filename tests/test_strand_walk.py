@@ -1,7 +1,9 @@
 """`strand_walk` and everything that reads it, against the separate walks it replaced.
 
 The references in `helpers` walk the word themselves, so none of them shares
-code with the walk under test.
+code with the walk under test.  The two passes that swap positions
+themselves, `crossings_by_strand` and `normalform._strand_links`, are also
+checked against their two-pass forms over `strand_walk`, kept in `helpers`.
 """
 
 import random
@@ -9,8 +11,16 @@ import re
 
 import pytest
 
-from freebraid.words import BraidWord, Permutation, PreconditionError, permutation, strand_trace, strand_walk
-from freebraid.normalform import canonical_code, irreducible_code
+from freebraid.words import (
+    BraidWord,
+    Permutation,
+    PreconditionError,
+    crossings_by_strand,
+    permutation,
+    strand_trace,
+    strand_walk,
+)
+from freebraid.normalform import _strand_links, canonical_code, irreducible_code
 from freebraid.parity import (
     Parity,
     chord_diagram,
@@ -25,9 +35,11 @@ from helpers import (
     random_partition,
     random_word,
     reference_canonical_code,
+    reference_crossings_by_strand,
     reference_irreducible_form_tracked,
     reference_parities,
     reference_permutation,
+    reference_strand_links,
     reference_strand_trace,
 )
 
@@ -81,6 +93,39 @@ def test_codes_match_reference():
     long_words = [random_word(rng, n, 2000) for n in (10, 12)]
     for word in [w for _, w in _words(3, 150, max_len=400)] + long_words:
         assert irreducible_code(word) == reference_canonical_code(reference_irreducible_form_tracked(word)[0])
+
+
+def _fused_pass_words():
+    """The empty word, n = 1, virtual-only words, n = 10 000 with a few letters,
+    8-strand words of 1599 letters and the random words of `_words`."""
+    rng = random.Random(6)
+    yield BraidWord(1)
+    yield BraidWord(5)
+    for n in (2, 3, 8):
+        yield BraidWord(n, tuple(-rng.randint(1, n - 1) for _ in range(rng.randint(1, 300))))
+    yield BraidWord(10_000, (1, 9999, -5000, 5001, -2, 3, 9999, -9999, 9999, 1))
+    yield BraidWord(10_000, (-9999, -1, -5000))
+    for _ in range(4):
+        yield random_word(rng, 8, 1599)
+    yield from (w for _, w in _words(7, 120))
+
+
+def test_fused_passes_match_their_two_pass_references():
+    bigons = 0
+    for word in _fused_pass_words():
+        classical = [t for t, x in enumerate(word.letters) if x > 0]
+        seqs, image = crossings_by_strand(word)
+        walked, walked_image = strand_walk(word)
+        assert seqs == reference_crossings_by_strand(word, walked) and len(seqs) == word.n + 1
+        assert image == walked_image
+
+        strand, nxt, prv, head, starts, image = _strand_links(word)
+        ref_strand, ref_nxt, ref_prv, ref_head, ref_starts, ref_image = reference_strand_links(word)
+        assert [strand[2 * t:2 * t + 2] for t in classical] == [ref_strand[2 * t:2 * t + 2] for t in classical]
+        assert (nxt, prv, head, starts, image) == (ref_nxt, ref_prv, ref_head, ref_starts, ref_image)
+        assert len(strand) == 2 * len(word)
+        bigons += len(starts)
+    assert bigons > 100
 
 
 def _check(run, count, expected, failure):
