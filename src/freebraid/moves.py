@@ -12,16 +12,19 @@ millions of them.  On n strands, letter x becomes the code x + n, which lies
 in 1 .. 2n - 1 and so is never 0.  Each code takes b = (2n - 1).bit_length()
 bits, letter 0 in the lowest b, and a word is the one int they make: the
 empty word is 0, a word's length is its bit length divided by b, rounded
-up, and equal ints are equal letter sequences.
+up, and equal ints are equal letter sequences.  Its rewrites of packed
+3-letter windows are kept across searches in one memo per (n, move set),
+for the last 8 pairs; a search empties a memo it leaves above 4096 entries.
+One memo of 4096 entries on 10 000 strands holds about 0.37 MiB.
 
 `scramble` walks a list of letters.  It keeps a flag per offset saying
 whether a move of the set matches there, and their running count, and
 rescans only the window a move changes.  The moves that pairs of adjacent
-letters start are cached across calls in one LRU cache, `_pair_move`, keyed
-by the two letters and shared by every move set and strand count; it holds
-at most 4096 entries.  A pair whose |a| and |b| are adjacent may start a
-triple slide: it is cached only as _SLIDE.  Both build moves through
-`_window_move`.
+letters start are kept across calls in one dict, `_pair_moves`, keyed by
+the two letters and shared by every move set and strand count.  A miss on a
+full cache (4096 entries, at most 1.53 MiB) empties it, so a hit does no
+bookkeeping.  A pair whose |a| and |b| are adjacent may start a triple
+slide: it is cached only as _SLIDE.  Both build moves through `_window_move`.
 """
 
 from __future__ import annotations
@@ -240,12 +243,20 @@ def _window_move(window: tuple[int, ...]) -> tuple:
 
 _NO_MOVE = (None, None, None, None, None)
 _SLIDE = "slide candidate"
+_PAIR_CACHE_SIZE = 4096
+_WINDOW_MEMO_SIZE = 4096  # a search empties a window memo it leaves larger than this
+# (a, c) -> `_pair_move(a, c)`, for every move set and strand count
+_pair_moves: dict[tuple[int, int], tuple | str] = {}
 
 
-@lru_cache(maxsize=4096)
 def _pair_move(a: int, c: int) -> tuple | str:
-    """_SLIDE if |a| and |c| are adjacent, else `_window_move` of the pair, for every move set and strand count."""
-    return _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c))
+    """_SLIDE if |a| and |c| are adjacent, else `_window_move` of the pair; `scramble` calls it on a miss."""
+    move = _pair_moves.get((a, c))
+    if move is None:
+        if len(_pair_moves) >= _PAIR_CACHE_SIZE:
+            _pair_moves.clear()
+        move = _pair_moves[a, c] = _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c))
+    return move
 
 
 MAX_STEPS = 1_000_000
@@ -282,6 +293,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     matched = bytearray((_match_at(letters, p) or _NO_MOVE)[0] not in off for p in range(L))
     n_matches = matched.count(1)
     history: list[MoveInstance] = []
+    pair_moves = _pair_moves
     for _ in range(steps):
         per_kind = (n - 1) * (L + 1)
         ins_total = per_kind * len(ins_kinds) if (L + 2 <= max_length and n >= 2) else 0
@@ -291,7 +303,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         r = rng.randrange(total)
         if r < n_matches:
             p = next(islice(compress(range(L), matched), r, None))
-            move = _pair_move(letters[p], letters[p + 1])
+            move = pair_moves.get(pair := (letters[p], letters[p + 1])) or _pair_move(*pair)
             if move is _SLIDE:
                 move = _window_move(tuple(letters[p:p + 3]))
             rel, i, direction, j, target = move
@@ -311,13 +323,23 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         lo = max(p - 2, 0)
         fresh = []
         for q in range(lo, p + len(target)):
-            entry = _pair_move(letters[q], letters[q + 1]) if q + 1 < L else _NO_MOVE
+            entry = (pair_moves.get(pair := (letters[q], letters[q + 1])) or _pair_move(*pair)
+                     if q + 1 < L else _NO_MOVE)
             fresh.append(entry[0] not in off if entry is not _SLIDE else
                          (_match_at(letters, q) or _NO_MOVE)[0] not in off)
         n_matches += sum(fresh) - sum(matched[lo:old_end])
         matched[lo:old_end] = bytes(fresh)
         history.append(m)
     return BraidWord._trusted(n, tuple(letters)), tuple(history)
+
+
+@lru_cache(maxsize=8)
+def _window_memo(n: int, moveset: MoveSet) -> dict[int, int]:
+    """`_discover`'s rewrites of packed windows on n strands under moveset, kept across searches.
+
+    A rewrite holds the move set's filter, and a key decodes by n, not by b alone.
+    """
+    return {}
 
 
 def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: int,
@@ -345,47 +367,52 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     rels = relations_in(moveset)
     pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
     # The match at offset p depends only on the window of letters p..p+2,
-    # so it is found, oriented and checked once per distinct window.
-    rewrites: dict[int, int] = {}
+    # so it is found, oriented and checked once per distinct window, and kept for later searches.
+    rewrites = _window_memo(n, moveset)
     seen = {origin}
-    # BFS visits words in discovery order, so order doubles as the queue.
-    for w in order:
-        length = -(-w.bit_length() // b)
-        for s in range(0, b * (length - 1), b):
-            key = w >> s & mask3
-            delta = rewrites.get(key)
-            if delta is None:
-                rel, *_, into = _window_move(_unpack(key, n, b))
-                # The packed rewrite: the XOR of source and target, 0 for a deletion, -1 for no move.
-                delta = rewrites[key] = (key & (1 << b * len(into)) - 1) ^ _pack(into, n, b) if rel in rels else -1
-            if delta < 0:
-                continue
-            neighbor = w ^ delta << s if delta else (w & (1 << s) - 1) | (w >> s + b2) << s
-            if neighbor in seen:
-                continue
-            if len(order) >= node_cap:
-                return order, True
-            seen.add(neighbor)
-            order.append(neighbor)
-            if neighbor == target:
-                return order, False
-        if length + 2 <= length_bound:
-            for s in range(0, b * (length + 1), b):
-                low = w & (1 << s) - 1
-                base = low | (w ^ low) << b2
-                # x x inserted right after x makes the word of the insertion one
-                # offset earlier, which this node has discovered, so seen rejects it.
-                for pair in pairs:
-                    neighbor = base | pair << s
-                    if neighbor in seen:
-                        continue
-                    if len(order) >= node_cap:
-                        return order, True
-                    seen.add(neighbor)
-                    order.append(neighbor)
-                    if neighbor == target:
-                        return order, False
-    return order, False
+    try:
+        # BFS visits words in discovery order, so order doubles as the queue.
+        for w in order:
+            length = -(-w.bit_length() // b)
+            for s in range(0, b * (length - 1), b):
+                key = w >> s & mask3
+                delta = rewrites.get(key)
+                if delta is None:
+                    rel, *_, into = _window_move(_unpack(key, n, b))
+                    # The packed rewrite: the XOR of source and target, 0 for a deletion, -1 for no move.
+                    delta = rewrites[key] = ((key & (1 << b * len(into)) - 1) ^ _pack(into, n, b)
+                                             if rel in rels else -1)
+                if delta < 0:
+                    continue
+                neighbor = w ^ delta << s if delta else (w & (1 << s) - 1) | (w >> s + b2) << s
+                if neighbor in seen:
+                    continue
+                if len(order) >= node_cap:
+                    return order, True
+                seen.add(neighbor)
+                order.append(neighbor)
+                if neighbor == target:
+                    return order, False
+            if length + 2 <= length_bound:
+                for s in range(0, b * (length + 1), b):
+                    low = w & (1 << s) - 1
+                    base = low | (w ^ low) << b2
+                    # x x inserted right after x makes the word of the insertion one
+                    # offset earlier, which this node has discovered, so seen rejects it.
+                    for pair in pairs:
+                        neighbor = base | pair << s
+                        if neighbor in seen:
+                            continue
+                        if len(order) >= node_cap:
+                            return order, True
+                        seen.add(neighbor)
+                        order.append(neighbor)
+                        if neighbor == target:
+                            return order, False
+        return order, False
+    finally:
+        if len(rewrites) > _WINDOW_MEMO_SIZE:
+            rewrites.clear()
 
 
 def format_history(history: tuple[MoveInstance, ...]) -> str:

@@ -6,7 +6,9 @@ identity, so the oracle makes no assumptions shared with the deciders it
 cross-checks.  It can certify equality but never inequality: a word missing
 from a bounded ball may still be reachable through longer intermediates.
 
-The search is `moves._discover`, on packed words.
+The search is `moves._discover`, on packed words.  It keeps its window
+rewrites across calls, one memo per (n, move set) for the last 8, each at
+most 4096 entries between searches, about 0.37 MiB on 10 000 strands.
 """
 
 from __future__ import annotations

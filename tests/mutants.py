@@ -14,6 +14,7 @@ SCRAMBLE_TESTS = ["tests/test_moves.py::test_scramble_matches_full_rescan_refere
                   "tests/test_moves.py::test_scramble_filters_a_cache_warmed_by_another_move_set"]
 SCHEME_TEST = "tests/test_parity.py::test_parse_scheme_designations"
 CLI_CASE = "tests/test_cli.py::test_cli_case[{}]"
+MEMO_TEST = "tests/test_oracle.py::test_window_memos_kept_across_searches_match_the_reference"
 FUSED_TEST = "tests/test_strand_walk.py::test_fused_passes_match_their_two_pass_references"
 _LINK_HEADS = """        else:
             head[a] = u
@@ -29,20 +30,15 @@ _LINK_HEADS = """        else:
 MUTANTS = [
     # The pair cache of `scramble`.
     {"id": "pair-cache-keyed-on-the-first-letter", "file": MOVES,
-     "old": "@lru_cache(maxsize=4096)\ndef _pair_move(a: int, c: int) -> tuple | str:",
-     "new": "def _pair_move(a: int, c: int) -> tuple | str:\n"
-            "    if a not in _by_first:\n"
-            "        _by_first[a] = _pair_move_of(a, c)\n"
-            "    return _by_first[a]\n\n\n"
-            "_by_first = {}\n\n\n"
-            "def _pair_move_of(a: int, c: int) -> tuple | str:",
+     "old": "    move = _pair_moves.get((a, c))\n",
+     "new": "    move = _pair_moves.get((a, c)) or next((m for (x, _), m in _pair_moves.items() if x == a), None)\n",
      "tests": SCRAMBLE_TESTS},
     {"id": "pair-cache-slide-on-equal-indices", "file": MOVES,
-     "old": "return _SLIDE if abs(abs(a) - abs(c)) == 1 else",
-     "new": "return _SLIDE if abs(abs(a) - abs(c)) == 0 else",
+     "old": "_SLIDE if abs(abs(a) - abs(c)) == 1 else",
+     "new": "_SLIDE if abs(abs(a) - abs(c)) == 0 else",
      "tests": SCRAMBLE_TESTS},
     {"id": "pair-cache-unbounded", "file": MOVES,
-     "old": "@lru_cache(maxsize=4096)", "new": "@lru_cache(maxsize=None)",
+     "old": "        if len(_pair_moves) >= _PAIR_CACHE_SIZE:\n            _pair_moves.clear()\n", "new": "",
      "tests": ["tests/test_moves.py::test_pair_cache_stays_within_the_stated_worst_case"]},
     {"id": "slide-rematched-on-two-letters", "file": MOVES,
      "old": "move = _window_move(tuple(letters[p:p + 3]))", "new": "move = _window_move(tuple(letters[p:p + 2]))",
@@ -54,6 +50,22 @@ MUTANTS = [
     {"id": "rescan-window-one-offset-short", "file": MOVES,
      "old": "lo = max(p - 2, 0)", "new": "lo = max(p - 1, 0)",
      "tests": SCRAMBLE_TESTS},
+    {"id": "initial-scan-ignores-the-move-set", "file": MOVES,
+     "old": "or _NO_MOVE)[0] not in off for p in range(L))", "new": "or _NO_MOVE)[0] is not None for p in range(L))",
+     "tests": SCRAMBLE_TESTS},
+    # The oracle's window memos, kept across searches.
+    {"id": "window-memo-keyed-without-n", "file": MOVES,
+     "old": "rewrites = _window_memo(n, moveset)", "new": "rewrites = _window_memo(b, moveset)",
+     "tests": [MEMO_TEST]},
+    {"id": "window-memo-keyed-without-the-move-set", "file": MOVES,
+     "old": "rewrites = _window_memo(n, moveset)", "new": "rewrites = _window_memo(n, MoveSet.FB)",
+     "tests": [MEMO_TEST]},
+    {"id": "window-memo-never-trimmed", "file": MOVES,
+     "old": "        if len(rewrites) > _WINDOW_MEMO_SIZE:\n            rewrites.clear()\n", "new": "        pass\n",
+     "tests": ["tests/test_oracle.py::test_window_memo_kept_after_a_wide_search_stays_within_the_stated_bound"]},
+    {"id": "window-memo-not-kept", "file": MOVES,
+     "old": "rewrites = _window_memo(n, moveset)", "new": "rewrites = {}",
+     "tests": [MEMO_TEST]},
     # Scheme lists are refused, never coerced.
     {"id": "scheme-list-skips-empty-items", "file": PARITY,
      "old": 'values = [_ascii_int(tok) for tok in body.split(",")] if body else []',
@@ -89,6 +101,29 @@ MUTANTS = [
      "old": "values = {**self._defaults, **dict(zip(fields, args)), **kwargs}",
      "new": "values = {**dict(zip(fields, args)), **kwargs, **self._defaults}",
      "tests": [VALUE_TEST]},
+    # The methods that the value classes share, and the permutation algebra.
+    {"id": "value-eq-without-its-class-test", "file": WORDS,
+     "old": "        if other.__class__ is not self.__class__:\n            return NotImplemented\n", "new": "",
+     "tests": [VALUE_TEST]},
+    {"id": "value-hash-includes-the-class-name", "file": WORDS,
+     "old": "return hash(self._astuple())", "new": "return hash((type(self).__name__, *self._astuple()))",
+     "tests": [VALUE_TEST]},
+    {"id": "value-repr-without-field-names", "file": WORDS,
+     "old": "f'{f}={getattr(self, f)!r}'", "new": "f'{getattr(self, f)!r}'",
+     "tests": [VALUE_TEST]},
+    {"id": "value-without-delattr", "file": WORDS,
+     "old": '    def __delattr__(self, name):\n        raise AttributeError(f"cannot delete field {name!r}")\n\n',
+     "new": "",
+     "tests": [VALUE_TEST]},
+    {"id": "value-without-reduce", "file": WORDS,
+     "old": "    def __reduce__(self):\n        return self.__class__, self._astuple()\n", "new": "",
+     "tests": [VALUE_TEST]},
+    {"id": "permutation-compose-in-the-wrong-order", "file": WORDS,
+     "old": "[other.image[v - 1] for v in self.image]", "new": "[self.image[v - 1] for v in other.image]",
+     "tests": ["tests/test_words.py::test_permutation_is_a_concatenation_homomorphism"]},
+    {"id": "permutation-inverse-as-the-reversed-image", "file": WORDS,
+     "old": "return Permutation._trusted(_image((0,) + self.image))", "new": "return Permutation._trusted(self.image[::-1])",
+     "tests": ["tests/test_words.py::test_permutation_inverse_and_cycles"]},
     # The two passes that swap positions themselves instead of reading `strand_walk`.
     {"id": "crossings-by-strand-virtual-skips-its-swap", "file": WORDS,
      "old": "pos[x], pos[x + 1] = pos[x + 1], pos[x]", "new": "pass",

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -320,8 +319,21 @@ def test_pack_and_unpack_across_64_letter_chunks():
             assert scramble(word, 0, MoveSet.FB, 0, length) == (word, ()), (n, length)
 
 
+def _count_misses(monkeypatch) -> list[int]:
+    """Count the pair-cache misses of later walks: `scramble` calls `_pair_move` only on a miss."""
+    misses = [0]
+    pair_move = freebraid.moves._pair_move
+
+    def counted(a, c):
+        misses[0] += 1
+        return pair_move(a, c)
+
+    monkeypatch.setattr(freebraid.moves, "_pair_move", counted)
+    return misses
+
+
 def test_scramble_is_the_same_with_cold_warm_and_capped_pair_cache(monkeypatch):
-    """The pair cache only caches: cold, warm, or evicting during a call, the walk is the same."""
+    """The pair cache only caches: cold, warm, or emptied when full during a call, the walk is the same."""
     rng = random.Random(59)
     cases = []
     for n in (2, 3, 4, 9, 17):
@@ -329,25 +341,29 @@ def test_scramble_is_the_same_with_cold_warm_and_capped_pair_cache(monkeypatch):
             word = random_word(rng, n, rng.randint(0, 30))
             cases.append((word, rng.randint(20, 150), rng.choice(list(MoveSet)), rng.getrandbits(32),
                           len(word) + rng.randint(0, 10)))
-    pair_move = freebraid.moves._pair_move
+    pair_moves = freebraid.moves._pair_moves
     cold = []
     for case in cases:
-        pair_move.cache_clear()
+        pair_moves.clear()
         cold.append(scramble(*case))
     assert cold == [reference_scramble(*case) for case in cases]
     assert [scramble(*case) for case in cases] == cold
-    # The warm pass has met every pair of every walk, and the cache has evicted none of them.
-    distinct = pair_move.cache_info().currsize
-    assert distinct < pair_move.cache_info().maxsize
+    # The warm pass has met every pair of every walk, and the cache has not been emptied.
+    distinct = len(pair_moves)
+    assert distinct < freebraid.moves._PAIR_CACHE_SIZE
 
-    capped = lru_cache(maxsize=3)(pair_move.__wrapped__)
-    monkeypatch.setattr(freebraid.moves, "_pair_move", capped)
-    assert [scramble(*case) for case in cases] == cold
-    assert capped.cache_info().currsize <= 3
-    assert capped.cache_info().misses > distinct
+    monkeypatch.setattr(freebraid.moves, "_PAIR_CACHE_SIZE", 3)
+    misses = _count_misses(monkeypatch)
+    pair_moves.clear()
+    try:
+        assert [scramble(*case) for case in cases] == cold
+        assert len(pair_moves) <= 3
+    finally:
+        pair_moves.clear()
+    assert misses[0] > distinct
 
 
-def test_one_pair_cache_serves_every_strand_count():
+def test_one_pair_cache_serves_every_strand_count(monkeypatch):
     """Walks on 3 strands fill the cache that 9-strand walks of the same letters read.
 
     The 9-strand walks equal the reference and miss fewer pairs than they do
@@ -366,17 +382,15 @@ def test_one_pair_cache_serves_every_strand_count():
             assert scramble(word, steps, moveset, seed, len(letters) + 4) == \
                 reference_scramble(word, steps, moveset, seed, len(letters) + 4), (n, letters, moveset, seed)
 
-    pair_move = freebraid.moves._pair_move
-    pair_move.cache_clear()
+    misses = _count_misses(monkeypatch)
+    freebraid.moves._pair_moves.clear()
     walk(9)
-    cold_misses = pair_move.cache_info().misses
-    pair_move.cache_clear()
+    cold_misses = misses[0]
+    freebraid.moves._pair_moves.clear()
     walk(3)
-    before = pair_move.cache_info()
+    misses[0] = 0
     walk(9)
-    after = pair_move.cache_info()
-    assert after.hits > before.hits
-    assert after.misses - before.misses < cold_misses
+    assert 0 < misses[0] < cold_misses
 
 
 def test_scramble_filters_a_cache_warmed_by_another_move_set():
@@ -387,15 +401,12 @@ def test_scramble_filters_a_cache_warmed_by_another_move_set():
         word = _slide_rich_word(rng, rng.randint(0, 20), rng.randint(1, 6))
         word = BraidWord(3, word.letters + (1, 1, 2, 2))
         cases.append((word, rng.randint(20, 120), rng.getrandbits(32), len(word) + rng.randint(0, 10)))
-    pair_move = freebraid.moves._pair_move
-    pair_move.cache_clear()
+    pair_moves = freebraid.moves._pair_moves
+    pair_moves.clear()
     for word, steps, seed, max_length in cases:
         scramble(word, steps, MoveSet.FB, seed, max_length)
-    before = pair_move.cache_info()
-    assert pair_move(1, 1)[0] is Relation.CLASSICAL_R2
-    assert pair_move(1, 2) is freebraid.moves._SLIDE
-    after = pair_move.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    assert pair_moves[1, 1][0] is Relation.CLASSICAL_R2
+    assert pair_moves[1, 2] is freebraid.moves._SLIDE
     for moveset in (MoveSet.STRONG, MoveSet.F):
         for word, steps, seed, max_length in cases:
             assert scramble(word, steps, moveset, seed, max_length) == \
@@ -411,28 +422,29 @@ PAIR_CACHE_WORST_CASE_BYTES = 2 * 2**20
 def test_pair_cache_stays_within_the_stated_worst_case():
     """Scrambles at 24 strand counts, then 20 000 steps on 10 000 strands, keep at most 4096 entries.
 
-    The cache cannot be listed, so its bytes are counted on the worst case
-    itself, filled afresh under tracemalloc: tracing the walks is ten times slower.
+    The worst case, a full cache of the largest entries, is filled afresh
+    under tracemalloc: tracing the walks is ten times slower.
     """
-    pair_move = freebraid.moves._pair_move
-    assert pair_move.cache_info().maxsize == 4096
-    pair_move.cache_clear()
+    pair_moves, pair_move = freebraid.moves._pair_moves, freebraid.moves._pair_move
+    assert freebraid.moves._PAIR_CACHE_SIZE == 4096
+    pair_moves.clear()
     rng = random.Random(61)
     for n in range(2, 26):
         for moveset in (MoveSet.F, MoveSet.STRONG):
             scramble(random_word(rng, n, 40), 300, moveset, n, 80)
     scramble(parse_word("n=10000; z1 z9999 t5000 z5001 t2 z3"), 20_000, MoveSet.F, 5, 400)
-    assert 1000 < pair_move.cache_info().currsize <= 4096
+    assert 1000 < len(pair_moves) <= 4096
 
     # The worst case itself: a full cache of far commutativities t_i t_j on 10 000 strands.
-    pair_move.cache_clear()
+    pair_moves.clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         moves = [pair_move(-300, -2000 - k) for k in range(4096)]
         held = tracemalloc.get_traced_memory()[0] - before
+        assert len(pair_moves) == 4096
     finally:
         tracemalloc.stop()
-        pair_move.cache_clear()
+        pair_moves.clear()
     assert all(move[0] is Relation.FAR_COMM_TT for move in moves)
     assert held <= PAIR_CACHE_WORST_CASE_BYTES, held

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+import freebraid.moves
 from freebraid.words import BraidWord, PreconditionError, parse_word
 from freebraid.moves import MoveSet, relation_sides, scramble
 from freebraid.normalform import f_equal, strongly_equal
@@ -274,19 +275,23 @@ def test_node_cap_below_one_is_rejected(node_cap):
         bfs_ball(w, MoveSet.F, 5, node_cap=node_cap)
 
 
+def _empty_move_caches():
+    freebraid.moves._pair_moves.clear()
+    freebraid.moves._window_memo.cache_clear()
+
+
 def test_window_rewrite_check_still_fires(monkeypatch):
     """`moves._window_move`, the one builder of a window's move, refuses sides that do not match.
 
-    The pair cache starts empty, as a warm cache would hold moves built before
-    the patch, and is emptied again so that no move built under it outlives it.
+    The pair cache and the window memos start empty, as warm ones would hold
+    moves built before the patch, and are emptied again so that no move built
+    under it outlives it.
     """
-    import freebraid.moves
-
     def mismatched(relation, i, direction, j=None):
         source, target = relation_sides(relation, i, j)
         return tuple(-x for x in source), target
 
-    freebraid.moves._pair_move.cache_clear()
+    _empty_move_caches()
     monkeypatch.setattr(freebraid.moves, "_oriented_sides", mismatched)
     w = parse_word("n=3; z1 z1 t2")
     try:
@@ -297,9 +302,85 @@ def test_window_rewrite_check_still_fires(monkeypatch):
         with pytest.raises(PreconditionError, match="does not match at position"):
             scramble(w, 50, MoveSet.F, 0, 9)
     finally:
-        freebraid.moves._pair_move.cache_clear()
+        _empty_move_caches()
 
 
 def test_deciders_split_words_as_the_oracle_does_at_four_strands():
     """Criterion 6's check at n = 4: the 259 words of length at most 3, balls of length 7."""
     assert oracle_disagreements(4, 3, 7) == (259, 0)
+
+
+def test_window_memos_kept_across_searches_match_the_reference(monkeypatch):
+    """Searches on n = 3, then n = 4, under F, strong, then FB, from the same letters, cold and warm.
+
+    n = 3 and n = 4 pack a letter into the same 3 bits but decode it
+    differently, and a rewrite holds its move set's filter, so each (n, move
+    set) has its own memo.  Once kept, a memo serves a repeated search
+    without building any window's move.
+    """
+    rng = random.Random(907)
+    letters = [random_word(rng, 3, rng.randint(1, 5)).letters for _ in range(16)]
+    runs = []
+    for n in (3, 4):
+        for moveset in (MoveSet.F, MoveSet.STRONG, MoveSet.FB):
+            for seq in letters:
+                word, bound = BraidWord(n, seq), len(seq) + rng.randint(0, 2)
+                node_cap = rng.choice((10, 400, 1_000_000))
+                partners = _trailing_partners(rng, word) + [scramble(word, 4, moveset, len(runs), bound)[0]]
+                ref = reference_bfs_ball(word, moveset, bound, node_cap)
+                verdicts = [reference_oracle_equal(word, w2, moveset, bound, node_cap) for w2 in partners]
+                runs.append((word, moveset, bound, node_cap, partners, (ref.members, ref.cap_exceeded), verdicts))
+
+    def search(word, moveset, bound, node_cap, partners, ball, verdicts):
+        got = bfs_ball(word, moveset, bound, node_cap)
+        assert (got.members, got.cap_exceeded) == ball, (word, moveset, bound, node_cap)
+        assert [oracle_equal(word, w2, moveset, bound, node_cap) for w2 in partners] == verdicts, \
+            (word, moveset, bound, node_cap)
+
+    for run in runs:
+        _empty_move_caches()
+        search(*run)
+    _empty_move_caches()
+    for run in runs:
+        search(*run)
+    assert all(freebraid.moves._window_memo(n, moveset) for n in (3, 4) for moveset in MoveSet)
+
+    built, build = [], freebraid.moves._window_move
+    monkeypatch.setattr(freebraid.moves, "_window_move", lambda window: built.append(window) or build(window))
+    for run in runs:
+        search(*run)
+    assert built == []
+
+
+# The README's bound on one window memo: 4096 entries on many strands, where most
+# keys are ints beyond 2**30.  The package keeps at most 8 memos.
+WINDOW_MEMO_WORST_CASE_BYTES = 2**20
+
+
+def test_window_memo_kept_after_a_wide_search_stays_within_the_stated_bound():
+    """A search that meets more than 4096 windows leaves its memo empty; smaller ones keep theirs.
+
+    On 3000 strands, the insertions around one letter meet about 36 000
+    windows.  On 1000 strands, searches over far-commuting letters fill a
+    memo to nearly 4096 entries, and tracemalloc counts what they keep.
+    """
+    assert freebraid.moves._WINDOW_MEMO_SIZE == 4096
+    assert freebraid.moves._window_memo.cache_info().maxsize == 8
+    _empty_move_caches()
+    ball = bfs_ball(parse_word("n=3000; z1"), MoveSet.F, 3)
+    assert len(ball) > 4096 and not ball.cap_exceeded
+    assert freebraid.moves._window_memo(3000, MoveSet.F) == {}
+
+    memo = freebraid.moves._window_memo(1000, MoveSet.F)
+    rng = random.Random(911)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        while len(memo) < 3800:
+            word = BraidWord(1000, tuple(rng.choice((-1, 1)) * rng.randrange(1, 1000) for _ in range(5)))
+            bfs_ball(word, MoveSet.F, len(word))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        _empty_move_caches()
+    assert held <= WINDOW_MEMO_WORST_CASE_BYTES, held
