@@ -4,7 +4,7 @@ The catalogue covers pair cancellations (R2), virtualization, far
 commutativity, and the virtual / semivirtual / classical triple slides
 (R3).  The move set F admits everything except the classical R3; FB admits
 all of it; STRONG is F without the classical R2.  A move set only filters
-the one relation that `_match_at` finds at an offset.  Every relation
+the one relation that `_window_move` finds at an offset.  Every relation
 preserves the endpoint permutation.
 
 `_discover`, the oracle's search, runs on packed words, because it hashes
@@ -18,13 +18,15 @@ for the last 8 pairs; a search empties a memo it leaves above 4096 entries.
 One memo of 4096 entries on 10 000 strands holds about 0.37 MiB.
 
 `scramble` walks a list of letters.  It keeps a flag per offset saying
-whether a move of the set matches there, and their running count, and
-rescans only the window a move changes.  The moves that pairs of adjacent
-letters start are kept across calls in one dict, `_pair_moves`, keyed by
-the two letters and shared by every move set and strand count.  A miss on a
-full cache (4096 entries, at most 1.53 MiB) empties it, so a hit does no
-bookkeeping.  A pair whose |a| and |b| are adjacent may start a triple
-slide: it is cached only as _SLIDE.  Both build moves through `_window_move`.
+whether a move of the set matches there, and their running count.  One
+rescan writes the flags: the first covers every offset, each later one only
+the window a move changed.  The moves that windows start are kept across
+calls in one dict, `_pair_moves`, shared by every move set and strand count:
+a pair of letters maps to its move, or to _SLIDE when |a| and |b| are
+adjacent, and a slide candidate's move is keyed by the pair and its third
+letter.  A miss on a full cache (4096 entries, at most 1.86 MiB) empties it,
+so a hit does no bookkeeping.  Both caches build moves with `_window_move`,
+the one matcher.
 """
 
 from __future__ import annotations
@@ -145,49 +147,6 @@ class MoveInstance(_Value):
 _FWD, _REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
 
-def _match_at(letters: tuple[int, ...] | list[int], p: int) -> tuple[Relation, int, Direction, int | None] | None:
-    """The non-insertion move whose source side starts at offset p, or None.
-
-    The move is a `(relation, i, direction, j)` tuple that depends only on
-    letters[p:p + 3].  At most one relation matches at an offset: pair
-    cancellation needs b == a, virtualization b == -a, far commutativity
-    |a| and |b| at least 2 apart and every triple slide |a| and |b|
-    adjacent, and among the slides c == -a sets the semivirtual one apart.
-    Offsets 0, 1, ... in turn therefore give the scan order that `scramble`
-    draws from and `_discover` discovers in.
-    """
-    if p + 1 >= len(letters):
-        return None
-    a, b = letters[p], letters[p + 1]
-    ia, ib = abs(a), abs(b)
-    if a == b:
-        if a < 0:
-            return (_VIRTUAL_R2, ia, _FWD, None)
-        return (_CLASSICAL_R2, a, _FWD, None)
-    if b == -a:
-        return (_VIRTUALIZATION, ia, _FWD if a < 0 else _REV, None)
-    if abs(ia - ib) >= 2:
-        if a > 0 and b > 0:
-            return (_FAR_COMM_ZZ, min(a, b), _FWD if a < b else _REV, max(a, b))
-        if a < 0 and b < 0:
-            return (_FAR_COMM_TT, min(ia, ib), _FWD if ia < ib else _REV, max(ia, ib))
-        return (_FAR_COMM_ZT, a, _FWD, ib) if a > 0 else (_FAR_COMM_ZT, b, _REV, ia)
-    if p + 2 >= len(letters):
-        return None
-    c = letters[p + 2]
-    if c == a:
-        if a < 0 and b < 0:
-            return (_VIRTUAL_R3, ia, _FWD, None) if ib == ia + 1 else (_VIRTUAL_R3, ib, _REV, None)
-        if a > 0 and b > 0:
-            return (_CLASSICAL_R3, a, _FWD, None) if b == a + 1 else (_CLASSICAL_R3, b, _REV, None)
-        return None
-    if a < 0 and b == a - 1 and c == ia:
-        return (_SEMIVIRTUAL_R3, ia, _FWD, None)
-    if a > 1 and b == -(a - 1) and c == -a:
-        return (_SEMIVIRTUAL_R3, a - 1, _REV, None)
-    return None
-
-
 def _rewrite(letters: tuple[int, ...], p: int, source: tuple[int, ...], target: tuple[int, ...],
              relation: Relation, direction: Direction) -> tuple[int, ...]:
     """letters with source, which must sit at offset p, replaced by target."""
@@ -229,12 +188,42 @@ def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
 
 
 def _window_move(window: tuple[int, ...]) -> tuple:
-    """The move at offset 0 of window as `(relation, i, direction, j, target)`, or _NO_MOVE.
+    """The non-insertion move at offset 0 of window as `(relation, i, direction, j, target)`, or _NO_MOVE.
 
-    The move's source is the first len(target) letters of window, or the first two for a deletion.
+    The move depends only on the first three letters, and its source is the
+    first len(target) letters, or the first two for a deletion.  At most one
+    relation matches: pair cancellation needs b == a, virtualization b == -a,
+    far commutativity |a| and |b| at least 2 apart and every triple slide |a|
+    and |b| adjacent, and among the slides c == -a sets the semivirtual one
+    apart.  Offsets 0, 1, ... in turn therefore give the scan order that
+    `scramble` draws from and `_discover` discovers in.
     """
-    match = _match_at(window, 0)
-    if match is None:
+    if len(window) < 2:
+        return _NO_MOVE
+    a, b = window[0], window[1]
+    ia, ib = abs(a), abs(b)
+    if a == b:
+        match = (_VIRTUAL_R2, ia, _FWD, None) if a < 0 else (_CLASSICAL_R2, a, _FWD, None)
+    elif b == -a:
+        match = (_VIRTUALIZATION, ia, _FWD if a < 0 else _REV, None)
+    elif abs(ia - ib) >= 2:
+        if a > 0 and b > 0:
+            match = (_FAR_COMM_ZZ, min(a, b), _FWD if a < b else _REV, max(a, b))
+        elif a < 0 and b < 0:
+            match = (_FAR_COMM_TT, min(ia, ib), _FWD if ia < ib else _REV, max(ia, ib))
+        else:
+            match = (_FAR_COMM_ZT, a, _FWD, ib) if a > 0 else (_FAR_COMM_ZT, b, _REV, ia)
+    elif len(window) < 3:
+        return _NO_MOVE
+    elif (c := window[2]) == a and a < 0 and b < 0:
+        match = (_VIRTUAL_R3, ia, _FWD, None) if ib == ia + 1 else (_VIRTUAL_R3, ib, _REV, None)
+    elif c == a and a > 0 and b > 0:
+        match = (_CLASSICAL_R3, a, _FWD, None) if b == a + 1 else (_CLASSICAL_R3, b, _REV, None)
+    elif a < 0 and b == a - 1 and c == ia:
+        match = (_SEMIVIRTUAL_R3, ia, _FWD, None)
+    elif a > 1 and b == -(a - 1) and c == -a:
+        match = (_SEMIVIRTUAL_R3, a - 1, _REV, None)
+    else:
         return _NO_MOVE
     source, target = _oriented_sides(*match)
     _rewrite(window, 0, source, target, match[0], match[2])
@@ -245,17 +234,19 @@ _NO_MOVE = (None, None, None, None, None)
 _SLIDE = "slide candidate"
 _PAIR_CACHE_SIZE = 4096
 _WINDOW_MEMO_SIZE = 4096  # a search empties a window memo it leaves larger than this
-# (a, c) -> `_pair_move(a, c)`, for every move set and strand count
-_pair_moves: dict[tuple[int, int], tuple | str] = {}
+# A pair of letters, or a slide candidate's pair and third letter -> `_pair_move` of that key,
+# for every move set and strand count
+_pair_moves: dict[tuple[int, ...], tuple | str] = {}
 
 
-def _pair_move(a: int, c: int) -> tuple | str:
-    """_SLIDE if |a| and |c| are adjacent, else `_window_move` of the pair; `scramble` calls it on a miss."""
-    move = _pair_moves.get((a, c))
-    if move is None:
-        if len(_pair_moves) >= _PAIR_CACHE_SIZE:
-            _pair_moves.clear()
-        move = _pair_moves[a, c] = _SLIDE if abs(abs(a) - abs(c)) == 1 else _window_move((a, c))
+def _pair_move(key: tuple[int, ...]) -> tuple | str:
+    """On a miss of `_pair_moves`: cache and return _SLIDE for a pair whose |a| and |b| are adjacent,
+    else `_window_move(key)`; key is a pair, or a slide candidate's pair and third letter.
+    """
+    if len(_pair_moves) >= _PAIR_CACHE_SIZE:
+        _pair_moves.clear()
+    slide = len(key) == 2 and abs(abs(key[0]) - abs(key[1])) == 1
+    move = _pair_moves[key] = _SLIDE if slide else _window_move(key)
     return move
 
 
@@ -290,11 +281,22 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     n = word.n
     letters = list(word.letters)
     L = len(letters)
-    matched = bytearray((_match_at(letters, p) or _NO_MOVE)[0] not in off for p in range(L))
-    n_matches = matched.count(1)
+    matched, n_matches = bytearray(), 0  # per offset: does a move of the set start there?
     history: list[MoveInstance] = []
     pair_moves = _pair_moves
+    lo, old_end, hi = 0, 0, L  # the first rescan is the initial scan of every offset
     for _ in range(steps):
+        # Flags [lo, old_end) become those of offsets [lo, hi) of the current letters.
+        fresh = []
+        for q in range(lo, hi):
+            move = (pair_moves.get(pair := (letters[q], letters[q + 1])) or _pair_move(pair)
+                    if q + 1 < L else _NO_MOVE)
+            if move is _SLIDE:
+                move = (pair_moves.get(key := (*pair, letters[q + 2])) or _pair_move(key)
+                        if q + 2 < L else _NO_MOVE)
+            fresh.append(move[0] not in off)
+        n_matches += sum(fresh) - sum(matched[lo:old_end])
+        matched[lo:old_end] = bytes(fresh)
         per_kind = (n - 1) * (L + 1)
         ins_total = per_kind * len(ins_kinds) if (L + 2 <= max_length and n >= 2) else 0
         total = n_matches + ins_total
@@ -303,9 +305,9 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         r = rng.randrange(total)
         if r < n_matches:
             p = next(islice(compress(range(L), matched), r, None))
-            move = pair_moves.get(pair := (letters[p], letters[p + 1])) or _pair_move(*pair)
+            move = pair_moves.get(pair := (letters[p], letters[p + 1])) or _pair_move(pair)
             if move is _SLIDE:
-                move = _window_move(tuple(letters[p:p + 3]))
+                move = pair_moves.get(key := (*pair, letters[p + 2])) or _pair_move(key)
             rel, i, direction, j, target = move
             m = MoveInstance(rel, i, p, direction, j)
             old_end = p + (len(target) or 2)
@@ -320,15 +322,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         letters[p:old_end] = target
         L = len(letters)
         # A match at q reads only letters q..q+2, so only offsets [p-2, p + len(target)) change.
-        lo = max(p - 2, 0)
-        fresh = []
-        for q in range(lo, p + len(target)):
-            entry = (pair_moves.get(pair := (letters[q], letters[q + 1])) or _pair_move(*pair)
-                     if q + 1 < L else _NO_MOVE)
-            fresh.append(entry[0] not in off if entry is not _SLIDE else
-                         (_match_at(letters, q) or _NO_MOVE)[0] not in off)
-        n_matches += sum(fresh) - sum(matched[lo:old_end])
-        matched[lo:old_end] = bytes(fresh)
+        lo, hi = max(p - 2, 0), p + len(target)
         history.append(m)
     return BraidWord._trusted(n, tuple(letters)), tuple(history)
 
@@ -365,7 +359,7 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
     if origin == target:
         return order, False
     rels = relations_in(moveset)
-    pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]
+    pairs = None  # the packed R2 pairs, built at the first node that can take an insertion
     # The match at offset p depends only on the window of letters p..p+2,
     # so it is found, oriented and checked once per distinct window, and kept for later searches.
     rewrites = _window_memo(n, moveset)
@@ -394,6 +388,9 @@ def _discover(word: BraidWord, moveset: MoveSet, length_bound: int, node_cap: in
                 if neighbor == target:
                     return order, False
             if length + 2 <= length_bound:
+                if pairs is None:
+                    pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels
+                             for i in range(1, n)]
                 for s in range(0, b * (length + 1), b):
                     low = w & (1 << s) - 1
                     base = low | (w ^ low) << b2

@@ -28,30 +28,32 @@ _LINK_HEADS = """        else:
 """
 
 MUTANTS = [
-    # The pair cache of `scramble`.
+    # The pair cache of `scramble`, keyed by pairs and slide triples, and its rescan.
     {"id": "pair-cache-keyed-on-the-first-letter", "file": MOVES,
-     "old": "    move = _pair_moves.get((a, c))\n",
-     "new": "    move = _pair_moves.get((a, c)) or next((m for (x, _), m in _pair_moves.items() if x == a), None)\n",
+     "old": "    if len(_pair_moves) >= _PAIR_CACHE_SIZE:\n",
+     "new": "    if move := next((m for k, m in _pair_moves.items() if k[:1] == key[:1] and len(k) == len(key)), None):\n"
+            "        return move\n    if len(_pair_moves) >= _PAIR_CACHE_SIZE:\n",
      "tests": SCRAMBLE_TESTS},
     {"id": "pair-cache-slide-on-equal-indices", "file": MOVES,
-     "old": "_SLIDE if abs(abs(a) - abs(c)) == 1 else",
-     "new": "_SLIDE if abs(abs(a) - abs(c)) == 0 else",
+     "old": "abs(abs(key[0]) - abs(key[1])) == 1", "new": "abs(abs(key[0]) - abs(key[1])) == 0",
      "tests": SCRAMBLE_TESTS},
     {"id": "pair-cache-unbounded", "file": MOVES,
-     "old": "        if len(_pair_moves) >= _PAIR_CACHE_SIZE:\n            _pair_moves.clear()\n", "new": "",
+     "old": "    if len(_pair_moves) >= _PAIR_CACHE_SIZE:\n        _pair_moves.clear()\n", "new": "",
      "tests": ["tests/test_moves.py::test_pair_cache_stays_within_the_stated_worst_case"]},
     {"id": "slide-rematched-on-two-letters", "file": MOVES,
-     "old": "move = _window_move(tuple(letters[p:p + 3]))", "new": "move = _window_move(tuple(letters[p:p + 2]))",
+     "old": "key := (*pair, letters[p + 2])", "new": "key := (*pair, letters[p + 2])[:2]",
+     "tests": SCRAMBLE_TESTS},
+    {"id": "slide-keyed-on-the-pair-alone", "file": MOVES,
+     "old": "move = _pair_moves[key] =", "new": "move = _pair_moves[key[:2]] =",
      "tests": SCRAMBLE_TESTS},
     {"id": "rescan-ignores-the-move-set", "file": MOVES,
-     "old": "fresh.append(entry[0] not in off if entry is not _SLIDE else",
-     "new": "fresh.append(entry[0] is not None if entry is not _SLIDE else",
+     "old": "fresh.append(move[0] not in off)", "new": "fresh.append(move[0] is not None)",
      "tests": SCRAMBLE_TESTS},
     {"id": "rescan-window-one-offset-short", "file": MOVES,
-     "old": "lo = max(p - 2, 0)", "new": "lo = max(p - 1, 0)",
+     "old": "lo, hi = max(p - 2, 0),", "new": "lo, hi = max(p - 1, 0),",
      "tests": SCRAMBLE_TESTS},
-    {"id": "initial-scan-ignores-the-move-set", "file": MOVES,
-     "old": "or _NO_MOVE)[0] not in off for p in range(L))", "new": "or _NO_MOVE)[0] is not None for p in range(L))",
+    {"id": "first-rescan-skips-the-last-pair", "file": MOVES,
+     "old": "lo, old_end, hi = 0, 0, L", "new": "lo, old_end, hi = 0, 0, L - 2",
      "tests": SCRAMBLE_TESTS},
     # The oracle's window memos, kept across searches.
     {"id": "window-memo-keyed-without-n", "file": MOVES,
@@ -66,6 +68,14 @@ MUTANTS = [
     {"id": "window-memo-not-kept", "file": MOVES,
      "old": "rewrites = _window_memo(n, moveset)", "new": "rewrites = {}",
      "tests": [MEMO_TEST]},
+    # `_discover` packs its R2 insertions at the first node that can take one.
+    {"id": "insertion-codes-never-built", "file": MOVES,
+     "old": "    pairs = None  #", "new": "    pairs = []  #",
+     "tests": [MEMO_TEST]},
+    {"id": "insertion-codes-built-before-the-search", "file": MOVES,
+     "old": "    pairs = None  #",
+     "new": "    pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]  #",
+     "tests": ["tests/test_oracle.py::test_a_search_that_cannot_insert_builds_no_insertion_code"]},
     # Scheme lists are refused, never coerced.
     {"id": "scheme-list-skips-empty-items", "file": PARITY,
      "old": 'values = [_ascii_int(tok) for tok in body.split(",")] if body else []',

@@ -12,7 +12,6 @@ from freebraid.moves import (
     MoveInstance,
     MoveSet,
     Relation,
-    _match_at,
     apply_move,
     relation_sides,
     relations_in,
@@ -249,9 +248,9 @@ def test_scramble_refuses_a_negative_seed():
 
 @pytest.mark.parametrize("moveset", list(MoveSet))
 def test_match_at_agrees_with_reference_on_every_short_window(moveset):
-    """Every window of 1 to 3 letters on n = 4: the matcher the oracle's window cache relies on.
+    """Every window of 1 to 3 letters on n = 4: `_window_move`, the matcher both move caches rely on.
 
-    `_match_at` finds a relation whatever the move set; the set's filter keeps only its own relations.
+    It finds a relation whatever the move set; the set's filter keeps only its own relations.
     """
     rels = relations_in(moveset)
     alphabet = (1, 2, 3, -1, -2, -3)
@@ -259,12 +258,10 @@ def test_match_at_agrees_with_reference_on_every_short_window(moveset):
     for length in range(1, 4):
         windows = [w + (x,) for w in windows for x in alphabet]
         for window in windows:
-            match = _match_at(window, 0)
-            if match is not None and match[0] not in rels:
-                match = None
+            rel, i, direction, j, _ = freebraid.moves._window_move(window)
             expected = [(m.relation, m.i, m.direction, m.j)
                         for m in reference_match_instances(window, rels) if m.position == 0]
-            assert ([] if match is None else [match]) == expected, (window, moveset)
+            assert ([(rel, i, direction, j)] if rel in rels else []) == expected, (window, moveset)
 
 
 def _slide_rich_word(rng: random.Random, length: int, windows: int) -> BraidWord:
@@ -324,9 +321,9 @@ def _count_misses(monkeypatch) -> list[int]:
     misses = [0]
     pair_move = freebraid.moves._pair_move
 
-    def counted(a, c):
+    def counted(key):
         misses[0] += 1
-        return pair_move(a, c)
+        return pair_move(key)
 
     monkeypatch.setattr(freebraid.moves, "_pair_move", counted)
     return misses
@@ -361,6 +358,54 @@ def test_scramble_is_the_same_with_cold_warm_and_capped_pair_cache(monkeypatch):
     finally:
         pair_moves.clear()
     assert misses[0] > distinct
+
+
+def test_a_warm_pair_cache_answers_every_lookup(monkeypatch):
+    """Walks repeated on a cache that holds every pair and slide triple they meet build no move.
+
+    `_window_move` raises under the patch, so every lookup of the repeated
+    walks, in the first rescan, the later rescans and the draws, reads
+    `_pair_moves`.
+    """
+    rng = random.Random(83)
+    cases = []
+    for n in (2, 3, 4, 9):
+        for _ in range(6):
+            word = (_slide_rich_word(rng, rng.randint(0, 20), rng.randint(1, 6)) if n == 3
+                    else random_word(rng, n, rng.randint(0, 30)))
+            cases.append((word, rng.randint(20, 150), rng.choice(list(MoveSet)), rng.getrandbits(32),
+                          len(word) + rng.randint(0, 10)))
+    pair_moves = freebraid.moves._pair_moves
+    pair_moves.clear()
+    walks = [scramble(*case) for case in cases]
+    assert walks == [reference_scramble(*case) for case in cases]
+    assert len(pair_moves) < freebraid.moves._PAIR_CACHE_SIZE
+    assert any(len(key) == 3 and move[0] is not None for key, move in pair_moves.items())
+
+    def refuse(window):
+        raise AssertionError(f"built the move of {window}")
+
+    monkeypatch.setattr(freebraid.moves, "_window_move", refuse)
+    assert [scramble(*case) for case in cases] == walks
+
+
+def test_scramble_at_the_end_of_the_word():
+    """A slide may start at the last three letters; a slide candidate that ends the word starts no move.
+
+    Both words are at max_length, so no step inserts.
+    """
+    slide_at_end = parse_word("n=5; z1 z4 t1 t2 t1")
+    firsts = {scramble(slide_at_end, 1, MoveSet.F, seed, 5)[1] for seed in range(64)}
+    assert firsts == {(MoveInstance(Relation.FAR_COMM_ZZ, 1, 0, FWD, 4),),
+                      (MoveInstance(Relation.FAR_COMM_ZT, 4, 1, FWD, 1),),
+                      (MoveInstance(Relation.VIRTUAL_R3, 1, 2, FWD),)}
+    candidate_at_end = parse_word("n=3; z1 z1 t2")
+    assert scramble(candidate_at_end, 5, MoveSet.STRONG, 0, 3) == (candidate_at_end, ())
+    assert scramble(candidate_at_end, 1, MoveSet.F, 0, 3)[1] == (MoveInstance(Relation.CLASSICAL_R2, 1, 0, FWD),)
+    for word in (slide_at_end, candidate_at_end):
+        for seed in range(20):
+            assert scramble(word, 30, MoveSet.FB, seed, len(word)) == \
+                reference_scramble(word, 30, MoveSet.FB, seed, len(word)), (word, seed)
 
 
 def test_one_pair_cache_serves_every_strand_count(monkeypatch):
@@ -413,17 +458,18 @@ def test_scramble_filters_a_cache_warmed_by_another_move_set():
                 reference_scramble(word, steps, moveset, seed, max_length), (word, moveset, seed)
 
 
-# The README's bound on the pair cache: 4096 entries, each a far commutativity of
-# virtual letters on 10 000 strands, the largest kind of entry (its letters, its
-# indices and its target letters are all ints beyond the small-int cache).
+# The README's bound on the pair cache: 4096 entries on 10 000 strands, each a far
+# commutativity of virtual letters or a virtual slide keyed by its three letters, the
+# largest kinds of entry (their letters, indices and target letters are all ints
+# beyond the small-int cache).
 PAIR_CACHE_WORST_CASE_BYTES = 2 * 2**20
 
 
 def test_pair_cache_stays_within_the_stated_worst_case():
     """Scrambles at 24 strand counts, then 20 000 steps on 10 000 strands, keep at most 4096 entries.
 
-    The worst case, a full cache of the largest entries, is filled afresh
-    under tracemalloc: tracing the walks is ten times slower.
+    The worst cases, a full cache of pairs and one of slide triples, are
+    filled afresh under tracemalloc: tracing the walks is ten times slower.
     """
     pair_moves, pair_move = freebraid.moves._pair_moves, freebraid.moves._pair_move
     assert freebraid.moves._PAIR_CACHE_SIZE == 4096
@@ -435,16 +481,18 @@ def test_pair_cache_stays_within_the_stated_worst_case():
     scramble(parse_word("n=10000; z1 z9999 t5000 z5001 t2 z3"), 20_000, MoveSet.F, 5, 400)
     assert 1000 < len(pair_moves) <= 4096
 
-    # The worst case itself: a full cache of far commutativities t_i t_j on 10 000 strands.
-    pair_moves.clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        moves = [pair_move(-300, -2000 - k) for k in range(4096)]
-        held = tracemalloc.get_traced_memory()[0] - before
-        assert len(pair_moves) == 4096
-    finally:
-        tracemalloc.stop()
+    # The worst cases themselves: far commutativities t_i t_j, then slides t_i t_i+1 t_i, on 10 000 strands.
+    for keys, relation in ((((-300, -2000 - k) for k in range(4096)), Relation.FAR_COMM_TT),
+                           (((-k, -k - 1, -k) for k in range(2000, 6096)), Relation.VIRTUAL_R3)):
         pair_moves.clear()
-    assert all(move[0] is Relation.FAR_COMM_TT for move in moves)
-    assert held <= PAIR_CACHE_WORST_CASE_BYTES, held
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            moves = [pair_move(key) for key in keys]
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert len(pair_moves) == 4096
+        finally:
+            tracemalloc.stop()
+            pair_moves.clear()
+        assert all(move[0] is relation for move in moves)
+        assert held <= PAIR_CACHE_WORST_CASE_BYTES, (relation, held)

@@ -352,6 +352,20 @@ def test_window_memos_kept_across_searches_match_the_reference(monkeypatch):
     assert built == []
 
 
+def test_a_search_that_cannot_insert_builds_no_insertion_code(monkeypatch):
+    """`_discover` packs its 2(n - 1) R2 pairs at the first node that can take an insertion, not before.
+
+    On 10 000 strands the ball of z1 z3 z5 at bound 3 is six far-commutation
+    words; the second search, on a warm window memo, asks for no relation's sides.
+    """
+    word = parse_word("n=10000; z1 z3 z5")
+    assert len(bfs_ball(word, MoveSet.F, 3)) == 6
+    asked, sides = [], freebraid.moves.relation_sides
+    monkeypatch.setattr(freebraid.moves, "relation_sides", lambda *args: asked.append(args) or sides(*args))
+    assert len(bfs_ball(word, MoveSet.F, 3)) == 6
+    assert asked == []
+
+
 # The README's bound on one window memo: 4096 entries on many strands, where most
 # keys are ints beyond 2**30.  The package keeps at most 8 memos.
 WINDOW_MEMO_WORST_CASE_BYTES = 2**20
