@@ -17,16 +17,16 @@ up, and equal ints are equal letter sequences.  Its rewrites of packed
 for the last 8 pairs; a search empties a memo it leaves above 4096 entries.
 One memo of 4096 entries on 10 000 strands holds about 0.37 MiB.
 
-`scramble` walks a list of letters.  It keeps a flag per offset saying
-whether a move of the set matches there, and their running count.  One
-rescan writes the flags: the first covers every offset, each later one only
-the window a move changed.  The moves that windows start are kept across
-calls in one dict, `_pair_moves`, shared by every move set and strand count:
-a pair of letters maps to its move, or to _SLIDE when |a| and |b| are
-adjacent, and a slide candidate's move is keyed by the pair and its third
-letter.  A miss on a full cache (4096 entries, at most 1.86 MiB) empties it,
-so a hit does no bookkeeping.  Both caches build moves with `_window_move`,
-the one matcher.
+`scramble` walks a list of letters.  Bit q of one int is set when a move of
+the set starts at offset q.  One rescan writes the bits, the first over
+every offset and each later one over the window a move changed, spliced in
+by shifts.  A step draws the r-th set bit by halving the int, so at the
+letter cap a step costs O(L/30) digit operations in C and one list memmove.
+The moves that windows start are kept across calls in `_pair_moves`, for
+every move set and strand count: a pair maps to its move, or to _SLIDE when
+|a| and |b| are adjacent, and a slide candidate's move is keyed by the pair
+and its third letter.  A miss on a full cache (4096 entries, 1.46 MiB at
+most) empties it, so a hit does no bookkeeping.  `_window_move` fills both.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import random
 from enum import Enum
 from functools import lru_cache
-from itertools import compress, islice
 
 from .words import MAX_LETTERS, BraidWord, PreconditionError, _Value
 
@@ -227,7 +226,7 @@ def _window_move(window: tuple[int, ...]) -> tuple:
         return _NO_MOVE
     source, target = _oriented_sides(*match)
     _rewrite(window, 0, source, target, match[0], match[2])
-    return (*match, target)
+    return (*match, tuple(window[window.index(x)] if x in window else x for x in target))  # the window's ints
 
 
 _NO_MOVE = (None, None, None, None, None)
@@ -273,7 +272,7 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         raise PreconditionError(f"max_length must be at most {MAX_LETTERS}, got {max_length}")
     if seed < 0:  # random.Random(-s) would replay the walk of seed s
         raise PreconditionError("seed must be >= 0")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     rels = relations_in(moveset)
     # What the set lacks (FB lacks nothing) as a tuple: its `in` needs no hash, and Enum's runs in Python.
     off = (None, *relations_in(MoveSet.FB) - rels)
@@ -281,30 +280,37 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
     n = word.n
     letters = list(word.letters)
     L = len(letters)
-    matched, n_matches = bytearray(), 0  # per offset: does a move of the set start there?
+    flags = 0  # bit q is set when a move of the set starts at offset q
     history: list[MoveInstance] = []
     pair_moves = _pair_moves
     lo, old_end, hi = 0, 0, L  # the first rescan is the initial scan of every offset
     for _ in range(steps):
-        # Flags [lo, old_end) become those of offsets [lo, hi) of the current letters.
-        fresh = []
-        for q in range(lo, hi):
+        # Flags [lo, old_end) become those of offsets [lo, hi), joined as binary digits from hi - 1 down.
+        bits = ["0"]
+        for q in range(hi - 1, lo - 1, -1):
             move = (pair_moves.get(pair := (letters[q], letters[q + 1])) or _pair_move(pair)
                     if q + 1 < L else _NO_MOVE)
             if move is _SLIDE:
                 move = (pair_moves.get(key := (*pair, letters[q + 2])) or _pair_move(key)
                         if q + 2 < L else _NO_MOVE)
-            fresh.append(move[0] not in off)
-        n_matches += sum(fresh) - sum(matched[lo:old_end])
-        matched[lo:old_end] = bytes(fresh)
-        per_kind = (n - 1) * (L + 1)
-        ins_total = per_kind * len(ins_kinds) if (L + 2 <= max_length and n >= 2) else 0
-        total = n_matches + ins_total
+            bits.append("0" if move[0] in off else "1")
+        flags = flags & (1 << lo) - 1 | int("".join(bits), 2) << lo | flags >> old_end << hi
+        n_matches = flags.bit_count()
+        per_kind = (n - 1) * (L + 1)  # 0 on one strand
+        total = n_matches + (per_kind * len(ins_kinds) if L + 2 <= max_length else 0)
         if total == 0:
             break
-        r = rng.randrange(total)
+        r = getrandbits(k := total.bit_length())
+        while r >= total:  # the rejection loop of randrange(total) in CPython 3.10-3.13, so seeds replay
+            r = getrandbits(k)
         if r < n_matches:
-            p = next(islice(compress(range(L), matched), r, None))
+            x, p = flags, 0  # the r-th set bit of x is at offset p + its position: halve x until it is 1
+            while h := x.bit_length() >> 1:
+                c = (low := x & (1 << h) - 1).bit_count()
+                if r < c:
+                    x = low
+                else:
+                    r, x, p = r - c, x >> h, p + h
             move = pair_moves.get(pair := (letters[p], letters[p + 1])) or _pair_move(pair)
             if move is _SLIDE:
                 move = pair_moves.get(key := (*pair, letters[p + 2])) or _pair_move(key)

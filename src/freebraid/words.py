@@ -117,9 +117,6 @@ class BraidWord(_Value):
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
             raise PreconditionError(f"cannot concatenate words on {self.n} and {other.n} strands")

@@ -12,6 +12,8 @@ NORMALFORM = "src/freebraid/normalform.py"
 VALUE_TEST = "tests/test_words.py::test_value_classes_behave_as_frozen_dataclasses"
 SCRAMBLE_TESTS = ["tests/test_moves.py::test_scramble_matches_full_rescan_reference",
                   "tests/test_moves.py::test_scramble_filters_a_cache_warmed_by_another_move_set"]
+DRAW_TESTS = ["tests/test_moves.py::test_scramble_draws_when_every_offset_matches",
+              "tests/test_moves.py::test_scramble_draws_a_lone_match_at_either_end"]
 SCHEME_TEST = "tests/test_parity.py::test_parse_scheme_designations"
 CLI_CASE = "tests/test_cli.py::test_cli_case[{}]"
 MEMO_TEST = "tests/test_oracle.py::test_window_memos_kept_across_searches_match_the_reference"
@@ -47,7 +49,7 @@ MUTANTS = [
      "old": "move = _pair_moves[key] =", "new": "move = _pair_moves[key[:2]] =",
      "tests": SCRAMBLE_TESTS},
     {"id": "rescan-ignores-the-move-set", "file": MOVES,
-     "old": "fresh.append(move[0] not in off)", "new": "fresh.append(move[0] is not None)",
+     "old": 'bits.append("0" if move[0] in off else "1")', "new": 'bits.append("0" if move[0] is None else "1")',
      "tests": SCRAMBLE_TESTS},
     {"id": "rescan-window-one-offset-short", "file": MOVES,
      "old": "lo, hi = max(p - 2, 0),", "new": "lo, hi = max(p - 1, 0),",
@@ -55,6 +57,25 @@ MUTANTS = [
     {"id": "first-rescan-skips-the-last-pair", "file": MOVES,
      "old": "lo, old_end, hi = 0, 0, L", "new": "lo, old_end, hi = 0, 0, L - 2",
      "tests": SCRAMBLE_TESTS},
+    # The flags as one int: the spliced rescan, the halving draw, and the draw of r by getrandbits.
+    {"id": "rescan-digits-in-offset-order", "file": MOVES,
+     "old": "for q in range(hi - 1, lo - 1, -1):", "new": "for q in range(lo, hi):",
+     "tests": SCRAMBLE_TESTS},
+    {"id": "splice-shifts-the-tail-to-lo", "file": MOVES,
+     "old": "flags >> old_end << hi", "new": "flags >> old_end << lo",
+     "tests": SCRAMBLE_TESTS},
+    {"id": "splice-keeps-the-flag-at-lo", "file": MOVES,
+     "old": "flags & (1 << lo) - 1 |", "new": "flags & (1 << lo + 1) - 1 |",
+     "tests": SCRAMBLE_TESTS},
+    {"id": "halving-keeps-the-low-half-on-a-tie", "file": MOVES,
+     "old": "if r < c:", "new": "if r <= c:",
+     "tests": DRAW_TESTS},
+    {"id": "rejection-accepts-the-total", "file": MOVES,
+     "old": "while r >= total:", "new": "while r > total:",
+     "tests": DRAW_TESTS},
+    {"id": "draw-below-the-next-power-of-two", "file": MOVES,
+     "old": "r = getrandbits(k := total.bit_length())", "new": "r = getrandbits(k := (total - 1).bit_length())",
+     "tests": DRAW_TESTS},
     # The oracle's window memos, kept across searches.
     {"id": "window-memo-keyed-without-n", "file": MOVES,
      "old": "rewrites = _window_memo(n, moveset)", "new": "rewrites = _window_memo(b, moveset)",
@@ -76,6 +97,10 @@ MUTANTS = [
      "old": "    pairs = None  #",
      "new": "    pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]  #",
      "tests": ["tests/test_oracle.py::test_a_search_that_cannot_insert_builds_no_insertion_code"]},
+    # The beta-prime scenario's trivial components.
+    {"id": "trivial-components-counts-virtual-letters", "file": "src/freebraid/scenarios.py",
+     "old": "if x > 0 for s in", "new": "if x != 0 for s in",
+     "tests": ["tests/test_scenarios.py::test_trivial_components_count_only_classical_crossings"]},
     # Scheme lists are refused, never coerced.
     {"id": "scheme-list-skips-empty-items", "file": PARITY,
      "old": 'values = [_ascii_int(tok) for tok in body.split(",")] if body else []',

@@ -408,6 +408,52 @@ def test_scramble_at_the_end_of_the_word():
                 reference_scramble(word, 30, MoveSet.FB, seed, len(word)), (word, seed)
 
 
+def test_scramble_draws_when_every_offset_matches():
+    """On 8 strands a word over indices 1, 3, 5 and 7 has a move at every offset but the last.
+
+    Words of 300 to 1000 letters, some at a power of two on either side,
+    put 299 to 999 matches in the flags, and walks at and below max_length
+    move the match count and the total across several powers of two: the
+    halving draw and the rejection loop against `randrange`.
+    """
+    rng = random.Random(89)
+    for length in (300, 511, 512, 513, 767, 1000):
+        word = BraidWord(8, tuple(rng.choice((1, -1)) * rng.choice((1, 3, 5, 7)) for _ in range(length)))
+        assert len(reference_match_instances(word.letters, relations_in(MoveSet.FB))) == length - 1
+        for max_length in (length, length + rng.randint(2, 40)):
+            seed, moveset = rng.getrandbits(32), rng.choice((MoveSet.F, MoveSet.FB))
+            assert scramble(word, 60, moveset, seed, max_length) == \
+                reference_scramble(word, 60, moveset, seed, max_length), (length, max_length, seed)
+
+
+def _matchless_letters(length: int) -> list[int]:
+    """Letters on 8 strands with no move at any offset: indices 1 .. 7 .. 1 in a zigzag, odd ones classical."""
+    zigzag = [1 + abs((k + 6) % 12 - 6) for k in range(length)]
+    return [i if i % 2 else -i for i in zigzag]
+
+
+@pytest.mark.parametrize("at", ["start", "end"])
+def test_scramble_draws_a_lone_match_at_either_end(at):
+    """A word whose one move starts at offset 0, or at the last offset L - 2, draws it; so do longer walks.
+
+    The lone move is a virtualization planted at that end of a word with
+    no other move.  At max_length it is the only instance, so the rng draws
+    below a total of 1; with room to insert it is one of many.
+    """
+    for length in (1, 2, 29, 30, 31, 64, 257, 600):
+        body = _matchless_letters(length)
+        assert reference_match_instances(tuple(body), relations_in(MoveSet.FB)) == []
+        word = BraidWord(8, tuple([-body[0]] + body if at == "start" else body + [-body[-1]]))
+        p = 0 if at == "start" else len(word) - 2
+        assert [m.position for m in reference_match_instances(word.letters, relations_in(MoveSet.FB))] == [p]
+        for seed in range(3):
+            _, history = scramble(word, 1, MoveSet.STRONG, seed, len(word))
+            assert [(m.relation, m.position) for m in history] == [(Relation.VIRTUALIZATION, p)]
+            for steps, max_length in ((30, len(word)), (30, len(word) + 6)):
+                assert scramble(word, steps, MoveSet.FB, seed, max_length) == \
+                    reference_scramble(word, steps, MoveSet.FB, seed, max_length), (length, seed, max_length)
+
+
 def test_one_pair_cache_serves_every_strand_count(monkeypatch):
     """Walks on 3 strands fill the cache that 9-strand walks of the same letters read.
 
@@ -465,11 +511,13 @@ def test_scramble_filters_a_cache_warmed_by_another_move_set():
 PAIR_CACHE_WORST_CASE_BYTES = 2 * 2**20
 
 
-def test_pair_cache_stays_within_the_stated_worst_case():
+def test_pair_cache_stays_within_the_stated_worst_case(capsys):
     """Scrambles at 24 strand counts, then 20 000 steps on 10 000 strands, keep at most 4096 entries.
 
     The worst cases, a full cache of pairs and one of slide triples, are
     filled afresh under tracemalloc: tracing the walks is ten times slower.
+    The bytes each holds are printed past the output capture, so that a
+    run's log shows the margin under the bound on its Python.
     """
     pair_moves, pair_move = freebraid.moves._pair_moves, freebraid.moves._pair_move
     assert freebraid.moves._PAIR_CACHE_SIZE == 4096
@@ -495,4 +543,7 @@ def test_pair_cache_stays_within_the_stated_worst_case():
             tracemalloc.stop()
             pair_moves.clear()
         assert all(move[0] is relation for move in moves)
+        with capsys.disabled():
+            print(f"\npair cache of 4096 {relation.value} entries: {held} bytes, "
+                  f"{held / PAIR_CACHE_WORST_CASE_BYTES:.1%} of the {PAIR_CACHE_WORST_CASE_BYTES}-byte bound")
         assert held <= PAIR_CACHE_WORST_CASE_BYTES, (relation, held)

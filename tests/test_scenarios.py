@@ -12,6 +12,7 @@ from freebraid.scenarios import (
     scenario_beta_prime,
     scenario_brunnian,
     shifted_brunnian_letters,
+    trivial_components,
 )
 
 
@@ -34,6 +35,13 @@ def test_beta_prime_default_reconstruction():
     assert report.bracket_components == 3
     assert report.trivial_components == ((1,),)
     assert "diagram" in report.reconstruction_note
+
+
+def test_trivial_components_count_only_classical_crossings():
+    """A cycle whose strand meets only virtual letters is trivial: strand 1 meets only t1, strands 2 and 3 meet z2."""
+    word = parse_word("n=3; t1 t1 z2 z2")
+    assert permutation(word).cycles() == ((1,), (2,), (3,))
+    assert trivial_components(word, permutation(word).cycles()) == ((1,),)
 
 
 def test_beta_prime_word_shape():
