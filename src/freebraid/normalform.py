@@ -6,15 +6,17 @@ word's class under the move set F.  Iterated deletion terminates, and all
 maximal reduction orders agree up to strong equivalence, so irreducible
 forms plus the canonical code below decide F-equality.
 
-Reduction runs in O(L log L) for a word of L letters.  Deleting a bigon p, q
-changes no other classical letter's strand pair and no order along any strand
-(a virtual letter between p and q only has the pair's two strands swapped), so
-it is a splice of both strands' links that moves a strand's head when its
-first crossing goes (see `_reduce`).  Since F moves also keep the endpoint
-permutation, F-codes are read off the reduced links, from each strand's head,
-and the input's image (`irreducible_code`); no reduced word is built.  The
-links and the image come from one pass over the letters, `_strand_links`, which
-swaps positions itself rather than read `strand_walk`'s list, for speed.
+Reduction runs in O(L) for a word of L letters, in one pass, `_reduce`.
+Deleting a bigon p, q changes no other classical letter's strand pair and no
+order along any strand (a virtual letter between p and q only has the pair's
+two strands swapped), so the pass keeps each strand's surviving classical
+letters as a stack and deletes a bigon when its second letter finds its first
+on top of both stacks.  A deletion leaves no new bigon among earlier letters:
+if the two new tops were one letter r, then r, p would have been a bigon when
+p arrived.  Since F moves also keep the endpoint permutation, F-codes are read
+off the stacks and the input's image (`irreducible_code`); no reduced word is
+built.  The pass swaps positions itself rather than read `strand_walk`'s
+list, for speed.
 
 Strong equivalence (all F moves except classical pair cancellation) is
 decided by canonicalizing the crossing graph: virtual crossings are
@@ -26,75 +28,34 @@ which canonicalizes structure-preserving graph isomorphism in linear time.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from itertools import chain, compress, count
 
-from .words import BraidWord, PreconditionError, _image, _Value, crossings_by_strand
+from .words import BraidWord, PreconditionError, _image, _Value, crossings_by_strand, strand_walk
 
 
 class Bigon(_Value):
     __slots__ = _fields = ("positions", "strands")
 
 
-def _strand_links(word: BraidWord) -> tuple[list[int], list[int], list[int], list[int], list[int], tuple]:
-    """Doubly linked classical letters along every strand, in one pass over the letters.
-
-    Classical letter t with strand pair a < b is node 2t on strand a and node
-    2t + 1 on strand b.  Returns strand, nxt, prv and head (each classical
-    node's strand and its neighbours on that strand, each strand s's first
-    node at head[s]; -1 for none), the sorted first letters p of the bigons,
-    whose two nodes both have successors on one letter q, and the image.
-    The pass swaps positions itself, as `strand_walk` does, rather than read
-    its list: a virtual letter is only a swap, and `strand` is not set at its nodes.
-    """
-    pos = list(range(word.n + 1))  # 1-based: the strand at each position
-    strand = [0] * (2 * len(word.letters))
-    nxt = [-1] * len(strand)
-    prv = nxt.copy()
-    head = [-1] * (word.n + 1)
-    last = head.copy()  # the last node seen on each strand
-    starts = []
-    for t, x in enumerate(word.letters):
-        if x < 0:
-            x = -x
-            pos[x], pos[x + 1] = pos[x + 1], pos[x]
-            continue
-        a, b = pos[x], pos[x + 1]
-        pos[x], pos[x + 1] = b, a
-        if a > b:
-            a, b = b, a
-        u = 2 * t
-        strand[u] = a
-        strand[u + 1] = b
-        la, lb = last[a], last[b]
-        if la >= 0:
-            nxt[la] = u
-            prv[u] = la
-        else:
-            head[a] = u
-        if lb >= 0:
-            nxt[lb] = u + 1
-            prv[u + 1] = lb
-            if la >> 1 == lb >> 1:
-                starts.append(lb >> 1)
-        else:
-            head[b] = u + 1
-        last[a] = u
-        last[b] = u + 1
-    starts.sort()
-    return strand, nxt, prv, head, starts, _image(pos)
-
-
-def _bigon_end(nxt: list[int], p: int) -> int | None:
-    """The last letter of the bigon that letter p starts, or None."""
-    q = nxt[2 * p] >> 1
-    return q if q >= 0 and nxt[2 * p + 1] >> 1 == q else None
-
-
 def find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
-    """All bigons, sorted by positions.  Virtual letters never block one."""
-    strand, nxt, _, _, starts, _ = _strand_links(word)
-    return tuple([Bigon((p, _bigon_end(nxt, p)), frozenset(strand[2 * p:2 * p + 2])) for p in starts])
+    """All bigons, sorted by positions.  Virtual letters never block one.
+
+    Keeps the last classical letter on each strand (-s on strand s before its
+    first); a classical letter ends a bigon when both its strands last met at
+    one letter.  Bigons are found in order of their second letter, so they
+    are sorted by their first (`n=4; z1 z3 z3 z1` finds 1, 2 before 0, 3).
+    """
+    strands, _ = strand_walk(word)
+    last = [-s for s in range(word.n + 1)]
+    found = []
+    for t, x in enumerate(word.letters):
+        if x > 0:
+            a, b = strands[2 * t], strands[2 * t + 1]
+            if last[a] == last[b]:
+                found.append((last[a], t, a, b))
+            last[a] = last[b] = t
+    found.sort()
+    return tuple([Bigon((p, q), frozenset((a, b))) for p, q, a, b in found])
 
 
 def irreducible_form(word: BraidWord) -> BraidWord:
@@ -109,33 +70,42 @@ def irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tuple[int, ...
     return BraidWord._trusted(word.n, tuple(compress(word.letters, alive))), kept
 
 
-def _reduce(word: BraidWord) -> tuple[list[int], list[int], tuple[int, ...], bytearray]:
-    """Reduce leftmost bigons: the reduced links nxt and head, the image, and alive[t] per letter t.
+def _reduce(word: BraidWord) -> tuple[list[list[int]], tuple[int, ...], bytearray]:
+    """Leftmost-first reduction in one pass: each strand's surviving classical letters, the image, and alive[t].
 
-    Pops candidate first letters from a min-heap, so the leftmost bigon of
-    the current word is always the one deleted.  A popped letter is skipped
-    if it is gone or no longer starts a bigon.  After a deletion only p's
-    predecessors on its strands can start a new bigon; where p's node has
-    none, the node after q's becomes its strand's head.
+    A virtual letter is only a swap.  Classical letter t on strands a and b
+    ends a bigon p, t when both strands' stacks end in p: both pop and p and t
+    die; otherwise t is pushed on both.  These are the pairs that deleting the
+    leftmost bigon first deletes, by induction on the letters.  In the
+    leftmost-first reduction of w + t, t only gives a successor to the last
+    letters of a and b, so until p, t is the leftmost bigon the steps are w's.
+    When it is, every other bigon ends after p, so off strands a and b, and so
+    does every bigon that a later deletion makes (it ends after the deleted
+    pair); the remaining steps are w's, which never reach p.  So p, t goes
+    exactly when a and b end in one letter p in w's irreducible form.  Tests
+    check this against the heap reduction that it replaced, kept as
+    `tests/helpers.reference_heap_reduce`, on every word at n = 2, 3 and 4
+    up to 12, 8 and 6 letters.
     """
-    strand, nxt, prv, head, heap, image = _strand_links(word)
+    pos = list(range(word.n + 1))  # 1-based: the strand at each position
+    stacks = [[] for _ in pos]
     alive = bytearray(b"\x01") * len(word.letters)
-    while heap:
-        p = heappop(heap)
-        q = _bigon_end(nxt, p) if alive[p] else None
-        if q is None:
+    for t, x in enumerate(word.letters):
+        if x < 0:
+            x = -x
+            pos[x], pos[x + 1] = pos[x + 1], pos[x]
             continue
-        alive[p] = alive[q] = 0
-        for side in (0, 1):
-            before, after = prv[2 * p + side], nxt[2 * q + side]
-            if after >= 0:
-                prv[after] = before
-            if before >= 0:
-                nxt[before] = after
-                heappush(heap, before >> 1)
-            else:
-                head[strand[2 * p + side]] = after
-    return nxt, head, image, alive
+        a, b = pos[x], pos[x + 1]
+        pos[x], pos[x + 1] = b, a
+        sa, sb = stacks[a], stacks[b]
+        if sa and sb and (p := sa[-1]) == sb[-1]:
+            sa.pop()
+            sb.pop()
+            alive[p] = alive[t] = 0
+        else:
+            sa.append(t)
+            sb.append(t)
+    return stacks, _image(pos), alive
 
 
 class CanonicalCode(_Value):
@@ -160,14 +130,9 @@ def canonical_code(word: BraidWord) -> CanonicalCode:
 
 
 def irreducible_code(word: BraidWord) -> CanonicalCode:
-    """`canonical_code(irreducible_form(word))`, read off the reduced links and the input's image."""
-    nxt, head, image, _ = _reduce(word)
-    seqs = [[] for _ in range(word.n)]
-    for seq, u in zip(seqs, head[1:]):
-        while u >= 0:
-            seq.append(u >> 1)
-            u = nxt[u]
-    return _code(word.n, image, seqs)
+    """`canonical_code(irreducible_form(word))`, read off the reduced strands' stacks and the input's image."""
+    stacks, image, _ = _reduce(word)
+    return _code(word.n, image, stacks[1:])
 
 
 def _code(n: int, image: tuple[int, ...], seqs: list[list[int]]) -> CanonicalCode:

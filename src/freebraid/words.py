@@ -8,7 +8,7 @@ means the slot a strand currently occupies as the word is read top to
 bottom.  Four loops swap positions: `strand_walk`, which the layers read
 strands from, `permutation`, which keeps only the endpoints, and two passes
 fused for speed with the one thing their callers read, `crossings_by_strand`
-here and `normalform._strand_links`; tests check both against `strand_walk`.
+here and `normalform._reduce`; tests check both against `strand_walk`.
 Generator and strand indices are 1-based; letter positions are 0-based.
 """
 

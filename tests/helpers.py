@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import re
@@ -166,17 +167,24 @@ def reference_crossings_by_strand(word: BraidWord, strands: list[int]) -> list[l
     return seqs
 
 
-def reference_strand_links(word: BraidWord):
-    """`normalform._strand_links` as a second pass over `strand_walk`, as it was before the pass was fused.
+def reference_heap_reduce(word: BraidWord) -> tuple[list[list[int]], tuple[int, ...], bytearray]:
+    """`normalform._reduce` as strand links and a heap of bigon starts, as it was before the one-pass stacks.
 
-    Here `strand` holds both strands of every letter, virtual ones too.
+    Classical letter t with strands a < b (read off `strand_walk`) is node 2t
+    on strand a and 2t + 1 on strand b, doubly linked to its neighbours along
+    each strand.  A min-heap of first letters deletes the leftmost bigon of
+    the current word first; a popped letter is skipped if it is gone or no
+    longer starts a bigon.  A deletion splices both strands' links, moves a
+    strand's head when its first node goes, and pushes p's predecessors,
+    the only letters that can start a new bigon.  Returns each strand's
+    surviving classical letters (strand 0 empty), the image, and alive[t].
     """
     strand, image = strand_walk(word)
     nxt = [-1] * len(strand)
     prv = nxt.copy()
     head = [-1] * (word.n + 1)
     last = head.copy()
-    starts = []
+    heap = []
     for t, x in enumerate(word.letters):
         if x < 0:
             continue
@@ -192,13 +200,39 @@ def reference_strand_links(word: BraidWord):
             nxt[lb] = u + 1
             prv[u + 1] = lb
             if la >> 1 == lb >> 1:
-                starts.append(lb >> 1)
+                heap.append(lb >> 1)
         else:
             head[b] = u + 1
         last[a] = u
         last[b] = u + 1
-    starts.sort()
-    return strand, nxt, prv, head, starts, image
+    heap.sort()  # found in order of their last letters, so not yet a heap
+
+    def bigon_end(p):
+        q = nxt[2 * p] >> 1
+        return q if q >= 0 and nxt[2 * p + 1] >> 1 == q else None
+
+    alive = bytearray(b"\x01") * len(word.letters)
+    while heap:
+        p = heapq.heappop(heap)
+        q = bigon_end(p) if alive[p] else None
+        if q is None:
+            continue
+        alive[p] = alive[q] = 0
+        for side in (0, 1):
+            before, after = prv[2 * p + side], nxt[2 * q + side]
+            if after >= 0:
+                prv[after] = before
+            if before >= 0:
+                nxt[before] = after
+                heapq.heappush(heap, before >> 1)
+            else:
+                head[strand[2 * p + side]] = after
+    seqs = [[] for _ in head]
+    for seq, u in zip(seqs[1:], head[1:]):
+        while u >= 0:
+            seq.append(u >> 1)
+            u = nxt[u]
+    return seqs, image, alive
 
 
 def reference_parities(word: BraidWord, q: Permutation | None = None):

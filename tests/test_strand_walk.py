@@ -2,8 +2,9 @@
 
 The references in `helpers` walk the word themselves, so none of them shares
 code with the walk under test.  The two passes that swap positions
-themselves, `crossings_by_strand` and `normalform._strand_links`, are also
-checked against their two-pass forms over `strand_walk`, kept in `helpers`.
+themselves, `crossings_by_strand` and `normalform._reduce`, are also checked
+against forms that read `strand_walk`, kept in `helpers`: the two-pass form of
+the first, and the strand links and heap that the second replaced.
 """
 
 import random
@@ -20,7 +21,7 @@ from freebraid.words import (
     strand_trace,
     strand_walk,
 )
-from freebraid.normalform import _strand_links, canonical_code, irreducible_code
+from freebraid.normalform import _reduce, canonical_code, irreducible_code
 from freebraid.parity import (
     Parity,
     chord_diagram,
@@ -36,10 +37,10 @@ from helpers import (
     random_word,
     reference_canonical_code,
     reference_crossings_by_strand,
+    reference_heap_reduce,
     reference_irreducible_form_tracked,
     reference_parities,
     reference_permutation,
-    reference_strand_links,
     reference_strand_trace,
 )
 
@@ -113,18 +114,15 @@ def _fused_pass_words():
 def test_fused_passes_match_their_two_pass_references():
     bigons = 0
     for word in _fused_pass_words():
-        classical = [t for t, x in enumerate(word.letters) if x > 0]
         seqs, image = crossings_by_strand(word)
         walked, walked_image = strand_walk(word)
         assert seqs == reference_crossings_by_strand(word, walked) and len(seqs) == word.n + 1
         assert image == walked_image
 
-        strand, nxt, prv, head, starts, image = _strand_links(word)
-        ref_strand, ref_nxt, ref_prv, ref_head, ref_starts, ref_image = reference_strand_links(word)
-        assert [strand[2 * t:2 * t + 2] for t in classical] == [ref_strand[2 * t:2 * t + 2] for t in classical]
-        assert (nxt, prv, head, starts, image) == (ref_nxt, ref_prv, ref_head, ref_starts, ref_image)
-        assert len(strand) == 2 * len(word)
-        bigons += len(starts)
+        stacks, image, alive = _reduce(word)
+        assert (stacks, image, alive) == reference_heap_reduce(word)
+        assert len(stacks) == word.n + 1 and len(alive) == len(word)
+        bigons += alive.count(0) // 2
     assert bigons > 100
 
 
