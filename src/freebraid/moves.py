@@ -22,11 +22,13 @@ the set starts at offset q.  One rescan writes the bits, the first over
 every offset and each later one over the window a move changed, spliced in
 by shifts.  A step draws the r-th set bit by halving the int, so at the
 letter cap a step costs O(L/30) digit operations in C and one list memmove.
-The moves that windows start are kept across calls in `_pair_moves`, for
-every move set and strand count: a pair maps to its move, or to _SLIDE when
-|a| and |b| are adjacent, and a slide candidate's move is keyed by the pair
-and its third letter.  A miss on a full cache (4096 entries, 1.46 MiB at
-most) empties it, so a hit does no bookkeeping.  `_window_move` fills both.
+On short words a step's time goes to the rescan, the draw and building its
+`MoveInstance`, whose slots are written by their descriptors' setters.  The
+moves that windows start are kept across calls in `_pair_moves`, for every
+move set and strand count: a pair maps to its move, or to _SLIDE when |a|
+and |b| are adjacent, and a slide candidate's move is keyed by the pair and
+its third letter.  A miss on a full cache (4096 entries, 1.46 MiB at most)
+empties it, so a hit does no bookkeeping.  `_window_move` fills both.
 """
 
 from __future__ import annotations
@@ -130,17 +132,20 @@ class MoveInstance(_Value):
     __slots__ = _fields = ("relation", "i", "position", "direction", "j")
 
     def __init__(self, relation: Relation, i: int, position: int, direction: Direction, j: int | None = None):
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "j", j)
+        _set_relation(self, relation)
+        _set_i(self, i)
+        _set_position(self, position)
+        _set_direction(self, direction)
+        _set_j(self, j)
 
     def sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(source, target) letter sequences, oriented by direction."""
         return _oriented_sides(self.relation, self.i, self.direction, self.j)
 
 
+# The slots' own setters: a call skips the lookup through the type that object.__setattr__ makes.
+_set_relation, _set_i, _set_position, _set_direction, _set_j = (
+    MoveInstance.__dict__[f].__set__ for f in MoveInstance._fields)
 (_VIRTUAL_R2, _CLASSICAL_R2, _VIRTUALIZATION, _FAR_COMM_ZZ, _FAR_COMM_ZT, _FAR_COMM_TT,
  _VIRTUAL_R3, _SEMIVIRTUAL_R3, _CLASSICAL_R3) = _ALL_RELATIONS
 _FWD, _REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
@@ -320,10 +325,10 @@ def scramble(word: BraidWord, steps: int, moveset: MoveSet, seed: int,
         else:
             q = r - n_matches
             rel = ins_kinds[q // per_kind]
-            q %= per_kind
-            p = q % (L + 1)
-            m = MoveInstance(rel, q // (L + 1) + 1, p, _REV)
-            target = relation_sides(rel, m.i)[0]
+            i, p = divmod(q % per_kind, L + 1)
+            i += 1
+            m = MoveInstance(rel, i, p, _REV)
+            target = (i, i) if rel is _CLASSICAL_R2 else (-i, -i)
             old_end = p
         letters[p:old_end] = target
         L = len(letters)

@@ -41,10 +41,10 @@ class _Value:
     """Base of the package's value classes: immutable, slotted, equal and hashed by their fields.
 
     A subclass sets `__slots__ = _fields = (...)`, and `_defaults` for fields that have one. The
-    constructor binds arguments to `_fields` as a frozen dataclass's does, TypeError included;
-    copies and pickles pass every field by position. `BraidWord`, `Permutation`, `ChordDiagram` and
-    `StrandPartition` override it to check or derive data, `EquivalenceBall` to fill `_member_set`,
-    and `MoveInstance`, built every scramble step, for speed. Slots outside `_fields` hold derived
+    constructor binds arguments to `_fields` as a frozen dataclass's does, TypeError included; copies and
+    pickles pass every field by position. `BraidWord`, `Permutation`, `ChordDiagram` and `StrandPartition`
+    override it to check or derive data, `EquivalenceBall` to fill `_member_set`, and `MoveInstance`,
+    built every scramble step, to call its slots' setters for speed. Slots outside `_fields` hold derived
     data that is neither compared nor printed. Equality holds only between instances of one class.
     """
 

@@ -19,6 +19,8 @@ CLI_CASE = "tests/test_cli.py::test_cli_case[{}]"
 MEMO_TEST = "tests/test_oracle.py::test_window_memos_kept_across_searches_match_the_reference"
 FUSED_TEST = "tests/test_strand_walk.py::test_fused_passes_match_their_two_pass_references"
 ONE_PASS_TEST = "tests/test_normalform.py::test_one_pass_reduction_matches_the_heap_reduction"
+CONSTRUCTOR_TEST = "tests/test_moves.py::test_move_instance_constructor_matches_the_generic_one[{}]"
+INSERTION_TEST = "tests/test_moves.py::test_scramble_inserts_the_left_side_of_each_r2_relation[{}]"
 
 MUTANTS = [
     # The pair cache of `scramble`, keyed by pairs and slide triples, and its rescan.
@@ -67,6 +69,18 @@ MUTANTS = [
     {"id": "draw-below-the-next-power-of-two", "file": MOVES,
      "old": "r = getrandbits(k := total.bit_length())", "new": "r = getrandbits(k := (total - 1).bit_length())",
      "tests": DRAW_TESTS},
+    # The scramble step's constructor, through its slots' setters, and its inline R2 insertion targets.
+    {"id": "move-instance-setters-bound-out-of-order", "file": MOVES,
+     "old": "_set_relation, _set_i, _set_position, _set_direction, _set_j = (",
+     "new": "_set_relation, _set_position, _set_i, _set_direction, _set_j = (",
+     "tests": [CONSTRUCTOR_TEST.format("by-position")]},
+    {"id": "move-instance-default-j-not-written", "file": MOVES,
+     "old": "        _set_j(self, j)\n", "new": "        if j is not None:\n            _set_j(self, j)\n",
+     "tests": [CONSTRUCTOR_TEST.format("j-by-default")]},
+    {"id": "insertion-targets-signs-swapped", "file": MOVES,
+     "old": "target = (i, i) if rel is _CLASSICAL_R2 else (-i, -i)",
+     "new": "target = (-i, -i) if rel is _CLASSICAL_R2 else (i, i)",
+     "tests": [INSERTION_TEST.format(2)]},
     # The oracle's window memos, kept across searches.
     {"id": "window-memo-keyed-without-n", "file": MOVES,
      "old": "rewrites = _window_memo(n, moveset)", "new": "rewrites = _window_memo(b, moveset)",
@@ -179,4 +193,20 @@ MUTANTS = [
     {"id": "find-bigons-blocked-by-virtual-letters", "file": NORMALFORM,
      "old": "        if x > 0:\n", "new": "        if True:\n",
      "tests": ["tests/test_normalform.py::test_find_bigons_ignores_virtual_letters_between"]},
+    # The exit codes of `cli.main`: 1 for unreadable input, 2 for a failed precondition.
+    {"id": "cli-precondition-error-exits-1", "file": "src/freebraid/cli.py",
+     "old": "        return 2\n", "new": "        return 1\n",
+     "tests": [CLI_CASE.format("parity-gaussian-not-cyclic")]},
+    {"id": "cli-parse-error-exits-2", "file": "src/freebraid/cli.py",
+     "old": "    except ParseError as e:\n        print(f\"freebraid: {e}\", file=sys.stderr)\n        return 1\n",
+     "new": "    except ParseError as e:\n        print(f\"freebraid: {e}\", file=sys.stderr)\n        return 2\n",
+     "tests": [CLI_CASE.format("parse-index-out-of-range")]},
+]
+
+# Mutants tried and found equivalent: no test can kill them, so they are not tried again.  Each has
+# the keys of a mutant, with a `reason` in place of `tests`.
+EQUIVALENT = [
+    {"id": "linked-closed-intervals", "file": PARITY,
+     "old": "(a1 < b1 < a2) != (a1 < b2 < a2)", "new": "(a1 <= b1 <= a2) != (a1 <= b2 <= a2)",
+     "reason": "two chords never share an endpoint, so b1 and b2 never equal a1 or a2"},
 ]

@@ -1,10 +1,13 @@
+import copy
+import hashlib
+import pickle
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
-from freebraid.words import MAX_LETTERS, BraidWord, PreconditionError, parse_word, permutation
+from freebraid.words import MAX_LETTERS, BraidWord, PreconditionError, parse_word, permutation, serialize, _Value
 import freebraid.moves
 from freebraid.moves import (
     MAX_STEPS,
@@ -13,11 +16,13 @@ from freebraid.moves import (
     MoveSet,
     Relation,
     apply_move,
+    format_history,
     relation_sides,
     relations_in,
     scramble,
 )
 from freebraid.normalform import f_equal
+from freebraid.scenarios import brunnian_word
 
 from helpers import (
     applicable_count,
@@ -196,6 +201,47 @@ def test_scramble_history_replays():
     for m in history:
         replay = apply_move(replay, m)
     assert replay == out
+
+
+@pytest.mark.parametrize("args, kwargs, fields", [
+    ((Relation.FAR_COMM_ZT, 2, 7, REV, 5), {}, (Relation.FAR_COMM_ZT, 2, 7, REV, 5)),
+    ((), {"j": 6, "direction": FWD, "position": 4, "i": 3, "relation": Relation.FAR_COMM_ZZ},
+     (Relation.FAR_COMM_ZZ, 3, 4, FWD, 6)),
+    ((Relation.SEMIVIRTUAL_R3, 1, 8, REV), {}, (Relation.SEMIVIRTUAL_R3, 1, 8, REV, None)),
+], ids=["by-position", "by-keyword", "j-by-default"])
+def test_move_instance_constructor_matches_the_generic_one(args, kwargs, fields):
+    """`MoveInstance.__init__` writes its slots through their setters; the generic `_Value.__init__`
+    fills the same fields on `object.__new__(MoveInstance)`, and the two instances cannot be told apart."""
+    m = MoveInstance(*args, **kwargs)
+    generic = object.__new__(MoveInstance)
+    _Value.__init__(generic, *fields)
+    assert tuple(getattr(m, f) for f in MoveInstance._fields) == m._astuple() == generic._astuple() == fields
+    assert m == generic and hash(m) == hash(generic) and repr(m) == repr(generic)
+    assert copy.copy(m) == m == pickle.loads(pickle.dumps(m)) and copy.copy(m) is not m
+    for name in MoveInstance._fields:
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    for bad_args, bad_kwargs in (((*fields[:3],), {}), ((*fields, None), {}), (fields, {"k": 1}),
+                                 ((*fields[:4],), {"direction": fields[3]})):
+        with pytest.raises(TypeError):
+            MoveInstance(*bad_args, **bad_kwargs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_scramble_inserts_the_left_side_of_each_r2_relation(n):
+    """An insertion step writes `relation_sides(rel, i)[0]` at its offset, for both R2 relations and every i."""
+    seen = set()
+    for word in (BraidWord(n), BraidWord(n, (-1, 1, -1))):
+        for moveset in (MoveSet.FB, MoveSet.STRONG):
+            for seed in range(120):
+                out, (m,) = scramble(word, 1, moveset, seed, len(word) + 2)
+                if m.direction is REV and m.relation in (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2):
+                    p = m.position
+                    assert out.letters == word.letters[:p] + relation_sides(m.relation, m.i)[0] + word.letters[p:]
+                    seen.add((m.relation, m.i))
+    assert seen == {(rel, i) for rel in (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2) for i in range(1, n)}
 
 
 def test_scramble_preserves_f_class():
@@ -547,3 +593,36 @@ def test_pair_cache_stays_within_the_stated_worst_case(capsys):
             print(f"\npair cache of 4096 {relation.value} entries: {held} bytes, "
                   f"{held / PAIR_CACHE_WORST_CASE_BYTES:.1%} of the {PAIR_CACHE_WORST_CASE_BYTES}-byte bound")
         assert held <= PAIR_CACHE_WORST_CASE_BYTES, (relation, held)
+
+
+def _seeded_scrambles():
+    """The fixed scrambles whose histories and words `SCRAMBLE_DIGEST` pins, as `scramble` arguments.
+
+    Brunnian FB walks of 300 steps up to 200 letters, as the reproduction
+    experiment runs them; random words of 0 to 60 letters on 1 to 17 strands
+    and slide-rich 3-strand words on indices 1 and 2, under every move set,
+    for 0 to 100 steps with 0 to 20 letters of room to insert.
+    """
+    brunnian = brunnian_word()
+    for seed in range(40):
+        yield brunnian, 300, MoveSet.FB, seed, 200
+    rng = random.Random(28)
+    for k in range(720):
+        if k % 4 == 3:
+            word = _slide_rich_word(rng, rng.randint(0, 40), rng.randint(1, 6))
+        else:
+            word = random_word(rng, rng.choice((1, 2, 3, 4, 5, 9, 17)), rng.randint(0, 60))
+        yield word, rng.randint(0, 100), rng.choice(list(MoveSet)), rng.getrandbits(32), len(word) + rng.randint(0, 20)
+
+
+# SHA-256 over `format_history` and `serialize` of every scramble of `_seeded_scrambles`, taken at commit 3702bc1.
+SCRAMBLE_DIGEST = "0715ac3ed235a922ebf3af3bc5edcb90d08babeebd85aafed699978484b91ff2"
+
+
+def test_seeded_scrambles_match_the_committed_digest():
+    """Seeded histories and words are byte-identical to those the digest was taken from."""
+    digest = hashlib.sha256()
+    for word, steps, moveset, seed, max_length in _seeded_scrambles():
+        result, history = scramble(word, steps, moveset, seed, max_length)
+        digest.update(f"{format_history(history)}\n{serialize(result)}\n\n".encode())
+    assert digest.hexdigest() == SCRAMBLE_DIGEST
