@@ -15,8 +15,8 @@ on top of both stacks.  A deletion leaves no new bigon among earlier letters:
 if the two new tops were one letter r, then r, p would have been a bigon when
 p arrived.  Since F moves also keep the endpoint permutation, F-codes are read
 off the stacks and the input's image (`irreducible_code`); no reduced word is
-built.  The pass swaps positions itself rather than read `strand_walk`'s
-list, for speed.
+built.  The pass swaps positions itself, for speed, rather than read
+`crossings_by_strand`'s lists, which `find_bigons` reads.
 
 Strong equivalence (all F moves except classical pair cancellation) is
 decided by canonicalizing the crossing graph: virtual crossings are
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, count
 
-from .words import BraidWord, PreconditionError, _image, _Value, crossings_by_strand, strand_walk
+from .words import BraidWord, PreconditionError, _image, _Value, crossings_by_strand
 
 
 class Bigon(_Value):
@@ -40,20 +40,19 @@ class Bigon(_Value):
 def find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
     """All bigons, sorted by positions.  Virtual letters never block one.
 
-    Keeps the last classical letter on each strand (-s on strand s before its
-    first); a classical letter ends a bigon when both its strands last met at
-    one letter.  Bigons are found in order of their second letter, so they
-    are sorted by their first (`n=4; z1 z3 z3 z1` finds 1, 2 before 0, 3).
+    A bigon is a pair of classical letters p, q with q right after p on the
+    lists of both their strands (`crossings_by_strand`).  Strand b's list is
+    read after the lists of the strands below it, so a pair found again on b
+    is a bigon of strands a < b.  Bigons are found in order of their upper
+    strand, then sorted by their first letter (`n=4; z3 z1 z1 z3` finds
+    1, 2 on strands 1, 2 before 0, 3 on strands 3, 4).
     """
-    strands, _ = strand_walk(word)
-    last = [-s for s in range(word.n + 1)]
+    lower = {}  # (p, q) -> the first strand on whose list q follows p
     found = []
-    for t, x in enumerate(word.letters):
-        if x > 0:
-            a, b = strands[2 * t], strands[2 * t + 1]
-            if last[a] == last[b]:
-                found.append((last[a], t, a, b))
-            last[a] = last[b] = t
+    for b, seq in enumerate(crossings_by_strand(word)[0]):
+        for pair in zip(seq, seq[1:]):
+            if (a := lower.setdefault(pair, b)) != b:
+                found.append((*pair, a, b))
     found.sort()
     return tuple([Bigon((p, q), frozenset((a, b))) for p, q, a, b in found])
 

@@ -28,7 +28,6 @@ from .words import (
     _ascii_int,
     _Value,
     crossings_by_strand,
-    strand_walk,
 )
 
 
@@ -186,10 +185,12 @@ def component_parity(word: BraidWord, partition: StrandPartition) -> ParityAssig
     """Odd iff a crossing's two strands lie in different partition parts."""
     if partition.n != word.n:
         raise PreconditionError(f"partition covers {partition.n} strands, word has {word.n}")
-    strands = strand_walk(word)[0]
-    part, even, odd = partition.first, Parity.EVEN, Parity.ODD
-    parities = {t: odd if (strands[2 * t] in part) != (strands[2 * t + 1] in part) else even
-                for t, x in enumerate(word.letters) if x > 0}
+    on_strand, crosses = crossings_by_strand(word)[0], bytearray(len(word.letters))
+    for s in partition.first:  # a letter with both strands in the first part flips back
+        for t in on_strand[s]:
+            crosses[t] ^= 1
+    parity_of = (Parity.EVEN, Parity.ODD)
+    parities = {t: parity_of[crosses[t]] for t, x in enumerate(word.letters) if x > 0}
     first = ",".join(map(str, sorted(partition.first)))
     return ParityAssignment(f"component:N1={first}", parities)
 

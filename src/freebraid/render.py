@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .words import BraidWord, permutation
+from .words import BraidWord, PreconditionError, permutation
 
 
 class RenderFormat(Enum):
@@ -17,9 +17,13 @@ class RenderFormat(Enum):
 
 
 _PITCH = 4  # ascii columns between strands
+# Larger diagrams are refused before anything is built: an SVG strand-row is about 49 characters.
+MAX_STRAND_ROWS = 1_000_000
 
 
 def render(word: BraidWord, format: RenderFormat = RenderFormat.ASCII) -> str:
+    if word.n * max(len(word.letters), 1) > MAX_STRAND_ROWS:
+        raise PreconditionError(f"{word.n} strands by {len(word.letters)} rows is over {MAX_STRAND_ROWS} strand-rows")
     if format is RenderFormat.ASCII:
         return render_ascii(word)
     if format is RenderFormat.SVG:

@@ -25,11 +25,11 @@ from .words import (
     PreconditionError,
     _Value,
     closure_components,
+    crossings_by_strand,
     is_cyclic,
     parse_word,
     permutation,
     serialize,
-    strand_walk,
 )
 
 BRUNNIAN_TEXT = ("n=9; t1 t2 t3 z4 t4 t3 t2 z1 t1 t2 t3 t4 t5 z6 t6 t5 t4 z3"
@@ -185,9 +185,8 @@ def locate_added_crossings(word: BraidWord) -> tuple[int, int]:
 def trivial_components(word: BraidWord,
                        cycles: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The closure cycles of word whose strands meet no classical crossing."""
-    strands = strand_walk(word)[0]
-    crossed = {s for t, x in enumerate(word.letters) if x > 0 for s in strands[2 * t:2 * t + 2]}
-    return tuple(c for c in cycles if crossed.isdisjoint(c))
+    on_strand = crossings_by_strand(word)[0]
+    return tuple(c for c in cycles if not any(on_strand[s] for s in c))
 
 
 def scenario_beta_prime(word: BraidWord | None = None,

@@ -5,10 +5,11 @@ strands at adjacent positions (i, i+1).  Letters are stored as signed
 integers: +i is the classical crossing at position i, -i the virtual one.
 Strands are identified by their top endpoint number throughout; "position"
 means the slot a strand currently occupies as the word is read top to
-bottom.  Four loops swap positions: `strand_walk`, which the layers read
-strands from, `permutation`, which keeps only the endpoints, and two passes
-fused for speed with the one thing their callers read, `crossings_by_strand`
-here and `normalform._reduce`; tests check both against `strand_walk`.
+bottom.  Three loops here swap positions: `crossings_by_strand`, each
+strand's classical letters, which the other layers read strands from;
+`permutation`, which keeps only the endpoints; and `strand_trace`, the strand
+pair at every letter.  `normalform._reduce` swaps them while it reduces.
+Tests check all four against walks of their own in `tests/helpers.py`.
 Generator and strand indices are 1-based; letter positions are 0-based.
 """
 
@@ -316,25 +317,6 @@ def serialize(word: BraidWord, format: str = TEXT) -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def strand_walk(word: BraidWord) -> tuple[list[int], tuple[int, ...]]:
-    """The strands at every letter and the endpoint map, in one walk of the word.
-
-    Letter t, classical or virtual, crosses strands strands[2t] < strands[2t + 1];
-    image is `permutation(word).image`.
-    """
-    pos = list(range(word.n + 1))  # 1-based: the strand at each position
-    strands: list[int] = []
-    append = strands.append
-    for i in map(abs, word.letters):
-        a, b = pos[i], pos[i + 1]
-        pos[i], pos[i + 1] = b, a
-        if a > b:
-            a, b = b, a
-        append(a)
-        append(b)
-    return strands, _image(pos)
-
-
 def _image(arrangement: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """The endpoint map of an arrangement, the strand at each position from 1 (slot 0 unused)."""
     image = [0] * (len(arrangement) - 1)
@@ -348,7 +330,6 @@ def permutation(word: BraidWord) -> Permutation:
 
     Both classical and virtual letters transpose.  Concatenation satisfies
     permutation(w1 * w2) = permutation(w1).compose(permutation(w2)).
-    This is `strand_walk` without the strands, which are slower to collect.
     """
     pos = list(range(word.n + 1))
     for i in map(abs, word.letters):
@@ -368,17 +349,22 @@ def closure_components(word: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...
 
 
 def strand_trace(word: BraidWord) -> tuple[tuple[int, int], ...]:
-    """For each letter, the sorted pair of strand identities meeting at it."""
-    strands = strand_walk(word)[0]
-    return tuple(zip(strands[::2], strands[1::2]))
+    """For each letter, classical or virtual, the sorted pair of strand identities meeting at it."""
+    pos = list(range(word.n + 1))  # 1-based: the strand at each position
+    pairs = []
+    for i in map(abs, word.letters):
+        a, b = pos[i], pos[i + 1]
+        pos[i], pos[i + 1] = b, a
+        pairs.append((a, b) if a < b else (b, a))
+    return tuple(pairs)
 
 
 def crossings_by_strand(word: BraidWord) -> tuple[list[list[int]], tuple[int, ...]]:
     """For each strand s, the positions of its classical letters in order, at index s (0 is unused),
     and the endpoint map's image.
 
-    One pass that swaps positions itself, for speed, rather than read `strand_walk`'s list;
-    a test checks it against that two-pass form.
+    The layers read strands from these lists.  A test checks them against a second pass over
+    `tests/helpers.reference_strand_trace`.
     """
     pos = list(range(word.n + 1))
     seqs: list[list[int]] = [[] for _ in range(word.n + 1)]

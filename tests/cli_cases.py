@@ -221,6 +221,8 @@ CASES = [
          '<line x1="60" y1="20" x2="20" y2="60"/>\n</g>\n<circle cx="40" cy="40" r="6" fill="black" stroke="black"/>\n'
          '</svg>\n'),
     Case("render-no-json", ["render", "--json", "n=2; z1"], 1, err="freebraid: error: unrecognized arguments: --json\n"),
+    Case("render-over-the-strand-row-bound", ["render", "n=10000;" + " z1" * 101], 2,
+         err="freebraid: 10000 strands by 101 rows is over 1000000 strand-rows\n"),
     Case("scenario-brunnian", ["scenario", "brunnian", "--steps", "300"],
          out=f"word: {BRUNNIAN}\npermutation cyclic: yes\nodd crossings: 8/8\nbigons: 0\nbracket equals input: yes\n"
          "reproduction after scramble: yes (seed=0, steps=300, max-length=200)\nresult: PASS\n"),

@@ -1,4 +1,8 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the reference forms that the package's fast paths are checked against.
+
+The references that need strands read them from `reference_strand_trace` and their endpoints from
+`reference_permutation`, which walk the word themselves, so no reference shares a walk with the code under test.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ from freebraid.words import (
     _parse_word_json,
     is_cyclic,
     permutation,
-    strand_walk,
     virtual,
 )
 from freebraid.moves import (
@@ -65,9 +68,9 @@ def reference_final_arrangement(word: BraidWord) -> tuple[int, ...]:
 
 
 def reference_permutation(word: BraidWord) -> Permutation:
-    """`permutation` from the final arrangement, as it was before `strand_walk`.
+    """`permutation` from the final arrangement, in a walk of its own.
 
-    With `reference_strand_trace`, the reference for the walk in `words`.
+    With `reference_strand_trace`, the reference for the walks in `words`.
     """
     arr = reference_final_arrangement(word)
     image = [0] * word.n
@@ -88,26 +91,24 @@ def reference_strand_trace(word: BraidWord) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _classical_strand_sequences(word: BraidWord) -> tuple[dict[int, tuple[int, int]], list[list[int]]]:
-    """Per classical letter its strand pair; per strand its classical letters in order."""
+def reference_crossings_by_strand(word: BraidWord) -> list[list[int]]:
+    """`crossings_by_strand`'s lists, each strand's classical letters in order (strand 0 empty), in a
+    second pass over `reference_strand_trace`: the two-pass form that the fused pass replaced."""
     trace = reference_strand_trace(word)
-    pair_of = {}
-    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]  # 1-based
+    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
     for t, x in enumerate(word.letters):
         if x > 0:
-            a, b = trace[t]
-            pair_of[t] = (a, b)
-            seqs[a].append(t)
-            seqs[b].append(t)
-    return pair_of, seqs
+            for s in trace[t]:
+                seqs[s].append(t)
+    return seqs
 
 
 def reference_find_bigons(word: BraidWord) -> tuple[Bigon, ...]:
     """`find_bigons` by scanning every strand's classical sequence.
 
-    The reference for the linked builder in `normalform`.
+    The reference for `normalform.find_bigons`.
     """
-    pair_of, seqs = _classical_strand_sequences(word)
+    pair_of, seqs = reference_strand_trace(word), reference_crossings_by_strand(word)
     index_on: list[dict[int, int]] = [{t: k for k, t in enumerate(seq)} for seq in seqs]
     found = set()
     for s in range(1, word.n + 1):
@@ -148,7 +149,7 @@ def reference_irreducible_form_tracked(word: BraidWord) -> tuple[BraidWord, tupl
 
 def reference_canonical_code(word: BraidWord) -> CanonicalCode:
     """`canonical_code` from the reference walk: crossings labelled by first encounter."""
-    _, seqs = _classical_strand_sequences(word)
+    seqs = reference_crossings_by_strand(word)
     label: dict[int, int] = {}
     for seq in seqs[1:]:
         for t in seq:
@@ -157,20 +158,17 @@ def reference_canonical_code(word: BraidWord) -> CanonicalCode:
                          tuple(tuple(label[t] for t in seq) for seq in seqs[1:]))
 
 
-def reference_crossings_by_strand(word: BraidWord, strands: list[int]) -> list[list[int]]:
-    """`crossings_by_strand` as a second pass over `strand_walk(word)[0]`, as it was before the pass was fused."""
-    seqs: list[list[int]] = [[] for _ in range(word.n + 1)]
-    for t, x in enumerate(word.letters):
-        if x > 0:
-            seqs[strands[2 * t]].append(t)
-            seqs[strands[2 * t + 1]].append(t)
-    return seqs
+def reference_trivial_components(word: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """`trivial_components` of the closure's cycles: those that no classical letter's strand pair meets."""
+    trace = reference_strand_trace(word)
+    crossed = {s for t, x in enumerate(word.letters) if x > 0 for s in trace[t]}
+    return tuple(c for c in reference_permutation(word).cycles() if crossed.isdisjoint(c))
 
 
 def reference_heap_reduce(word: BraidWord) -> tuple[list[list[int]], tuple[int, ...], bytearray]:
     """`normalform._reduce` as strand links and a heap of bigon starts, as it was before the one-pass stacks.
 
-    Classical letter t with strands a < b (read off `strand_walk`) is node 2t
+    Classical letter t with strands a < b (read off `reference_strand_trace`) is node 2t
     on strand a and 2t + 1 on strand b, doubly linked to its neighbours along
     each strand.  A min-heap of first letters deletes the leftmost bigon of
     the current word first; a popped letter is skipped if it is gone or no
@@ -179,8 +177,8 @@ def reference_heap_reduce(word: BraidWord) -> tuple[list[list[int]], tuple[int, 
     the only letters that can start a new bigon.  Returns each strand's
     surviving classical letters (strand 0 empty), the image, and alive[t].
     """
-    strand, image = strand_walk(word)
-    nxt = [-1] * len(strand)
+    trace = reference_strand_trace(word)
+    nxt = [-1] * (2 * len(trace))
     prv = nxt.copy()
     head = [-1] * (word.n + 1)
     last = head.copy()
@@ -189,7 +187,7 @@ def reference_heap_reduce(word: BraidWord) -> tuple[list[list[int]], tuple[int, 
         if x < 0:
             continue
         u = 2 * t
-        a, b = strand[u], strand[u + 1]
+        a, b = trace[t]
         la, lb = last[a], last[b]
         if la >= 0:
             nxt[la] = u
@@ -226,13 +224,13 @@ def reference_heap_reduce(word: BraidWord) -> tuple[list[list[int]], tuple[int, 
                 nxt[before] = after
                 heapq.heappush(heap, before >> 1)
             else:
-                head[strand[2 * p + side]] = after
+                head[trace[p][side]] = after
     seqs = [[] for _ in head]
     for seq, u in zip(seqs[1:], head[1:]):
         while u >= 0:
             seq.append(u >> 1)
             u = nxt[u]
-    return seqs, image, alive
+    return seqs, reference_permutation(word).image, alive
 
 
 def reference_parities(word: BraidWord, q: Permutation | None = None):
@@ -248,7 +246,7 @@ def reference_parities(word: BraidWord, q: Permutation | None = None):
     count = len(walk.cycles())
     if count != 1:
         return count, None, None
-    _, seqs = _classical_strand_sequences(word)
+    seqs = reference_crossings_by_strand(word)
     gauss: list[int] = []
     strand = 1
     for _ in range(word.n):

@@ -8,7 +8,9 @@ whose tests cannot be run, is stale.
 """
 
 WORDS, MOVES, PARITY = "src/freebraid/words.py", "src/freebraid/moves.py", "src/freebraid/parity.py"
-NORMALFORM = "src/freebraid/normalform.py"
+NORMALFORM, BRACKET = "src/freebraid/normalform.py", "src/freebraid/bracket.py"
+# A word whose virtual letters are made classical: what a pass that took them for crossings would read.
+ALL_CLASSICAL = "BraidWord._trusted(word.n, tuple(map(abs, word.letters)))"
 VALUE_TEST = "tests/test_words.py::test_value_classes_behave_as_frozen_dataclasses"
 SCRAMBLE_TESTS = ["tests/test_moves.py::test_scramble_matches_full_rescan_reference",
                   "tests/test_moves.py::test_scramble_filters_a_cache_warmed_by_another_move_set"]
@@ -102,10 +104,14 @@ MUTANTS = [
      "old": "    pairs = None  #",
      "new": "    pairs = [_pack(relation_sides(rel, i)[0], n, b) for rel in _R2_RELATIONS if rel in rels for i in range(1, n)]  #",
      "tests": ["tests/test_oracle.py::test_a_search_that_cannot_insert_builds_no_insertion_code"]},
-    # The beta-prime scenario's trivial components.
+    # The beta-prime scenario's trivial components, read off `crossings_by_strand`.
     {"id": "trivial-components-counts-virtual-letters", "file": "src/freebraid/scenarios.py",
-     "old": "if x > 0 for s in", "new": "if x != 0 for s in",
+     "old": "on_strand = crossings_by_strand(word)[0]", "new": f"on_strand = crossings_by_strand({ALL_CLASSICAL})[0]",
      "tests": ["tests/test_scenarios.py::test_trivial_components_count_only_classical_crossings"]},
+    # The component parity, read off `crossings_by_strand`.
+    {"id": "component-parity-sets-instead-of-flipping", "file": PARITY,
+     "old": "crosses[t] ^= 1", "new": "crosses[t] = 1",
+     "tests": ["tests/test_parity.py::test_component_parity_examples"]},
     # Scheme lists are refused, never coerced.
     {"id": "scheme-list-skips-empty-items", "file": PARITY,
      "old": 'values = [_ascii_int(tok) for tok in body.split(",")] if body else []',
@@ -134,7 +140,7 @@ MUTANTS = [
     {"id": "constructor-misses-no-field", "file": WORDS,
      "old": "if len(args) > len(fields) or len(values) < len(fields):", "new": "if len(args) > len(fields):",
      "tests": [VALUE_TEST]},
-    {"id": "reproduction-report-without-defaults", "file": "src/freebraid/bracket.py",
+    {"id": "reproduction-report-without-defaults", "file": BRACKET,
      "old": '    _defaults = {"reason": ""}\n', "new": "",
      "tests": [VALUE_TEST]},
     {"id": "defaults-override-given-values", "file": WORDS,
@@ -164,7 +170,7 @@ MUTANTS = [
     {"id": "permutation-inverse-as-the-reversed-image", "file": WORDS,
      "old": "return Permutation._trusted(_image((0,) + self.image))", "new": "return Permutation._trusted(self.image[::-1])",
      "tests": ["tests/test_words.py::test_permutation_inverse_and_cycles"]},
-    # The two passes that swap positions themselves instead of reading `strand_walk`.
+    # The two passes that swap positions themselves: `crossings_by_strand`, which the layers read, and `_reduce`.
     {"id": "crossings-by-strand-virtual-skips-its-swap", "file": WORDS,
      "old": "pos[x], pos[x + 1] = pos[x + 1], pos[x]", "new": "pass",
      "tests": [FUSED_TEST]},
@@ -191,8 +197,21 @@ MUTANTS = [
      "old": "    found.sort()\n", "new": "",
      "tests": ["tests/test_normalform.py::test_find_bigons_sorted_by_first_letter_not_in_the_order_found"]},
     {"id": "find-bigons-blocked-by-virtual-letters", "file": NORMALFORM,
-     "old": "        if x > 0:\n", "new": "        if True:\n",
+     "old": "crossings_by_strand(word)[0]", "new": f"crossings_by_strand({ALL_CLASSICAL})[0]",
      "tests": ["tests/test_normalform.py::test_find_bigons_ignores_virtual_letters_between"]},
+    # The bracket and the reproduction verifier, on the paper's claim path.
+    {"id": "bracket-drops-virtual-letters", "file": BRACKET,
+     "old": "if x < 0 or parities[t] is odd", "new": "if x > 0 and parities[t] is odd",
+     "tests": ["tests/test_bracket.py::test_bracket_drops_even_classical_letters_only"]},
+    {"id": "odd-irreducible-ignores-bigons", "file": BRACKET,
+     "old": "all_odd() and not find_bigons(word)", "new": "all_odd()",
+     "tests": ["tests/test_bracket.py::test_is_odd_irreducible_examples"]},
+    {"id": "reproduction-skips-the-permutation-check", "file": BRACKET,
+     "old": "if permutation(beta_prime) != permutation(beta):", "new": "if False:",
+     "tests": ["tests/test_bracket.py::test_verify_reproduction_refutes_inequivalent_word"]},
+    {"id": "witness-left-in-bracket-positions", "file": BRACKET,
+     "old": "witness = tuple(br.kept_positions[k] for k in survivors)", "new": "witness = tuple(survivors)",
+     "tests": ["tests/test_bracket.py::test_verify_reproduction_after_scramble"]},
     # The exit codes of `cli.main`: 1 for unreadable input, 2 for a failed precondition.
     {"id": "cli-precondition-error-exits-1", "file": "src/freebraid/cli.py",
      "old": "        return 2\n", "new": "        return 1\n",

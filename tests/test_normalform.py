@@ -67,6 +67,9 @@ def test_find_bigons_sorted_by_first_letter_not_in_the_order_found():
     # 1, 2 on strands {3, 4} closes before 0, 3 on {1, 2}
     assert find_bigons(parse_word("n=4; z1 z3 z3 z1")) == (
         Bigon((0, 3), frozenset({1, 2})), Bigon((1, 2), frozenset({3, 4})))
+    # 1, 2 on the lower strands {1, 2} is found before 0, 3 on {3, 4}
+    assert find_bigons(parse_word("n=4; z3 z1 z1 z3")) == (
+        Bigon((0, 3), frozenset({3, 4})), Bigon((1, 2), frozenset({1, 2})))
 
 
 def test_reduction_is_leftmost_first_where_bigons_close_out_of_order():

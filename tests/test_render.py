@@ -1,7 +1,9 @@
 from pathlib import Path
 
-from freebraid.words import BraidWord, parse_word
-from freebraid.render import RenderFormat, render, render_ascii, render_svg
+import pytest
+
+from freebraid.words import BraidWord, PreconditionError, parse_word
+from freebraid.render import MAX_STRAND_ROWS, RenderFormat, render, render_ascii, render_svg
 from freebraid.scenarios import brunnian_word
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,3 +41,14 @@ def test_empty_word_renders():
     out = render_ascii(BraidWord(3))
     assert out.splitlines()[0].split() == ["1", "2", "3"]
     assert "<svg" in render_svg(BraidWord(3))
+
+
+def test_render_refuses_more_strand_rows_than_its_bound():
+    """n strands by L letters is n * max(L, 1) strand-rows; both formats refuse more than the bound."""
+    assert MAX_STRAND_ROWS == 10**6
+    assert len(render(BraidWord(10_000, (1,) * 100)).splitlines()) == 102
+    assert len(render(BraidWord(10_000)).splitlines()) == 2  # no letters: the two label rows
+    for word in (BraidWord(10_000, (1,) * 101), BraidWord(2, (1, -1) * 250_000 + (1,))):
+        for format in RenderFormat:
+            with pytest.raises(PreconditionError, match=f"^{word.n} strands by {len(word)} rows is over 1000000 "):
+                render(word, format)

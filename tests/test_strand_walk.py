@@ -1,10 +1,12 @@
-"""`strand_walk` and everything that reads it, against the separate walks it replaced.
+"""The walks along the strands of a word, and what reads strands, against walks of their own.
 
-The references in `helpers` walk the word themselves, so none of them shares
-code with the walk under test.  The two passes that swap positions
-themselves, `crossings_by_strand` and `normalform._reduce`, are also checked
-against forms that read `strand_walk`, kept in `helpers`: the two-pass form of
-the first, and the strand links and heap that the second replaced.
+`strand_trace` and `permutation` are checked against `helpers.reference_strand_trace`
+and `helpers.reference_permutation`, which walk the word themselves.  Everything
+else reads strands from one pass, `crossings_by_strand`, or swaps positions in
+its own pass, `normalform._reduce`.  Both are checked against forms over those
+references, kept in `helpers`: the two-pass form of the first, and the strand
+links and heap that the second replaced.  So are the codes, the chord diagrams,
+the parities and the trivial components of a closure.
 """
 
 import random
@@ -19,9 +21,9 @@ from freebraid.words import (
     crossings_by_strand,
     permutation,
     strand_trace,
-    strand_walk,
 )
 from freebraid.normalform import _reduce, canonical_code, irreducible_code
+from freebraid.scenarios import trivial_components
 from freebraid.parity import (
     Parity,
     chord_diagram,
@@ -42,6 +44,7 @@ from helpers import (
     reference_parities,
     reference_permutation,
     reference_strand_trace,
+    reference_trivial_components,
 )
 
 def _words(seed: int, count: int, max_len: int = 2000):
@@ -74,14 +77,10 @@ def test_words_cover_each_kind_and_length():
     assert any(w.letters and all(x > 0 for x in w.letters) for w in words)
 
 
-def test_strand_walk_matches_reference_walks():
+def test_strand_trace_and_permutation_match_reference_walks():
     for _, word in _words(1, 240):
-        strands, image = strand_walk(word)
-        trace = reference_strand_trace(word)
-        assert list(zip(strands[::2], strands[1::2])) == list(trace)
-        assert len(strands) == 2 * len(word)
-        assert image == reference_permutation(word).image
-        assert strand_trace(word) == trace
+        trace = strand_trace(word)
+        assert trace == reference_strand_trace(word) and len(trace) == len(word)
         assert permutation(word) == reference_permutation(word)
 
 
@@ -115,9 +114,8 @@ def test_fused_passes_match_their_two_pass_references():
     bigons = 0
     for word in _fused_pass_words():
         seqs, image = crossings_by_strand(word)
-        walked, walked_image = strand_walk(word)
-        assert seqs == reference_crossings_by_strand(word, walked) and len(seqs) == word.n + 1
-        assert image == walked_image
+        assert seqs == reference_crossings_by_strand(word) and len(seqs) == word.n + 1
+        assert image == reference_permutation(word).image
 
         stacks, image, alive = _reduce(word)
         assert (stacks, image, alive) == reference_heap_reduce(word)
@@ -160,3 +158,13 @@ def test_chords_and_parities_match_reference():
         got = component_parity(word, partition).parities
         assert got == expected and list(got) == list(expected)
     assert 100 < cyclic < 240
+
+
+def test_trivial_components_match_reference():
+    """Closure cycles that meet no classical letter, on words where some cycles do and some do not."""
+    mixed = 0
+    for _, word in _words(8, 240, max_len=400):
+        expected = reference_trivial_components(word)
+        assert trivial_components(word, permutation(word).cycles()) == expected
+        mixed += bool(expected) and any(x > 0 for x in word.letters)
+    assert mixed > 10

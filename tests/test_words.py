@@ -19,12 +19,12 @@ from freebraid.words import (
     ParseError,
     Permutation,
     closure_components,
+    crossings_by_strand,
     is_cyclic,
     parse_word,
     permutation,
     serialize,
     strand_trace,
-    strand_walk,
     _Value,
 )
 from freebraid.bracket import BracketResult, ReproductionReport, bracket, verify_reproduction
@@ -332,14 +332,14 @@ def test_importing_words_loads_no_other_module():
 
 
 def test_trusted_permutations_equal_checked_ones():
-    """`permutation`, `compose`, `inverse`, `identity` and the strand walk's image build without the
+    """`permutation`, `compose`, `inverse`, `identity` and `crossings_by_strand`'s image build without the
     bijection check; each result is a permutation the checking constructor accepts and equals."""
     rng = random.Random(20)
     for _ in range(300):
         n = rng.randint(1, 12)
         w1, w2 = random_word(rng, n, rng.randint(0, 30)), random_word(rng, n, rng.randint(0, 30))
         p, q = permutation(w1), permutation(w2)
-        built = [p, p.compose(q), p.inverse(), Permutation.identity(n), Permutation(strand_walk(w1)[1])]
+        built = [p, p.compose(q), p.inverse(), Permutation.identity(n), Permutation(crossings_by_strand(w1)[1])]
         for r in built:
             assert type(r.image) is tuple and r == Permutation(r.image)
         assert p.compose(q) == Permutation(tuple(q(p(k)) for k in range(1, n + 1))) == permutation(w1 * w2)
