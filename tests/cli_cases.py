@@ -89,6 +89,9 @@ CASES = [
          stdin="z1 " * 1_000_001),
     Case("parse-json-arrays-above-letter-cap", ["parse", "-"], 1, err="freebraid: letter count must be at most 1000000\n",
          stdin='{"n": 2, "letters": [' + "[], " * 1_000_000 + "[]]}"),
+    # passes the bracket and comma pre-count (one array, 10^6 commas), so the array's length refuses it
+    Case("parse-json-integers-above-letter-cap", ["parse", "-"], 1, err="freebraid: letter count must be at most 1000000\n",
+         stdin='{"n": 2, "letters": [' + "0, " * 1_000_000 + "0]}"),
     Case("parse-zeros-index", ["parse", "z" + ZEROS + "1"], out="n=2; z1\n"),
     Case("parse-zeros-header", ["parse", "n=" + ZEROS + "3; t" + ZEROS + "2"], out="n=3; t2\n"),
     Case("parity-zeros-component", ["parity", "--parity", "component:N1=" + ZEROS + "1", "n=2; z1"],
@@ -176,6 +179,26 @@ CASES = [
            err=STRAND_COUNTS) for command, scheme, word in (
         ("distinguish", "gaussian", "n=3; z1 z2"), ("distinguish", "component:N1=1", "n=3; z1"),
         ("distinguish", "qgaussian:Q=1,2", "n=3; z1"), ("verify", "gaussian", "n=3; z1"))),
+    # the reproduction check: reproduced, refuted by the bracket, refuted by the permutation
+    Case("verify-reproduced", ["verify", "--parity", "gaussian", BRUNNIAN, BRUNNIAN + " z1 z1"],
+         out="reproduced: witness positions " + " ".join(map(str, range(38))) + "\n"),
+    Case("verify-reproduced-json", ["verify", "--json", "--parity", "gaussian", BRUNNIAN, BRUNNIAN + " z1 z1"],
+         out='{"success": true, "witness_positions": [' + ", ".join(map(str, range(38))) + '], '
+         '"reduced_code": "n=9; perm=9,1,2,3,4,5,6,7,8; m=8\\ns1: 1,2,3,4,5,6,7,8\\ns2: 2\\ns3: 7\\ns4: 4\\ns5: 1\\n'
+         's6: 6\\ns7: 3\\ns8: 8\\ns9: 5", "reason": ""}\n'),
+    Case("verify-brackets-differ", ["verify", "--parity", "gaussian", BRUNNIAN, BRUNNIAN.replace("z4", "t4", 1)],
+         out="not reproduced: brackets differ; the words are certified non-equivalent\n"),
+    Case("verify-brackets-differ-json", ["verify", "--json", "--parity", "gaussian", BRUNNIAN,
+                                         BRUNNIAN.replace("z4", "t4", 1)],
+         out='{"success": false, "witness_positions": null, "reduced_code": "n=9; perm=1,3,9,2,4,5,6,7,8; m=4\\ns1:\\n'
+         's2: 1\\ns3: 2\\ns4: 3,4\\ns5:\\ns6: 4\\ns7: 1\\ns8: 2\\ns9: 3", '
+         '"reason": "brackets differ; the words are certified non-equivalent"}\n'),
+    Case("verify-permutations-differ", ["verify", "--parity", "gaussian", BRUNNIAN, BRUNNIAN + " z1 z1 z1"],
+         out="not reproduced: permutations differ; the words are not equivalent under any move set\n"),
+    Case("verify-permutations-differ-json", ["verify", "--json", "--parity", "gaussian", BRUNNIAN,
+                                             BRUNNIAN + " z1 z1 z1"],
+         out='{"success": false, "witness_positions": null, "reduced_code": null, '
+         '"reason": "permutations differ; the words are not equivalent under any move set"}\n'),
     # moves and the oracle
     Case("scramble", ["scramble", "--steps", "50", "--seed", "9", "--max-length", "30", "n=3; z1 z2"],
          out="n=3; z2 t2 z2 t2 t2 t2 t1 t1 z1 z1 z2 z1 z2 z1 z2 z1 z1 t1 z1 z1 z1 z1 z2 z2 t1 z1 z1 z1 z1 z2\n"),
@@ -228,7 +251,17 @@ CASES = [
          "reproduction after scramble: yes (seed=0, steps=300, max-length=200)\nresult: PASS\n"),
     Case("scenario-brunnian-steps-above-cap", ["scenario", "brunnian", "--steps", "2000000"], 2,
          err="freebraid: steps must be at most 1000000, got 2000000\n"),
+    Case("scenario-brunnian-json", ["scenario", "brunnian", "--json", "--steps", "300"],
+         out=f'{{"word": "{BRUNNIAN}", "cyclic": true, "classical_count": 8, "odd_count": 8, "bigon_count": 0, '
+         '"bracket_equals_input": true, "reproduction_ok": true, '
+         '"scramble": {"seed": 0, "steps": 300, "max_length": 200}, "passed": true}\n'),
     Case("scenario-beta-prime", ["scenario", "beta-prime"], out=BETA_PRIME),
+    Case("scenario-beta-prime-json", ["scenario", "beta-prime", "--json"],
+         out='{"word": "n=10; t2 t3 t4 z5 t5 t4 t3 z2 t2 t3 t4 t5 t6 z7 t7 t6 t5 z4 t4 t5 t6 t7 t8 t9 z9 t8 t7 z6 t5 '
+         't4 t3 z3 t4 t5 t6 t7 z8 t9 z1 t2 t3 t2 z1", "added_positions": [38, 42], "added_parities": ["even", "even"], '
+         '"bracket_components": 3, "bracket_cycles": [[1], [2, 10, 9, 8, 7, 6, 5], [3, 4]], '
+         '"trivial_components": [[1]], "findings_met": true, "note": "built-in word is one reading of a braid usually '
+         'given as a diagram; supply a candidate word to test alternatives"}\n'),
     Case("beta-prime-nine-strands", ["scenario", "beta-prime", BRUNNIAN], 2,
          err="freebraid: the transformed braid has 10 strands, got 9\n"),
     Case("beta-prime-no-embedded-word", ["scenario", "beta-prime", "n=10; z1 z2 z3 z4 z5 z6 z7 z8 z9"], 2,
