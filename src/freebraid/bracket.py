@@ -10,14 +10,9 @@ verifier extracts that subword as a set of letter positions.
 
 from __future__ import annotations
 
-import json
+from itertools import compress
 
-from .normalform import (
-    canonical_code,
-    f_equal,
-    find_bigons,
-    irreducible_form_tracked,
-)
+from .normalform import _code, _reduce, f_equal, find_bigons
 from .parity import Parity, ParityScheme
 from .words import BraidWord, PreconditionError, _Value, permutation
 
@@ -58,37 +53,45 @@ class ReproductionReport(_Value):
     __slots__ = _fields = ("success", "witness_positions", "reduced_code", "reason")
     _defaults = {"reason": ""}
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def format_text(self) -> str:
+        if self.success:
+            return "reproduced: witness positions " + " ".join(map(str, self.witness_positions))
+        return f"not reproduced: {self.reason}"
+
+    def payload(self) -> dict:
+        """The report as JSON-ready data."""
+        return {
             "success": self.success,
             "witness_positions": list(self.witness_positions) if self.witness_positions is not None else None,
             "reduced_code": self.reduced_code.format() if self.reduced_code is not None else None,
             "reason": self.reason,
-        })
+        }
 
 
 def verify_reproduction(beta: BraidWord, beta_prime: BraidWord,
                         scheme: ParityScheme) -> ReproductionReport:
     """Locate beta, up to strong equivalence, inside beta_prime.
 
-    Requires beta to be odd and irreducible under the scheme.  Takes the
-    candidate's bracket, bigon-reduces it while tracking positions, and
-    compares codes; surviving positions are the witness subword.
+    Requires beta to be odd and irreducible under the scheme.  Bigon-reduces
+    the candidate's bracket in one pass (`normalform._reduce`) and compares
+    codes; the letters that pass keeps alive are the witness subword.  beta
+    has no bigon, so its own pass deletes nothing and gives its strands'
+    lists and its image.
     """
     if beta.n != beta_prime.n:
         raise PreconditionError(f"strand counts differ: {beta.n} vs {beta_prime.n}")
     if not is_odd_irreducible(beta, scheme):
         raise PreconditionError("the target word is not odd and irreducible under the scheme")
-    if permutation(beta_prime) != permutation(beta):
+    stacks, image, _ = _reduce(beta)
+    if permutation(beta_prime).image != image:
         return ReproductionReport(
             success=False, witness_positions=None, reduced_code=None,
             reason="permutations differ; the words are not equivalent under any move set")
     br = bracket(beta_prime, scheme)
-    reduced, survivors = irreducible_form_tracked(br.word)
-    code = canonical_code(reduced)
-    if code == canonical_code(beta):
-        witness = tuple(br.kept_positions[k] for k in survivors)
-        return ReproductionReport(True, witness, code)
+    reduced, reduced_image, alive = _reduce(br.word)
+    code = _code(beta.n, reduced_image, reduced[1:])
+    if code == _code(beta.n, image, stacks[1:]):
+        return ReproductionReport(True, tuple(compress(br.kept_positions, alive)), code)
     return ReproductionReport(
         success=False, witness_positions=None, reduced_code=code,
         reason="brackets differ; the words are certified non-equivalent")

@@ -206,13 +206,7 @@ def _cmd_verify(args) -> None:
     beta, beta_prime = _load_word(args.word1), _load_word(args.word2)
     scheme = parse_scheme(args.parity, beta.n)
     report = verify_reproduction(beta, beta_prime, scheme)
-    if args.json:
-        print(report.to_json())
-    else:
-        if report.success:
-            print("reproduced: witness positions " + " ".join(map(str, report.witness_positions)))
-        else:
-            print(f"not reproduced: {report.reason}")
+    _emit(args, report.format_text(), report.payload())
 
 
 def _cmd_render(args) -> None:
@@ -226,18 +220,17 @@ def _cmd_scenario(args) -> None:
     if args.which == "brunnian":
         report = scenarios.scenario_brunnian(seed=args.seed, steps=args.steps,
                                              max_length=args.max_length)
-        print(report.to_json() if args.json else report.format_text())
-        return
-    word = _load_word(args.word) if args.word is not None else None
-    added = None
-    if args.added is not None:
-        try:
-            a, b = (_ascii_int(tok) for tok in args.added.split(","))
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ParseError(f"--added expects two comma-separated positions, got {args.added!r}") from None
-        added = (a, b)
-    report = scenarios.scenario_beta_prime(word, added)
-    print(report.to_json() if args.json else report.format_text())
+    else:
+        word = _load_word(args.word) if args.word is not None else None
+        added = None
+        if args.added is not None:
+            try:
+                a, b = (_ascii_int(tok) for tok in args.added.split(","))
+            except (ValueError, argparse.ArgumentTypeError):
+                raise ParseError(f"--added expects two comma-separated positions, got {args.added!r}") from None
+            added = (a, b)
+        report = scenarios.scenario_beta_prime(word, added)
+    _emit(args, report.format_text(), report.payload())
 
 
 def _add_json_flag(p):

@@ -31,14 +31,9 @@ class EquivalenceBall(_Value):
     _fields = ("origin", "moveset", "length_bound", "members", "cap_exceeded")
     __slots__ = _fields + ("_member_set",)
 
-    def __init__(self, origin: BraidWord, moveset: MoveSet, length_bound: int,
-                 members: tuple[BraidWord, ...], cap_exceeded: bool):
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "moveset", moveset)
-        object.__setattr__(self, "length_bound", length_bound)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "cap_exceeded", cap_exceeded)
-        object.__setattr__(self, "_member_set", frozenset([w.letters for w in members]))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_member_set", frozenset([w.letters for w in self.members]))
 
     def __contains__(self, word: BraidWord) -> bool:
         return word.n == self.origin.n and word.letters in self._member_set

@@ -25,9 +25,9 @@ def render(word: BraidWord, format: RenderFormat = RenderFormat.ASCII) -> str:
     if word.n * max(len(word.letters), 1) > MAX_STRAND_ROWS:
         raise PreconditionError(f"{word.n} strands by {len(word.letters)} rows is over {MAX_STRAND_ROWS} strand-rows")
     if format is RenderFormat.ASCII:
-        return render_ascii(word)
+        return _render_ascii(word)
     if format is RenderFormat.SVG:
-        return render_svg(word)
+        return _render_svg(word)
     raise ValueError(f"unknown render format {format!r}")
 
 
@@ -41,7 +41,7 @@ def _label_line(labels, width: int) -> str:
     return "".join(chars).rstrip()
 
 
-def render_ascii(word: BraidWord) -> str:
+def _render_ascii(word: BraidWord) -> str:
     n = word.n
     width = (n - 1) * _PITCH + 1
     lines = [_label_line([str(k) for k in range(1, n + 1)], width)]
@@ -65,7 +65,7 @@ _SVG_MARGIN = 20
 _SVG_RADIUS = 6
 
 
-def render_svg(word: BraidWord) -> str:
+def _render_svg(word: BraidWord) -> str:
     n = word.n
     rows = max(len(word.letters), 1)
     width = (n - 1) * _SVG_PITCH + 2 * _SVG_MARGIN

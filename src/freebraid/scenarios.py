@@ -14,8 +14,6 @@ closure splits into three components, one of them trivial.
 
 from __future__ import annotations
 
-import json
-
 from .bracket import bracket, verify_reproduction
 from .moves import MoveSet, scramble
 from .normalform import find_bigons
@@ -85,8 +83,8 @@ class BrunnianReport(_Value):
             f"result: {'PASS' if self.passed else 'FAIL'}",
         ])
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def payload(self) -> dict:
+        return {
             "word": serialize(self.word),
             "cyclic": self.cyclic,
             "classical_count": self.classical_count,
@@ -97,7 +95,7 @@ class BrunnianReport(_Value):
             "scramble": {"seed": self.scramble_seed, "steps": self.scramble_steps,
                          "max_length": self.scramble_max_length},
             "passed": self.passed,
-        })
+        }
 
 
 def scenario_brunnian(seed: int = 0, steps: int = 1000, max_length: int = 200) -> BrunnianReport:
@@ -148,8 +146,8 @@ class BetaPrimeReport(_Value):
         ]
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def payload(self) -> dict:
+        return {
             "word": serialize(self.word),
             "added_positions": list(self.added_positions),
             "added_parities": [p.value for p in self.added_parities],
@@ -158,7 +156,7 @@ class BetaPrimeReport(_Value):
             "trivial_components": [list(c) for c in self.trivial_components],
             "findings_met": self.findings_met,
             "note": self.reconstruction_note,
-        })
+        }
 
 
 def locate_added_crossings(word: BraidWord) -> tuple[int, int]:

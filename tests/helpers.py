@@ -32,9 +32,10 @@ from freebraid.moves import (
     relation_sides,
     relations_in,
 )
-from freebraid.normalform import Bigon, CanonicalCode, canonical_code, irreducible_code
+from freebraid.normalform import Bigon, CanonicalCode, canonical_code, irreducible_code, irreducible_form_tracked
 from freebraid.parity import ComponentScheme, GaussianScheme, Parity, QGaussianScheme, StrandPartition
 from freebraid.oracle import EquivalenceBall, OracleVerdict, bfs_ball
+from freebraid.bracket import ReproductionReport, bracket, is_odd_irreducible
 
 
 def permutation_braid(q: Permutation) -> BraidWord:
@@ -156,6 +157,31 @@ def reference_canonical_code(word: BraidWord) -> CanonicalCode:
             label.setdefault(t, len(label) + 1)
     return CanonicalCode(word.n, reference_permutation(word).image, len(label),
                          tuple(tuple(label[t] for t in seq) for seq in seqs[1:]))
+
+
+def reference_verify_reproduction(beta: BraidWord, beta_prime: BraidWord, scheme) -> ReproductionReport:
+    """`verify_reproduction` as it was before it read both codes off one reduction per word.
+
+    It builds the candidate's reduced bracket word, walks it again for its code, and walks beta for its
+    permutation and its code.
+    """
+    if beta.n != beta_prime.n:
+        raise PreconditionError(f"strand counts differ: {beta.n} vs {beta_prime.n}")
+    if not is_odd_irreducible(beta, scheme):
+        raise PreconditionError("the target word is not odd and irreducible under the scheme")
+    if permutation(beta_prime) != permutation(beta):
+        return ReproductionReport(
+            success=False, witness_positions=None, reduced_code=None,
+            reason="permutations differ; the words are not equivalent under any move set")
+    br = bracket(beta_prime, scheme)
+    reduced, survivors = irreducible_form_tracked(br.word)
+    code = canonical_code(reduced)
+    if code == canonical_code(beta):
+        witness = tuple(br.kept_positions[k] for k in survivors)
+        return ReproductionReport(True, witness, code)
+    return ReproductionReport(
+        success=False, witness_positions=None, reduced_code=code,
+        reason="brackets differ; the words are certified non-equivalent")
 
 
 def reference_trivial_components(word: BraidWord) -> tuple[tuple[int, ...], ...]:

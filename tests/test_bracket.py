@@ -12,7 +12,7 @@ from freebraid.oracle import OracleVerdict, bfs_ball, oracle_equal
 from freebraid.bracket import bracket, brackets_equal, is_odd_irreducible, verify_reproduction
 from freebraid.scenarios import BRUNNIAN_TEXT, brunnian_word
 
-from helpers import applicable_moves, random_scheme, random_word
+from helpers import applicable_moves, random_scheme, random_word, reference_verify_reproduction
 
 
 def one_part_scheme(n):
@@ -177,6 +177,35 @@ def test_reproduction_witnesses_are_certified_by_the_oracle():
     assert members == 678
 
 
+def test_verify_reproduction_matches_the_two_walk_reference():
+    """One reduction per word gives the reports that the reduced word and its second walk gave.
+
+    The words are 200 seeded FB scrambles of the brunnian word, each also with its first classical letter
+    made virtual, and every n = 3 target above against every member of every ball, so that both refusals
+    and success are met.
+    """
+    scheme = GaussianScheme()
+    brunnian = brunnian_word()
+    outcomes = set()
+    for seed in range(200):
+        scrambled, _ = scramble(brunnian, 300, MoveSet.FB, seed, 200)
+        t = next(t for t, x in enumerate(scrambled.letters) if x > 0)
+        flipped = BraidWord(9, scrambled.letters[:t] + (-scrambled.letters[t],) + scrambled.letters[t + 1:])
+        for candidate in (scrambled, flipped):
+            report = verify_reproduction(brunnian, candidate, scheme)
+            assert report == reference_verify_reproduction(brunnian, candidate, scheme), (seed, candidate)
+            outcomes.add(report.reason)
+    betas = [w for w in (BraidWord(3, ls) for ls in itertools.product((1, 2, -1, -2), repeat=4))
+             if w.classical_count and is_cyclic(permutation(w)) and is_odd_irreducible(w, scheme)]
+    candidates = {m for beta in betas for m in bfs_ball(beta, MoveSet.FB, 6).members}
+    for beta in betas:
+        for candidate in candidates:
+            report = verify_reproduction(beta, candidate, scheme)
+            assert report == reference_verify_reproduction(beta, candidate, scheme), (beta, candidate)
+            outcomes.add(report.reason)
+    assert len(outcomes) == 3  # reproduced, brackets differ, permutations differ
+
+
 def test_verify_reproduction_refutes_inequivalent_word():
     report = verify_reproduction(brunnian_word(), BraidWord(9), GaussianScheme())
     assert not report.success
@@ -211,7 +240,7 @@ def test_verify_reproduction_succeeds_on_padded_equivalent():
 def test_report_json_round_trip():
     word = brunnian_word()
     report = verify_reproduction(word, word, GaussianScheme())
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.payload()))
     assert payload["success"] is True
     assert payload["witness_positions"] == list(range(38))
     assert payload["reduced_code"].startswith("n=9;")
