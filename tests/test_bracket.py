@@ -151,6 +151,12 @@ def test_verify_reproduction_after_scramble():
     assert canonical_code(BraidWord(9, sub)) == canonical_code(word)
 
 
+def odd_irreducible_cyclic_words_of_length_4(scheme):
+    """The n = 3 words of 4 letters, with a classical one, that are cyclic and odd irreducible under scheme."""
+    return [w for w in (BraidWord(3, ls) for ls in itertools.product((1, 2, -1, -2), repeat=4))
+            if w.classical_count and is_cyclic(permutation(w)) and is_odd_irreducible(w, scheme)]
+
+
 def test_reproduction_witnesses_are_certified_by_the_oracle():
     """The reproduction theorem on every odd-irreducible cyclic word at n = 3, length 4, with a classical letter.
 
@@ -160,8 +166,7 @@ def test_reproduction_witnesses_are_certified_by_the_oracle():
     three witnesses, such as n=3; t2 t1 z2 z1 for n=3; z1 t2 z1 t1, are not found.
     """
     scheme = GaussianScheme()
-    betas = [w for w in (BraidWord(3, ls) for ls in itertools.product((1, 2, -1, -2), repeat=4))
-             if w.classical_count and is_cyclic(permutation(w)) and is_odd_irreducible(w, scheme)]
+    betas = odd_irreducible_cyclic_words_of_length_4(scheme)
     assert len(betas) == 14
     members = 0
     for beta in betas:
@@ -195,8 +200,7 @@ def test_verify_reproduction_matches_the_two_walk_reference():
             report = verify_reproduction(brunnian, candidate, scheme)
             assert report == reference_verify_reproduction(brunnian, candidate, scheme), (seed, candidate)
             outcomes.add(report.reason)
-    betas = [w for w in (BraidWord(3, ls) for ls in itertools.product((1, 2, -1, -2), repeat=4))
-             if w.classical_count and is_cyclic(permutation(w)) and is_odd_irreducible(w, scheme)]
+    betas = odd_irreducible_cyclic_words_of_length_4(scheme)
     candidates = {m for beta in betas for m in bfs_ball(beta, MoveSet.FB, 6).members}
     for beta in betas:
         for candidate in candidates:
