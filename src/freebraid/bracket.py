@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .normalform import _code, _reduce, f_equal, find_bigons
+from .normalform import _code, _reduce, f_equal
 from .parity import Parity, ParityScheme
 from .words import BraidWord, PreconditionError, _Value, permutation
 
@@ -38,8 +38,8 @@ def brackets_equal(w1: BraidWord, w2: BraidWord, scheme: ParityScheme) -> bool:
 
 
 def is_odd_irreducible(word: BraidWord, scheme: ParityScheme) -> bool:
-    """True iff every classical letter is odd and no bigon reduction applies."""
-    return scheme.assignment(word).all_odd() and not find_bigons(word)
+    """True iff every classical letter is odd and bigon reduction deletes no letter."""
+    return scheme.assignment(word).all_odd() and all(_reduce(word)[-1])
 
 
 class ReproductionReport(_Value):
@@ -72,17 +72,17 @@ def verify_reproduction(beta: BraidWord, beta_prime: BraidWord,
                         scheme: ParityScheme) -> ReproductionReport:
     """Locate beta, up to strong equivalence, inside beta_prime.
 
-    Requires beta to be odd and irreducible under the scheme.  Bigon-reduces
-    the candidate's bracket in one pass (`normalform._reduce`) and compares
-    codes; the letters that pass keeps alive are the witness subword.  beta
-    has no bigon, so its own pass deletes nothing and gives its strands'
-    lists and its image.
+    Requires beta to be odd and irreducible under the scheme.  One bigon
+    reduction pass (`normalform._reduce`) over beta tests irreducibility (it
+    keeps every letter alive) and gives beta's strands' lists and image; one
+    over the candidate's bracket gives its code, and the letters that pass
+    keeps alive are the witness subword.
     """
     if beta.n != beta_prime.n:
         raise PreconditionError(f"strand counts differ: {beta.n} vs {beta_prime.n}")
-    if not is_odd_irreducible(beta, scheme):
+    stacks, image, alive = _reduce(beta)
+    if not (scheme.assignment(beta).all_odd() and all(alive)):
         raise PreconditionError("the target word is not odd and irreducible under the scheme")
-    stacks, image, _ = _reduce(beta)
     if permutation(beta_prime).image != image:
         return ReproductionReport(
             success=False, witness_positions=None, reduced_code=None,

@@ -17,13 +17,14 @@ class RenderFormat(Enum):
 
 
 _PITCH = 4  # ascii columns between strands
-# Larger diagrams are refused before anything is built: an SVG strand-row is about 49 characters.
+# Larger diagrams are refused unbuilt.  A row weighs n + 2 strand-rows: ~49 SVG characters a strand, ~70 its marker.
 MAX_STRAND_ROWS = 1_000_000
 
 
 def render(word: BraidWord, format: RenderFormat = RenderFormat.ASCII) -> str:
-    if word.n * max(len(word.letters), 1) > MAX_STRAND_ROWS:
-        raise PreconditionError(f"{word.n} strands by {len(word.letters)} rows is over {MAX_STRAND_ROWS} strand-rows")
+    n, rows = word.n, len(word)
+    if (n + 2) * max(rows, 1) > MAX_STRAND_ROWS:
+        raise PreconditionError(f"{n} strands by {rows} rows is over {MAX_STRAND_ROWS} strand-rows, n + 2 a row")
     if format is RenderFormat.ASCII:
         return _render_ascii(word)
     if format is RenderFormat.SVG:
@@ -67,9 +68,8 @@ _SVG_RADIUS = 6
 
 def _render_svg(word: BraidWord) -> str:
     n = word.n
-    rows = max(len(word.letters), 1)
     width = (n - 1) * _SVG_PITCH + 2 * _SVG_MARGIN
-    height = rows * _SVG_ROW + 2 * _SVG_MARGIN
+    height = max(len(word.letters), 1) * _SVG_ROW + 2 * _SVG_MARGIN
 
     def x_of(position: int) -> int:
         return _SVG_MARGIN + (position - 1) * _SVG_PITCH

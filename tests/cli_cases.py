@@ -205,6 +205,10 @@ CASES = [
     Case("scramble-history", ["scramble", "--steps", "5", "--seed", "1", "--max-length", "20", "--history", "n=3; z1 z2"],
          out="n=3; z1 z2 z2 z2 z2 t2 t2 z2\nVirtualR2 i=1 pos=2 dir=rev\nClassicalR2 i=2 pos=2 dir=rev\n"
          "ClassicalR2 i=2 pos=3 dir=rev\nVirtualR2 i=1 pos=6 dir=fwd\nVirtualR2 i=2 pos=5 dir=rev\n"),
+    Case("scramble-json", ["scramble", "--json", "--steps", "5", "--seed", "1", "--max-length", "20", "n=3; z1 z2"],
+         out='{"word": "n=3; z1 z2 z2 z2 z2 t2 t2 z2", "history": ["VirtualR2 i=1 pos=2 dir=rev", '
+         '"ClassicalR2 i=2 pos=2 dir=rev", "ClassicalR2 i=2 pos=3 dir=rev", "VirtualR2 i=1 pos=6 dir=fwd", '
+         '"VirtualR2 i=2 pos=5 dir=rev"]}\n'),
     Case("scramble-wide-f", ["scramble", "--moveset", "F", "--steps", "3000", "--seed", "5", "--max-length", "400", WIDE],
          out=WIDE_F + "\n"),
     Case("scramble-strong", ["scramble", "--moveset", "strong", "--steps", "500", "--seed", "2", "--max-length", "40",
@@ -245,7 +249,10 @@ CASES = [
          '</svg>\n'),
     Case("render-no-json", ["render", "--json", "n=2; z1"], 1, err="freebraid: error: unrecognized arguments: --json\n"),
     Case("render-over-the-strand-row-bound", ["render", "n=10000;" + " z1" * 101], 2,
-         err="freebraid: 10000 strands by 101 rows is over 1000000 strand-rows\n"),
+         err="freebraid: 10000 strands by 101 rows is over 1000000 strand-rows, n + 2 a row\n"),
+    Case("render-stdin-two-strands-over-the-strand-row-bound", ["render", "--format", "svg", "-"], 2,
+         err="freebraid: 2 strands by 250001 rows is over 1000000 strand-rows, n + 2 a row\n",
+         stdin="n=2;" + " z1" * 250_001),
     Case("scenario-brunnian", ["scenario", "brunnian", "--steps", "300"],
          out=f"word: {BRUNNIAN}\npermutation cyclic: yes\nodd crossings: 8/8\nbigons: 0\nbracket equals input: yes\n"
          "reproduction after scramble: yes (seed=0, steps=300, max-length=200)\nresult: PASS\n"),
@@ -266,6 +273,10 @@ CASES = [
          err="freebraid: the transformed braid has 10 strands, got 9\n"),
     Case("beta-prime-no-embedded-word", ["scenario", "beta-prime", "n=10; z1 z2 z3 z4 z5 z6 z7 z8 z9"], 2,
          err="freebraid: cannot locate the embedded brunnian word; pass the added crossing positions explicitly\n"),
+    Case("beta-prime-one-leftover-letter", ["scenario", "beta-prime", "n=10; t2 t3 t4 z5 t5 t4 t3 z2 t2 t3 t4 t5 t6 z7 "
+         "t7 t6 t5 z4 t4 t5 t6 t7 t8 t9 z9 t8 t7 z6 t5 t4 t3 z3 t4 t5 t6 t7 z8 t9 z1"], 2,
+         err="freebraid: expected exactly 2 leftover classical letters, found 1; pass the added crossing positions "
+         "explicitly\n"),
     Case("beta-prime-arabic-added", ["scenario", "beta-prime", "--added", "\u0661,2"], 1, err=ADDED + "'\u0661,2'\n"),
     Case("beta-prime-same-added-twice", ["scenario", "beta-prime", "--added", "38,38"], 2,
          err="freebraid: the two added crossings need two different positions, got 38 twice\n"),

@@ -32,10 +32,17 @@ from freebraid.moves import (
     relation_sides,
     relations_in,
 )
-from freebraid.normalform import Bigon, CanonicalCode, canonical_code, irreducible_code, irreducible_form_tracked
+from freebraid.normalform import (
+    Bigon,
+    CanonicalCode,
+    canonical_code,
+    find_bigons,
+    irreducible_code,
+    irreducible_form_tracked,
+)
 from freebraid.parity import ComponentScheme, GaussianScheme, Parity, QGaussianScheme, StrandPartition
 from freebraid.oracle import EquivalenceBall, OracleVerdict, bfs_ball
-from freebraid.bracket import ReproductionReport, bracket, is_odd_irreducible
+from freebraid.bracket import ReproductionReport, bracket
 
 
 def permutation_braid(q: Permutation) -> BraidWord:
@@ -159,15 +166,21 @@ def reference_canonical_code(word: BraidWord) -> CanonicalCode:
                          tuple(tuple(label[t] for t in seq) for seq in seqs[1:]))
 
 
+def reference_is_odd_irreducible(word: BraidWord, scheme) -> bool:
+    """`is_odd_irreducible` as it was before it read bigon-freeness off one reduction pass: no bigon
+    found by `find_bigons`, which compares neighbours on the strands' lists and deletes nothing."""
+    return scheme.assignment(word).all_odd() and not find_bigons(word)
+
+
 def reference_verify_reproduction(beta: BraidWord, beta_prime: BraidWord, scheme) -> ReproductionReport:
     """`verify_reproduction` as it was before it read both codes off one reduction per word.
 
-    It builds the candidate's reduced bracket word, walks it again for its code, and walks beta for its
-    permutation and its code.
+    It tests beta with `reference_is_odd_irreducible`, builds the candidate's reduced bracket word, walks it
+    again for its code, and walks beta for its permutation and its code.
     """
     if beta.n != beta_prime.n:
         raise PreconditionError(f"strand counts differ: {beta.n} vs {beta_prime.n}")
-    if not is_odd_irreducible(beta, scheme):
+    if not reference_is_odd_irreducible(beta, scheme):
         raise PreconditionError("the target word is not odd and irreducible under the scheme")
     if permutation(beta_prime) != permutation(beta):
         return ReproductionReport(

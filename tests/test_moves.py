@@ -45,6 +45,12 @@ def test_moveset_catalogues():
     assert len(relations_in(MoveSet.FB)) == 9
 
 
+def test_relation_sides_refuses_an_unknown_relation():
+    for relation in ("classical_r2", MoveSet.FB):
+        with pytest.raises(ValueError, match=f"^unknown relation {relation!r}$"):
+            relation_sides(relation, 1)
+
+
 def test_move_sets_differ_only_in_the_classical_r2_and_r3():
     """A move set filters out at most these two relations of what the switch-free matcher finds."""
     for moveset in MoveSet:

@@ -223,6 +223,30 @@ def test_completion_and_partition_must_cover_the_word_strands():
         component_parity(BraidWord(2, (1,)), StrandPartition.from_first(3, {1}))
 
 
+def test_chord_diagram_refuses_a_crossing_not_seen_exactly_twice():
+    for gauss, c, times in (((0, 1, 0), 1, 1), ((0, 0, 0, 1, 1), 0, 3)):
+        with pytest.raises(ValueError, match=f"^crossing {c} appears {times} times in the gauss sequence$"):
+            ChordDiagram(gauss)
+
+
+def test_linked_refuses_one_crossing_twice():
+    with pytest.raises(ValueError, match="^linkedness needs two distinct crossings$"):
+        linked(ChordDiagram((0, 1, 0, 1)), 1, 1)
+
+
+def test_parity_of_refuses_a_position_without_parity():
+    assignment = gaussian_parity(parse_word("n=2; z1 t1 z1"))
+    for position in (1, 3, -1):  # a virtual letter, past the end, and not a position
+        with pytest.raises(PreconditionError, match=f"^position {position} carries no parity$"):
+            assignment.parity_of(position)
+
+
+def test_partition_refuses_parts_that_do_not_cover_1_to_n():
+    for first, second in (({1}, {3}), ({2}, set()), (set(), {0, 1})):
+        with pytest.raises(ValueError, match=r"^partition parts must cover 1\.\.n exactly$"):
+            StrandPartition(frozenset(first), frozenset(second))
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         StrandPartition(frozenset({1}), frozenset({1, 2}))

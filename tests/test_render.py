@@ -44,11 +44,18 @@ def test_empty_word_renders():
 
 
 def test_render_refuses_more_strand_rows_than_its_bound():
-    """n strands by L letters is n * max(L, 1) strand-rows; both formats refuse more than the bound."""
+    """n strands by L letters weigh (n + 2) * max(L, 1) strand-rows; both formats refuse more than the bound."""
     assert MAX_STRAND_ROWS == 10**6
-    assert len(render(BraidWord(10_000, (1,) * 100)).splitlines()) == 102
+    assert len(render(BraidWord(10_000, (1,) * 99)).splitlines()) == 101
+    assert len(render(BraidWord(2, (1, -1) * 125_000)).splitlines()) == 250_002
     assert len(render(BraidWord(10_000)).splitlines()) == 2  # no letters: the two label rows
-    for word in (BraidWord(10_000, (1,) * 101), BraidWord(2, (1, -1) * 250_000 + (1,))):
+    for word in (BraidWord(10_000, (1,) * 100), BraidWord(10_000, (1,) * 101), BraidWord(2, (1, -1) * 125_000 + (1,)),
+                 BraidWord(2, (1, -1) * 250_000 + (1,))):
         for format in RenderFormat:
             with pytest.raises(PreconditionError, match=f"^{word.n} strands by {len(word)} rows is over 1000000 "):
                 render(word, format)
+
+
+def test_render_refuses_a_format_that_is_not_a_render_format():
+    with pytest.raises(ValueError, match="^unknown render format 'svg'$"):
+        render(BraidWord(2, (1,)), "svg")

@@ -215,6 +215,11 @@ def test_letters_validated_on_construction():
         BraidWord(True)
 
 
+def test_braid_word_refuses_zero_strands():
+    with pytest.raises(ValueError, match="^strand count must be >= 1, got 0$"):
+        BraidWord(0, ())
+
+
 def test_words_built_without_checks_equal_checked_words():
     """Each result of the unchecked constructor is a word the checking constructor accepts and equals."""
     rng = random.Random(9)
@@ -245,6 +250,11 @@ def test_words_built_without_checks_equal_checked_words():
 def test_serialize_examples():
     assert serialize(BraidWord(2, (1,))) == "n=2; z1"
     assert serialize(BraidWord(3)) == "n=3;"
+
+
+def test_serialize_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'yaml'$"):
+        serialize(BraidWord(2, (1,)), "yaml")
 
 
 def test_serialize_round_trips_brunnian_letter_for_letter():
@@ -315,6 +325,12 @@ def test_strand_trace_is_deterministic_with_distinct_strands(word):
 def test_permutation_inverse_and_cycles(p):
     assert p.compose(p.inverse()) == Permutation.identity(p.n)
     assert sorted(s for c in p.cycles() for s in c) == list(range(1, p.n + 1))
+
+
+def test_permutation_compose_refuses_different_sizes():
+    from freebraid.words import PreconditionError
+    with pytest.raises(PreconditionError, match="^cannot compose permutations of different sizes$"):
+        Permutation((2, 1)).compose(Permutation((1, 2, 3)))
 
 
 def test_concatenation_requires_matching_strand_count():
