@@ -50,7 +50,7 @@ class ChordDiagram(_Value):
         for c, ends in chords.items():
             if len(ends) != 2:
                 raise ValueError(f"crossing {c} appears {len(ends)} times in the gauss sequence")
-        object.__setattr__(self, "gauss_sequence", gauss_sequence)
+        super().__init__(gauss_sequence)
         object.__setattr__(self, "chord_of", {c: (e[0], e[1]) for c, e in chords.items()})
 
 
@@ -158,8 +158,7 @@ class StrandPartition(_Value):
         union = first | second
         if union != set(range(1, len(union) + 1)):
             raise ValueError("partition parts must cover 1..n exactly")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        super().__init__(first, second)
 
     @classmethod
     def from_first(cls, n: int, first) -> "StrandPartition":

@@ -33,14 +33,7 @@ from .words import (
 BRUNNIAN_TEXT = ("n=9; t1 t2 t3 z4 t4 t3 t2 z1 t1 t2 t3 t4 t5 z6 t6 t5 t4 z3"
                  " t3 t4 t5 t6 t7 t8 z8 t7 t6 z5 t4 t3 t2 z2 t3 t4 t5 t6 z7 t8")
 
-# The brunnian word pushed onto strands 2..10, with the new leftmost strand
-# crossing into the braid twice at the bottom: z1 t2 t3 t2 z1.  The virtual
-# t2 t3 t2 detour carries the intervening strands across between the two
-# added classical crossings.
-BETA_PRIME_TEXT = ("n=10; t2 t3 t4 z5 t5 t4 t3 z2 t2 t3 t4 t5 t6 z7 t7 t6 t5 z4"
-                   " t4 t5 t6 t7 t8 t9 z9 t8 t7 z6 t5 t4 t3 z3 t4 t5 t6 t7 z8 t9"
-                   " z1 t2 t3 t2 z1")
-
+# The positions of the built-in beta-prime word's two added crossings, as `locate_added_crossings` finds them.
 BETA_PRIME_ADDED = (38, 42)
 
 
@@ -48,14 +41,17 @@ def brunnian_word() -> BraidWord:
     return parse_word(BRUNNIAN_TEXT)
 
 
-def beta_prime_word() -> BraidWord:
-    return parse_word(BETA_PRIME_TEXT)
-
-
 def shifted_brunnian_letters() -> tuple[int, ...]:
     """The brunnian letters moved one strand to the right (for embedding checks)."""
     w = brunnian_word()
     return tuple((abs(x) + 1) * (1 if x > 0 else -1) for x in w.letters)
+
+
+def beta_prime_word() -> BraidWord:
+    """The brunnian word pushed onto strands 2..10, with the new leftmost strand crossing into the
+    braid twice at the bottom: z1 t2 t3 t2 z1.  The virtual t2 t3 t2 detour carries the intervening
+    strands across between the two added classical crossings."""
+    return BraidWord._trusted(10, shifted_brunnian_letters() + (1, -2, -3, -2, 1))
 
 
 class BrunnianReport(_Value):
@@ -194,11 +190,11 @@ def scenario_beta_prime(word: BraidWord | None = None,
     Without arguments, runs the documented reconstruction.  A candidate must
     have 10 strands and a cyclic permutation.
     """
+    if added is not None and (len(added) != 2 or any(type(t) is not int for t in added)):
+        raise PreconditionError(f"the added crossings are two int positions, got {added!r}")
     builtin = word is None
     if builtin:
         word = beta_prime_word()
-        if added is None:
-            added = BETA_PRIME_ADDED
     if word.n != 10:
         raise PreconditionError(
             f"the transformed braid has 10 strands, got {word.n}")
@@ -222,8 +218,8 @@ def scenario_beta_prime(word: BraidWord | None = None,
             if builtin else "user-supplied candidate")
     return BetaPrimeReport(
         word=word,
-        added_positions=(added[0], added[1]),
-        added_parities=tuple(Parity.ODD if t in br.kept_positions else Parity.EVEN for t in added[:2]),
+        added_positions=tuple(added),
+        added_parities=tuple(Parity.ODD if t in br.kept_positions else Parity.EVEN for t in added),
         bracket_word=br.word,
         bracket_components=ncomp,
         bracket_cycles=cycles,

@@ -44,9 +44,11 @@ class _Value:
     A subclass sets `__slots__ = _fields = (...)`, and `_defaults` for fields that have one. The
     constructor binds arguments to `_fields` as a frozen dataclass's does, TypeError included; copies and
     pickles pass every field by position. `BraidWord`, `Permutation`, `ChordDiagram` and `StrandPartition`
-    override it to check or derive data, `EquivalenceBall` to fill `_member_set`, and `MoveInstance`,
-    built every scramble step, to call its slots' setters for speed. Slots outside `_fields` hold derived
-    data that is neither compared nor printed. Equality holds only between instances of one class.
+    override it to check their data, then call it (`ChordDiagram` also derives `chord_of`); `EquivalenceBall`
+    to fill `_member_set`; and `MoveInstance`, built every scramble step, to call its slots' setters for
+    speed. `_trusted` is the one unchecked constructor, for data valid by construction (`BraidWord` and
+    `Permutation` say what its caller guarantees). Slots outside `_fields` hold derived data that is
+    neither compared nor printed. Equality holds only between instances of one class.
     """
 
     __slots__ = ()
@@ -64,6 +66,14 @@ class _Value:
             raise TypeError(f"{name}() takes the fields {fields}; got {len(args)} by position, missing {missing}")
         for field in fields:
             object.__setattr__(self, field, values[field])
+
+    @classmethod
+    def _trusted(cls, *values):
+        """cls(*values), every field given by position, without the class's checks."""
+        value = object.__new__(cls)
+        for field, v in zip(cls._fields, values):
+            object.__setattr__(value, field, v)
+        return value
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -90,7 +100,9 @@ class _Value:
 
 
 class BraidWord(_Value):
-    """An n-strand braid word.  The empty sequence is the identity braid."""
+    """An n-strand braid word.  The empty sequence is the identity braid.  A caller of
+    `BraidWord._trusted(n, letters)` guarantees an int n from 1 to `MAX_STRANDS` and a tuple of ints x
+    with 1 <= abs(x) <= n - 1."""
 
     __slots__ = _fields = ("n", "letters")
 
@@ -100,20 +112,12 @@ class BraidWord(_Value):
             raise ValueError(f"strand count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
+        if n > MAX_STRANDS:
+            raise ValueError(f"strand count must be at most {MAX_STRANDS}, got {n}")
         for x in letters:
             if type(x) is not int or x == 0 or not (1 <= abs(x) <= n - 1):
                 raise ValueError(f"letter {x!r} is not valid on {n} strands")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
-
-    @classmethod
-    def _trusted(cls, n: int, letters: tuple[int, ...]) -> "BraidWord":
-        """BraidWord(n, letters) unchecked, for letters valid by construction: the caller
-        guarantees an int n >= 1 and a tuple of ints x with 1 <= abs(x) <= n - 1."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "n", n)
-        object.__setattr__(word, "letters", letters)
-        return word
+        super().__init__(n, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -133,7 +137,8 @@ class BraidWord(_Value):
 
 
 class Permutation(_Value):
-    """A bijection of {1,...,n}; image[k-1] holds the value at k."""
+    """A bijection of {1,...,n}; image[k-1] holds the value at k.  A caller of
+    `Permutation._trusted(image)` guarantees a tuple holding each of 1..len(image) once."""
 
     __slots__ = _fields = ("image",)
 
@@ -142,15 +147,7 @@ class Permutation(_Value):
         n = len(image)
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"{image!r} is not a bijection of 1..{n}")
-        object.__setattr__(self, "image", image)
-
-    @classmethod
-    def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
-        """Permutation(image) unchecked, for an image valid by construction: the caller
-        guarantees a tuple holding each of 1..len(image) once."""
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "image", image)
-        return perm
+        super().__init__(image)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -192,7 +189,7 @@ class Permutation(_Value):
         return tuple(out)
 
 
-# Larger strand counts are refused at parse time, before anything of size n is built.
+# Larger strand counts are refused by the parser and by `BraidWord`, before anything of size n is built.
 MAX_STRANDS = 10_000
 # Longer words are refused at parse time, after at most MAX_LETTERS + 1 tokens are split off.
 MAX_LETTERS = 1_000_000

@@ -44,6 +44,31 @@ def test_trivial_components_count_only_classical_crossings():
     assert trivial_components(word, permutation(word).cycles()) == ((1,),)
 
 
+# The built-in beta-prime word written out letter by letter: the reference for `beta_prime_word`.
+BETA_PRIME_LITERAL = ("n=10; t2 t3 t4 z5 t5 t4 t3 z2 t2 t3 t4 t5 t6 z7 t7 t6 t5 z4"
+                      " t4 t5 t6 t7 t8 t9 z9 t8 t7 z6 t5 t4 t3 z3 t4 t5 t6 t7 z8 t9"
+                      " z1 t2 t3 t2 z1")
+
+
+def test_beta_prime_word_and_scenario_match_the_literal_reference():
+    """The word built from the brunnian word is the literal, and the built-in scenario, which finds the
+    added crossings, reports what the literal with positions 38 and 42 given reports, note aside."""
+    reference = parse_word(BETA_PRIME_LITERAL)
+    assert beta_prime_word() == reference
+    builtin, candidate = scenario_beta_prime(), scenario_beta_prime(reference, (38, 42))
+    fields = [f for f in builtin._fields if f != "reconstruction_note"]
+    assert [getattr(builtin, f) for f in fields] == [getattr(candidate, f) for f in fields]
+    assert builtin.reconstruction_note != candidate.reconstruction_note
+
+
+@pytest.mark.parametrize("added", [(38, 42, 38), (), (38,), (True, 42), (38, False), (38.0, 42), ("38", "42")])
+def test_beta_prime_refuses_added_that_is_not_two_int_positions(added):
+    with pytest.raises(PreconditionError, match=r"^the added crossings are two int positions, got "):
+        scenario_beta_prime(added=added)
+    with pytest.raises(PreconditionError, match=r"^the added crossings are two int positions, got "):
+        scenario_beta_prime(beta_prime_word(), added)
+
+
 def test_beta_prime_word_shape():
     w = beta_prime_word()
     assert w.n == 10

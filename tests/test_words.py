@@ -220,6 +220,21 @@ def test_braid_word_refuses_zero_strands():
         BraidWord(0, ())
 
 
+def test_braid_word_refuses_more_strands_than_the_parser():
+    """The parser's bound and wording; refused before anything of size n is built."""
+    assert BraidWord(MAX_STRANDS).n == MAX_STRANDS
+    for n in (MAX_STRANDS + 1, 10**12):
+        error = None
+        tracemalloc.start()
+        try:
+            BraidWord(n, ())
+        except ValueError as e:
+            error = str(e)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert error == f"strand count must be at most {MAX_STRANDS}, got {n}" and peak < 4096, (error, peak)
+
+
 def test_words_built_without_checks_equal_checked_words():
     """Each result of the unchecked constructor is a word the checking constructor accepts and equals."""
     rng = random.Random(9)
@@ -458,6 +473,12 @@ def test_value_classes_behave_as_frozen_dataclasses():
                 if type(other) is not cls:
                     assert a != other and not a == other and a.__eq__(other) is NotImplemented
             assert a != ra and copy.copy(a) == a == pickle.loads(pickle.dumps(a))
+            if cls.__slots__ == cls._fields:  # no derived slot, so the unchecked constructor builds an equal value
+                trusted = cls._trusted(*a._astuple())
+                assert type(trusted) is cls and trusted == a and not hasattr(trusted, "__dict__"), cls
+                for name in cls._fields or ("other",):
+                    with pytest.raises(AttributeError):
+                        setattr(trusted, name, None)
     assert copy.deepcopy(samples[ChordDiagram][2]).chord_of == samples[ChordDiagram][2].chord_of
 
 
