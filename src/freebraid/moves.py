@@ -3,8 +3,9 @@
 The catalogue covers pair cancellations (R2), virtualization, far
 commutativity, and the virtual / semivirtual / classical triple slides
 (R3).  The move set F admits everything except the classical R3; FB admits
-all of it; STRONG is F without the classical R2.  A move set only filters
-the one relation that `_window_move` finds at an offset.  Every relation
+all of it; STRONG is F without the classical R2.  `relation_sides` is the
+one list of relations: `_window_move` finds the move at an offset by
+searching it, and a move set only filters that move.  Every relation
 preserves the endpoint permutation.
 
 `_discover`, the oracle's search, runs on packed words, because it hashes
@@ -28,7 +29,7 @@ moves that windows start are kept across calls in `_pair_moves`, for every
 move set and strand count: a pair maps to its move, or to _SLIDE when |a|
 and |b| are adjacent, and a slide candidate's move is keyed by the pair and
 its third letter.  A miss on a full cache (4096 entries, 1.46 MiB at most)
-empties it, so a hit does no bookkeeping.  `_window_move` fills both.
+empties it, so a hit does no bookkeeping.  Only a miss runs `_window_move`.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ _MOVESET_RELATIONS = {
 }
 
 _R2_RELATIONS = (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2)
+_FAR_COMM = (Relation.FAR_COMM_ZZ, Relation.FAR_COMM_ZT, Relation.FAR_COMM_TT)
 
 
 def relations_in(moveset: MoveSet) -> frozenset[Relation]:
@@ -91,7 +93,7 @@ def relation_sides(relation: Relation, i: int, j: int | None = None) -> tuple[tu
         return (i, i), ()
     if relation is R.VIRTUALIZATION:
         return (-i, i), (i, -i)
-    if relation in (R.FAR_COMM_ZZ, R.FAR_COMM_ZT, R.FAR_COMM_TT):
+    if relation in _FAR_COMM:
         if j is None:
             raise ValueError(f"{relation.value} needs a second index")
         if abs(i - j) < 2:
@@ -146,28 +148,21 @@ class MoveInstance(_Value):
 # The slots' own setters: a call skips the lookup through the type that object.__setattr__ makes.
 _set_relation, _set_i, _set_position, _set_direction, _set_j = (
     MoveInstance.__dict__[f].__set__ for f in MoveInstance._fields)
-(_VIRTUAL_R2, _CLASSICAL_R2, _VIRTUALIZATION, _FAR_COMM_ZZ, _FAR_COMM_ZT, _FAR_COMM_TT,
- _VIRTUAL_R3, _SEMIVIRTUAL_R3, _CLASSICAL_R3) = _ALL_RELATIONS
+_CLASSICAL_R2 = Relation.CLASSICAL_R2
 _FWD, _REV = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
 
 
-def _rewrite(letters: tuple[int, ...], p: int, source: tuple[int, ...], target: tuple[int, ...],
-             relation: Relation, direction: Direction) -> tuple[int, ...]:
-    """letters with source, which must sit at offset p, replaced by target."""
-    if not (0 <= p <= len(letters) - len(source)):
-        raise PreconditionError(f"move position {p} out of range")
-    if letters[p:p + len(source)] != source:
-        raise PreconditionError(
-            f"{relation.value} ({direction.value}) does not match at position {p}")
-    return letters[:p] + target + letters[p + len(source):]
-
-
 def apply_move(word: BraidWord, m: MoveInstance) -> BraidWord:
-    """The word with move m applied."""
+    """The word with move m applied: its source, which must sit at offset m.position, replaced by its target."""
     for idx in (m.i, m.j):
         if idx is not None and not (1 <= idx <= word.n - 1):
             raise PreconditionError(f"move index {idx} out of range on {word.n} strands")
-    return BraidWord(word.n, _rewrite(word.letters, m.position, *m.sides(), m.relation, m.direction))
+    letters, p, (source, target) = word.letters, m.position, m.sides()
+    if not (0 <= p <= len(letters) - len(source)):
+        raise PreconditionError(f"move position {p} out of range")
+    if letters[p:p + len(source)] != source:
+        raise PreconditionError(f"{m.relation.value} ({m.direction.value}) does not match at position {p}")
+    return BraidWord(word.n, letters[:p] + target + letters[p + len(source):])
 
 
 def _code_bits(n: int) -> int:
@@ -191,47 +186,44 @@ def _unpack(w: int, n: int, b: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
+# The signs of a source's first two letters -> the (relation, direction) pairs whose sources have them.
+_WINDOW_MOVES: dict[tuple[bool, bool], list[tuple[Relation, Direction]]] = {}
+for _rel in Relation:
+    for _d in Direction:
+        if _source := _oriented_sides(_rel, 2, _d, 4)[0]:  # an R2 insertion's source is empty
+            _WINDOW_MOVES.setdefault((_source[0] > 0, _source[1] > 0), []).append((_rel, _d))
+
+
 def _window_move(window: tuple[int, ...]) -> tuple:
     """The non-insertion move at offset 0 of window as `(relation, i, direction, j, target)`, or _NO_MOVE.
 
-    The move depends only on the first three letters, and its source is the
-    first len(target) letters, or the first two for a deletion.  At most one
+    The move is read out of `relation_sides`.  A source's first letter is
+    ±i when it is read left to right, and its second letter when it is read
+    right to left; for far commutativity j is the other of the two.  So the
+    window's first two letters give each (relation, direction) pair that
+    `_WINDOW_MOVES` lists under their signs one candidate, and the move is
+    the candidate whose source the window starts with: its first
+    len(target) letters, or the first two for a deletion.  At most one
     relation matches: pair cancellation needs b == a, virtualization b == -a,
-    far commutativity |a| and |b| at least 2 apart and every triple slide |a|
-    and |b| adjacent, and among the slides c == -a sets the semivirtual one
-    apart.  Offsets 0, 1, ... in turn therefore give the scan order that
+    far commutativity |a| and |b| at least 2 apart and every triple slide
+    |a| and |b| adjacent, and among the slides c == -a sets the semivirtual
+    one apart.  Offsets 0, 1, ... in turn therefore give the scan order that
     `scramble` draws from and `_discover` discovers in.
     """
     if len(window) < 2:
         return _NO_MOVE
     a, b = window[0], window[1]
-    ia, ib = abs(a), abs(b)
-    if a == b:
-        match = (_VIRTUAL_R2, ia, _FWD, None) if a < 0 else (_CLASSICAL_R2, a, _FWD, None)
-    elif b == -a:
-        match = (_VIRTUALIZATION, ia, _FWD if a < 0 else _REV, None)
-    elif abs(ia - ib) >= 2:
-        if a > 0 and b > 0:
-            match = (_FAR_COMM_ZZ, min(a, b), _FWD if a < b else _REV, max(a, b))
-        elif a < 0 and b < 0:
-            match = (_FAR_COMM_TT, min(ia, ib), _FWD if ia < ib else _REV, max(ia, ib))
-        else:
-            match = (_FAR_COMM_ZT, a, _FWD, ib) if a > 0 else (_FAR_COMM_ZT, b, _REV, ia)
-    elif len(window) < 3:
-        return _NO_MOVE
-    elif (c := window[2]) == a and a < 0 and b < 0:
-        match = (_VIRTUAL_R3, ia, _FWD, None) if ib == ia + 1 else (_VIRTUAL_R3, ib, _REV, None)
-    elif c == a and a > 0 and b > 0:
-        match = (_CLASSICAL_R3, a, _FWD, None) if b == a + 1 else (_CLASSICAL_R3, b, _REV, None)
-    elif a < 0 and b == a - 1 and c == ia:
-        match = (_SEMIVIRTUAL_R3, ia, _FWD, None)
-    elif a > 1 and b == -(a - 1) and c == -a:
-        match = (_SEMIVIRTUAL_R3, a - 1, _REV, None)
-    else:
-        return _NO_MOVE
-    source, target = _oriented_sides(*match)
-    _rewrite(window, 0, source, target, match[0], match[2])
-    return (*match, tuple(window[window.index(x)] if x in window else x for x in target))  # the window's ints
+    for rel, direction in _WINDOW_MOVES[a > 0, b > 0]:
+        i, j = (abs(a), abs(b)) if direction is _FWD else (abs(b), abs(a))
+        j = j if rel in _FAR_COMM else None
+        try:
+            source, target = _oriented_sides(rel, i, direction, j)
+        except ValueError:  # far commutativity of indices less than 2 apart, or of like kinds out of order
+            continue
+        if window[:len(source)] == source:
+            return rel, i, direction, j, tuple(window[window.index(x)] if x in window else x
+                                               for x in target)  # the window's ints
+    return _NO_MOVE
 
 
 _NO_MOVE = (None, None, None, None, None)

@@ -26,6 +26,7 @@ from .words import (
     Permutation,
     PreconditionError,
     _ascii_int,
+    _checked_strand_count,
     _Value,
     crossings_by_strand,
 )
@@ -162,6 +163,7 @@ class StrandPartition(_Value):
 
     @classmethod
     def from_first(cls, n: int, first) -> "StrandPartition":
+        _checked_strand_count(n, ValueError, least=0)
         part = set()
         for strand in first:
             if strand in part:

@@ -110,10 +110,7 @@ class BraidWord(_Value):
         letters = tuple(letters)  # tuple() of a tuple is that tuple: no copy
         if type(n) is not int:
             raise ValueError(f"strand count must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"strand count must be >= 1, got {n}")
-        if n > MAX_STRANDS:
-            raise ValueError(f"strand count must be at most {MAX_STRANDS}, got {n}")
+        _checked_strand_count(n, ValueError)
         for x in letters:
             if type(x) is not int or x == 0 or not (1 <= abs(x) <= n - 1):
                 raise ValueError(f"letter {x!r} is not valid on {n} strands")
@@ -151,7 +148,7 @@ class Permutation(_Value):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls._trusted(tuple(range(1, n + 1)))
+        return cls._trusted(tuple(range(1, _checked_strand_count(n, ValueError, least=0) + 1)))
 
     @property
     def n(self) -> int:
@@ -189,7 +186,8 @@ class Permutation(_Value):
         return tuple(out)
 
 
-# Larger strand counts are refused by the parser and by `BraidWord`, before anything of size n is built.
+# Larger strand counts are refused by the parser, `BraidWord`, `Permutation.identity` and
+# `parity.StrandPartition.from_first`, before anything of size n is built.
 MAX_STRANDS = 10_000
 # Longer words are refused at parse time, after at most MAX_LETTERS + 1 tokens are split off.
 MAX_LETTERS = 1_000_000
@@ -250,18 +248,19 @@ def _ascii_int(digits: str) -> int | None:
         return None
 
 
-def _checked_strand_count(n: int | None) -> int:
-    """n if it is a strand count from 1 to MAX_STRANDS; None stands for a number too long to convert."""
-    if n is not None and n < 1:
-        raise ParseError(f"strand count must be >= 1, got {n}")
-    if n is None or n > MAX_STRANDS:
-        got = "a number too long to convert"
-        try:
-            got = str(n) if n is not None else got
-        except ValueError:  # more digits than str() converts: 10**4300 after a header-less index of 4300 nines
-            pass
-        raise ParseError(f"strand count must be at most {MAX_STRANDS}, got {got}")
-    return n
+def _checked_strand_count(n: int | None, error: type[ValueError] = ParseError, least: int = 1) -> int:
+    """n if it is a strand count from least to MAX_STRANDS, else `error` in the parser's words; None
+    stands for a number too long to convert."""
+    if n is not None and least <= n <= MAX_STRANDS:
+        return n
+    got = "a number too long to convert"
+    try:
+        got = str(n) if n is not None else got
+    except ValueError:  # more digits than str() converts: 10**4300 after a header-less index of 4300 nines
+        pass
+    if n is not None and n < least:
+        raise error(f"strand count must be >= {least}, got {got}")
+    raise error(f"strand count must be at most {MAX_STRANDS}, got {got}")
 
 
 def _parse_word_json(s: str) -> BraidWord:

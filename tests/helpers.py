@@ -10,6 +10,7 @@ import heapq
 import itertools
 import random
 import re
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,6 +45,18 @@ from freebraid.parity import ComponentScheme, GaussianScheme, Parity, QGaussianS
 from freebraid.oracle import EquivalenceBall, OracleVerdict, bfs_ball
 from freebraid.bracket import ReproductionReport, bracket
 
+
+def refusal_and_peak(call) -> tuple[str | None, int]:
+    """The text of the ValueError that call() raises (None if it returns) and its tracemalloc peak in bytes."""
+    error = None
+    tracemalloc.start()
+    try:
+        call()
+    except ValueError as e:
+        error = str(e)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return error, peak
 
 def permutation_braid(q: Permutation) -> BraidWord:
     """A virtual-only word realizing q, built by selection sort.
@@ -483,6 +496,49 @@ def reference_match_instances(letters: tuple[int, ...], rels: frozenset[Relation
                     out.append(MoveInstance(R.SEMIVIRTUAL_R3, a - 1, p, R2L))
     return out
 
+
+
+def reference_window_move(window: tuple[int, ...]) -> tuple:
+    """The matcher that `moves._window_move` replaced: the same 5-tuple, its relation told apart by hand.
+
+    `(relation, i, direction, j, target)` of the non-insertion move at offset 0, or five Nones.  Each
+    relation's sign and index conditions are written out here; `_window_move` reads them off
+    `relation_sides` instead.
+    """
+    R = Relation
+    L2R, R2L = Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT
+    if len(window) < 2:
+        return (None,) * 5
+    a, b = window[0], window[1]
+    ia, ib = abs(a), abs(b)
+    if a == b:
+        match = (R.VIRTUAL_R2, ia, L2R, None) if a < 0 else (R.CLASSICAL_R2, a, L2R, None)
+    elif b == -a:
+        match = (R.VIRTUALIZATION, ia, L2R if a < 0 else R2L, None)
+    elif abs(ia - ib) >= 2:
+        if a > 0 and b > 0:
+            match = (R.FAR_COMM_ZZ, min(a, b), L2R if a < b else R2L, max(a, b))
+        elif a < 0 and b < 0:
+            match = (R.FAR_COMM_TT, min(ia, ib), L2R if ia < ib else R2L, max(ia, ib))
+        else:
+            match = (R.FAR_COMM_ZT, a, L2R, ib) if a > 0 else (R.FAR_COMM_ZT, b, R2L, ia)
+    elif len(window) < 3:
+        return (None,) * 5
+    elif (c := window[2]) == a and a < 0 and b < 0:
+        match = (R.VIRTUAL_R3, ia, L2R, None) if ib == ia + 1 else (R.VIRTUAL_R3, ib, R2L, None)
+    elif c == a and a > 0 and b > 0:
+        match = (R.CLASSICAL_R3, a, L2R, None) if b == a + 1 else (R.CLASSICAL_R3, b, R2L, None)
+    elif a < 0 and b == a - 1 and c == ia:
+        match = (R.SEMIVIRTUAL_R3, ia, L2R, None)
+    elif a > 1 and b == -(a - 1) and c == -a:
+        match = (R.SEMIVIRTUAL_R3, a - 1, R2L, None)
+    else:
+        return (None,) * 5
+    rel, i, direction, j = match
+    left, right = relation_sides(rel, i, j)
+    source, target = (left, right) if direction is L2R else (right, left)
+    assert window[:len(source)] == source, (window, match)
+    return (*match, target)
 
 _R2_RELATIONS = (Relation.VIRTUAL_R2, Relation.CLASSICAL_R2)
 _REL_ORDER = {rel: k for k, rel in enumerate(Relation)}

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import pickle
 import random
 import tracemalloc
@@ -32,6 +33,7 @@ from helpers import (
     random_word,
     reference_match_instances,
     reference_scramble,
+    reference_window_move,
 )
 from strategies import braid_words
 
@@ -130,6 +132,8 @@ def test_apply_rejects_stale_instance():
         apply_move(BraidWord(2, (1,)), MoveInstance(Relation.CLASSICAL_R2, 1, 0, FWD))
     with pytest.raises(PreconditionError):
         apply_move(BraidWord(2), MoveInstance(Relation.CLASSICAL_R2, 5, 0, REV))
+    with pytest.raises(PreconditionError, match="^ClassicalR2 \\(fwd\\) does not match at position 1$"):
+        apply_move(BraidWord(2, (1, -1, 1)), MoveInstance(Relation.CLASSICAL_R2, 1, 1, FWD))
 
 
 @settings(max_examples=60)
@@ -298,22 +302,45 @@ def test_scramble_refuses_a_negative_seed():
         scramble(parse_word("n=3; z1 z2"), 10, MoveSet.FB, seed=-7, max_length=20)
 
 
+def _short_windows(top: int) -> list[tuple[int, ...]]:
+    """Every window of 1 to 3 letters with indices 1..top, classical and virtual."""
+    alphabet = [x for k in range(1, top + 1) for x in (k, -k)]
+    return [w for length in range(1, 4) for w in itertools.product(alphabet, repeat=length)]
+
+
 @pytest.mark.parametrize("moveset", list(MoveSet))
 def test_match_at_agrees_with_reference_on_every_short_window(moveset):
-    """Every window of 1 to 3 letters on n = 4: `_window_move`, the matcher both move caches rely on.
+    """Every window of 1 to 3 letters with indices 1..5: `_window_move`, the matcher both move caches rely on.
 
     It finds a relation whatever the move set; the set's filter keeps only its own relations.
     """
     rels = relations_in(moveset)
-    alphabet = (1, 2, 3, -1, -2, -3)
-    windows = [()]
-    for length in range(1, 4):
-        windows = [w + (x,) for w in windows for x in alphabet]
-        for window in windows:
-            rel, i, direction, j, _ = freebraid.moves._window_move(window)
-            expected = [(m.relation, m.i, m.direction, m.j)
-                        for m in reference_match_instances(window, rels) if m.position == 0]
-            assert ([(rel, i, direction, j)] if rel in rels else []) == expected, (window, moveset)
+    for window in _short_windows(5):
+        rel, i, direction, j, _ = freebraid.moves._window_move(window)
+        expected = [(m.relation, m.i, m.direction, m.j)
+                    for m in reference_match_instances(window, rels) if m.position == 0]
+        assert ([(rel, i, direction, j)] if rel in rels else []) == expected, (window, moveset)
+
+
+def test_window_move_agrees_with_the_matcher_it_replaced():
+    """The search of `relation_sides` gives the hand-written matcher's 5-tuple on all 4368 windows with
+    indices 1..8, target included."""
+    windows = _short_windows(8)
+    assert len(windows) == 4368
+    for window in windows:
+        assert freebraid.moves._window_move(window) == reference_window_move(window), window
+
+
+def test_window_moves_read_their_sides_from_the_catalogue():
+    """Each move found is the catalogue's: its oriented source starts the window, and its target is the move's."""
+    found = 0
+    for window in _short_windows(5):
+        rel, i, direction, j, target = freebraid.moves._window_move(window)
+        if rel is not None:
+            source, expected = freebraid.moves._oriented_sides(rel, i, direction, j)
+            assert window[:len(source)] == source and target == expected, window
+            found += 1
+    assert found == 772
 
 
 def _slide_rich_word(rng: random.Random, length: int, windows: int) -> BraidWord:

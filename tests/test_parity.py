@@ -42,6 +42,7 @@ from helpers import (
     random_scheme,
     random_word,
     reference_match_instances,
+    refusal_and_peak,
     relation_rich_word,
     triple_slide_rich_word,
 )
@@ -245,6 +246,21 @@ def test_partition_refuses_parts_that_do_not_cover_1_to_n():
     for first, second in (({1}, {3}), ({2}, set()), (set(), {0, 1})):
         with pytest.raises(ValueError, match=r"^partition parts must cover 1\.\.n exactly$"):
             StrandPartition(frozenset(first), frozenset(second))
+
+
+def test_partition_from_first_refuses_more_strands_than_the_parser():
+    """Refused before the set of 1..n is built, whatever the part; no strands at all stays the empty split,
+    and a negative count is refused rather than read as none."""
+    assert StrandPartition.from_first(0, ()).n == 0
+    assert refusal_and_peak(lambda: StrandPartition.from_first(-1, ()))[0] == "strand count must be >= 0, got -1"
+    error, peak = refusal_and_peak(lambda: StrandPartition.from_first(10**6, [1]))
+    assert error == f"strand count must be at most 10000, got {10**6}" and peak < 4096, (error, peak)
+
+
+def test_parse_scheme_refuses_a_partition_of_more_strands_than_the_parser():
+    error, peak = refusal_and_peak(lambda: parse_scheme("component:N1=1", 10**6))
+    expected = "bad partition in 'component:N1=1': strand count must be at most 10000, got 1000000"
+    assert error == expected and peak < 4096, (error, peak)
 
 
 def test_partition_validation():

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +58,10 @@ def test_warning_settings_fail_warnings_and_report_a_failing_property_test(tmp_p
                            str(tmp_path / "test_module.py")], cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert " 2 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
+
+
+def test_ci_mutants_step_states_the_mutant_count():
+    """The name of the CI step that runs scripts/mutate.py gives the number of mutants tests/mutants.py lists."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    stated = re.findall(r"Every mutant in tests/mutants\.py is killed \((\d+) mutants", workflow)
+    assert stated == [str(len(runpy.run_path(str(ROOT / "tests" / "mutants.py"))["MUTANTS"]))]

@@ -50,7 +50,7 @@ from freebraid.scenarios import (
     scenario_brunnian,
 )
 
-from helpers import random_cyclic_word, random_partition, random_word, reference_parse_word
+from helpers import random_cyclic_word, random_partition, random_word, reference_parse_word, refusal_and_peak
 from strategies import braid_words, permutations, word_pairs_same_n
 
 
@@ -224,15 +224,26 @@ def test_braid_word_refuses_more_strands_than_the_parser():
     """The parser's bound and wording; refused before anything of size n is built."""
     assert BraidWord(MAX_STRANDS).n == MAX_STRANDS
     for n in (MAX_STRANDS + 1, 10**12):
-        error = None
-        tracemalloc.start()
-        try:
-            BraidWord(n, ())
-        except ValueError as e:
-            error = str(e)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        error, peak = refusal_and_peak(lambda: BraidWord(n, ()))
         assert error == f"strand count must be at most {MAX_STRANDS}, got {n}" and peak < 4096, (error, peak)
+
+
+@pytest.mark.parametrize("sign, message", [
+    (1, f"strand count must be at most {MAX_STRANDS}"), (-1, "strand count must be >= 1"),
+], ids=["positive", "negative"])
+def test_braid_word_refuses_a_strand_count_too_long_to_print_in_the_parsers_words(sign, message):
+    """A count of 5001 digits is past what str() converts; the parser's rule names it instead."""
+    with pytest.raises(ValueError, match=f"^{message}, got a number too long to convert$"):
+        BraidWord(sign * 10**5000)
+
+
+def test_permutation_identity_refuses_more_strands_than_the_parser():
+    """Refused before the n-entry image is built; no strands at all stays the empty permutation, and
+    a negative count is refused rather than read as none."""
+    assert Permutation.identity(0).n == 0 and Permutation.identity(MAX_STRANDS).n == MAX_STRANDS
+    assert refusal_and_peak(lambda: Permutation.identity(-1))[0] == "strand count must be >= 0, got -1"
+    error, peak = refusal_and_peak(lambda: Permutation.identity(10**6))
+    assert error == f"strand count must be at most {MAX_STRANDS}, got {10**6}" and peak < 4096, (error, peak)
 
 
 def test_words_built_without_checks_equal_checked_words():
