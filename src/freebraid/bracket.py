@@ -10,10 +10,10 @@ verifier extracts that subword as a set of letter positions.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, filterfalse
 
 from .normalform import _code, _reduce, f_equal
-from .parity import Parity, ParityScheme
+from .parity import ParityScheme
 from .words import BraidWord, PreconditionError, _Value, permutation
 
 
@@ -25,9 +25,10 @@ class BracketResult(_Value):
 
 def bracket(word: BraidWord, scheme: ParityScheme) -> BracketResult:
     """Delete even classical letters; virtual and odd classical letters survive in order."""
-    parities, odd = scheme.assignment(word).parities, Parity.ODD
-    kept = tuple([t for t, x in enumerate(word.letters) if x < 0 or parities[t] is odd])
-    return BracketResult(BraidWord._trusted(word.n, tuple([word.letters[t] for t in kept])), kept)
+    even, letters = scheme._evens(word), word.letters
+    kept = list(filterfalse(even.__contains__, range(len(letters))))
+    survivors = tuple([letters[t] for t in kept])  # faster than map(letters.__getitem__, kept)
+    return BracketResult(BraidWord._trusted(word.n, survivors), tuple(kept))
 
 
 def brackets_equal(w1: BraidWord, w2: BraidWord, scheme: ParityScheme) -> bool:
@@ -39,7 +40,7 @@ def brackets_equal(w1: BraidWord, w2: BraidWord, scheme: ParityScheme) -> bool:
 
 def is_odd_irreducible(word: BraidWord, scheme: ParityScheme) -> bool:
     """True iff every classical letter is odd and bigon reduction deletes no letter."""
-    return scheme.assignment(word).all_odd() and all(_reduce(word)[-1])
+    return not scheme._evens(word) and all(_reduce(word)[-1])
 
 
 class ReproductionReport(_Value):
@@ -81,7 +82,7 @@ def verify_reproduction(beta: BraidWord, beta_prime: BraidWord,
     if beta.n != beta_prime.n:
         raise PreconditionError(f"strand counts differ: {beta.n} vs {beta_prime.n}")
     stacks, image, alive = _reduce(beta)
-    if not (scheme.assignment(beta).all_odd() and all(alive)):
+    if scheme._evens(beta) or not all(alive):
         raise PreconditionError("the target word is not odd and irreducible under the scheme")
     if permutation(beta_prime).image != image:
         return ReproductionReport(

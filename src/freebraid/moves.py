@@ -28,8 +28,9 @@ On short words a step's time goes to the rescan, the draw and building its
 moves that windows start are kept across calls in `_pair_moves`, for every
 move set and strand count: a pair maps to its move, or to _SLIDE when |a|
 and |b| are adjacent, and a slide candidate's move is keyed by the pair and
-its third letter.  A miss on a full cache (4096 entries, 1.46 MiB at most)
-empties it, so a hit does no bookkeeping.  Only a miss runs `_window_move`.
+its third letter.  A miss on a full cache (4096 entries, at most 1.48 MiB
+when its test runs alone, less inside the whole suite) empties it, so a hit
+does no bookkeeping.  Only a miss runs `_window_move`.
 """
 
 from __future__ import annotations

@@ -7,14 +7,19 @@ diagram.  Virtual crossings are disregarded.  A crossing's Gaussian parity
 is the number of chords linked with its chord, mod 2.  Every chord nested
 inside a chord with ends a < b contributes two endpoints between them, so
 that count is congruent to b - a - 1: the crossing is odd iff the
-endpoint gap b - a is even.  The Gaussian schemes read the gaps off the
-Gauss sequence, built from one pass of `crossings_by_strand` (which swaps
-positions itself, for speed) and with no `ChordDiagram`.
+endpoint gap b - a is even, and even iff one end has an even index and
+the other an odd one.  The Gaussian schemes intersect the sets of the
+even-index and the odd-index entries of the Gauss sequence, built from one
+pass of `crossings_by_strand` (which swaps positions itself, for speed) and
+with no `ChordDiagram`.
 
 Two further schemes avoid the cyclicity requirement: the component scheme
 marks a crossing odd when its strands lie in different parts of a fixed
 partition, and the completed-closure scheme closes the word through a
 completing permutation before reading off Gaussian parities.
+
+Each scheme's `_evens(word)` is the set of even classical letter positions,
+which the bracket reads; its `ParityAssignment` is built from the same set.
 """
 
 from __future__ import annotations
@@ -67,12 +72,14 @@ def linked(d: ChordDiagram, a: int, b: int) -> bool:
     return (a1 < b1 < a2) != (a1 < b2 < a2)
 
 
-def _gauss_sequence(word: BraidWord, q: Permutation | None, failure: str) -> tuple[int, ...]:
+def _gauss_sequence(word: BraidWord, q: Permutation | None, failure: str) -> list[int]:
     """Positions of the classical letters met walking strands 1, walk(1), walk(walk(1)), ...
 
     walk is the word's endpoint map, then q if given.  `failure`, formatted
     with the cycle count, is raised when walk is not a single n-cycle.
     """
+    if q is not None and word.n != q.n:
+        raise PreconditionError(f"completion acts on {q.n} strands, word has {word.n}")
     on_strand, image = crossings_by_strand(word)
     walk = Permutation._trusted(image) if q is None else Permutation._trusted(image).compose(q)
     count = len(walk.cycles())
@@ -83,14 +90,14 @@ def _gauss_sequence(word: BraidWord, q: Permutation | None, failure: str) -> tup
     for _ in range(word.n):
         gauss += on_strand[strand]
         strand = walk(strand)
-    return tuple(gauss)
+    return gauss
 
 
 def chord_diagram(word: BraidWord) -> ChordDiagram:
     """Chord diagram of the closure; crossings are identified by letter position."""
-    return ChordDiagram(_gauss_sequence(
+    return ChordDiagram(tuple(_gauss_sequence(
         word, None,
-        "closure has {} components; the chord diagram requires a cyclic permutation"))
+        "closure has {} components; the chord diagram requires a cyclic permutation")))
 
 
 class ParityAssignment(_Value):
@@ -115,21 +122,26 @@ class ParityAssignment(_Value):
         return all(v is Parity.ODD for v in self.parities.values())
 
 
-def _linking_parities(gauss: tuple[int, ...]) -> dict[int, Parity]:
-    """Gap-rule parities in one pass, in first-encounter order: gap 0 on entry, set at the second end."""
-    even, odd = Parity.EVEN, Parity.ODD
-    first: dict[int, int] = {}
-    parities = {}
-    for k, c in enumerate(gauss):
-        parities[c] = even if (k - first.setdefault(c, k)) % 2 else odd
-    return parities
+_NOT_CYCLIC = "closure has {} components; Gaussian parity requires a cyclic permutation"
+_NOT_COMPLETED = "completed permutation has {} cycles; the completion must make it cyclic"
+
+
+def _linked_evens(gauss: list[int]) -> set[int]:
+    """The crossings met at an even index and at an odd one of the Gauss sequence: the even ones."""
+    return set(gauss[0::2]) & set(gauss[1::2])
+
+
+def _assignment(scheme: str, positions, even: set[int]) -> ParityAssignment:
+    """Odd at each of positions, in their first-encounter order, except the even ones."""
+    parities = dict.fromkeys(positions, Parity.ODD)
+    parities.update(dict.fromkeys(even, Parity.EVEN))
+    return ParityAssignment(scheme, parities)
 
 
 def gaussian_parity(word: BraidWord) -> ParityAssignment:
     """Parity by chord linking on the closure; needs a one-circle closure."""
-    return ParityAssignment("gaussian", _linking_parities(_gauss_sequence(
-        word, None,
-        "closure has {} components; Gaussian parity requires a cyclic permutation")))
+    gauss = _gauss_sequence(word, None, _NOT_CYCLIC)
+    return _assignment("gaussian", gauss, _linked_evens(gauss))
 
 
 def q_gaussian_parity(word: BraidWord, q: Permutation) -> ParityAssignment:
@@ -139,12 +151,8 @@ def q_gaussian_parity(word: BraidWord, q: Permutation) -> ParityAssignment:
     the extension contributes no chords, so the walk follows the composite
     permutation over the word's own classical letters.
     """
-    if word.n != q.n:
-        raise PreconditionError(f"completion acts on {q.n} strands, word has {word.n}")
-    parities = _linking_parities(_gauss_sequence(
-        word, q,
-        "completed permutation has {} cycles; the completion must make it cyclic"))
-    return ParityAssignment(f"qgaussian:Q={','.join(map(str, q.image))}", parities)
+    gauss = _gauss_sequence(word, q, _NOT_COMPLETED)
+    return _assignment(f"qgaussian:Q={','.join(map(str, q.image))}", gauss, _linked_evens(gauss))
 
 
 class StrandPartition(_Value):
@@ -182,18 +190,21 @@ class StrandPartition(_Value):
         return (a in self.first) != (b in self.first)
 
 
-def component_parity(word: BraidWord, partition: StrandPartition) -> ParityAssignment:
-    """Odd iff a crossing's two strands lie in different partition parts."""
+def _part_letters(word: BraidWord, partition: StrandPartition) -> tuple[set[int], set[int]]:
+    """The classical letters with a strand in the first part, and those with one in the second: a letter
+    is in both iff it is odd, so the symmetric difference is the set of even letters."""
     if partition.n != word.n:
         raise PreconditionError(f"partition covers {partition.n} strands, word has {word.n}")
-    on_strand, crosses = crossings_by_strand(word)[0], bytearray(len(word.letters))
-    for s in partition.first:  # a letter with both strands in the first part flips back
-        for t in on_strand[s]:
-            crosses[t] ^= 1
-    parity_of = (Parity.EVEN, Parity.ODD)
-    parities = {t: parity_of[crosses[t]] for t, x in enumerate(word.letters) if x > 0}
-    first = ",".join(map(str, sorted(partition.first)))
-    return ParityAssignment(f"component:N1={first}", parities)
+    on_strand = crossings_by_strand(word)[0]
+    return (set().union(*[on_strand[s] for s in partition.first]),
+            set().union(*[on_strand[s] for s in partition.second]))
+
+
+def component_parity(word: BraidWord, partition: StrandPartition) -> ParityAssignment:
+    """Odd iff a crossing's two strands lie in different partition parts."""
+    first, second = _part_letters(word, partition)
+    names = ",".join(map(str, sorted(partition.first)))
+    return _assignment(f"component:N1={names}", sorted(first | second), first ^ second)
 
 
 class GaussianScheme(_Value):
@@ -202,6 +213,9 @@ class GaussianScheme(_Value):
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return gaussian_parity(word)
 
+    def _evens(self, word: BraidWord) -> set[int]:
+        return _linked_evens(_gauss_sequence(word, None, _NOT_CYCLIC))
+
 
 class ComponentScheme(_Value):
     __slots__ = _fields = ("partition",)
@@ -209,12 +223,19 @@ class ComponentScheme(_Value):
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return component_parity(word, self.partition)
 
+    def _evens(self, word: BraidWord) -> set[int]:
+        first, second = _part_letters(word, self.partition)
+        return first ^ second
+
 
 class QGaussianScheme(_Value):
     __slots__ = _fields = ("completion",)
 
     def assignment(self, word: BraidWord) -> ParityAssignment:
         return q_gaussian_parity(word, self.completion)
+
+    def _evens(self, word: BraidWord) -> set[int]:
+        return _linked_evens(_gauss_sequence(word, self.completion, _NOT_COMPLETED))
 
 
 ParityScheme = GaussianScheme | ComponentScheme | QGaussianScheme

@@ -55,7 +55,12 @@ class _Value:
     _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
-        name, fields = type(self).__qualname__, self._fields
+        fields = self._fields
+        if len(args) == len(fields) and not kwargs:  # every field by position: nothing to check
+            for field, v in zip(fields, args):
+                object.__setattr__(self, field, v)
+            return
+        name = type(self).__qualname__
         for key in kwargs:
             if key not in fields[len(args):]:
                 what = "multiple values for" if key in fields else "an unexpected keyword"
@@ -229,7 +234,7 @@ def parse_word(text: str) -> BraidWord:
         if _LETTER_RE.match(tok):  # left out of value: more digits than int() converts
             raise ParseError(f"letter index of {len(tok[1:].lstrip('0'))} digits out of range") from None
         raise ParseError(f"unknown token {tok!r}") from None
-    top = max(max(letters), -min(letters)) if letters else 0
+    top = max(map(abs, value.values()), default=0)  # every token is a key of value
     if n is None:
         n = _checked_strand_count(top + 1)
     elif top > n - 1:

@@ -43,7 +43,7 @@ from freebraid.normalform import (
 )
 from freebraid.parity import ComponentScheme, GaussianScheme, Parity, QGaussianScheme, StrandPartition
 from freebraid.oracle import EquivalenceBall, OracleVerdict, bfs_ball
-from freebraid.bracket import ReproductionReport, bracket
+from freebraid.bracket import BracketResult, ReproductionReport, bracket
 
 
 def refusal_and_peak(call) -> tuple[str | None, int]:
@@ -310,6 +310,98 @@ def reference_parities(word: BraidWord, q: Permutation | None = None):
     parities = {t: Parity.ODD if (b - a) % 2 == 0 else Parity.EVEN for t, (a, b) in ends.items()}
     return count, tuple(gauss), parities
 
+
+
+def reference_linking_parities(gauss: tuple[int, ...]) -> dict[int, Parity]:
+    """Gap-rule parities, one letter at a time in first-encounter order, as `parity` read them before its
+    even sets: gap 0 on entry, set at the second end."""
+    even, odd = Parity.EVEN, Parity.ODD
+    first: dict[int, int] = {}
+    parities = {}
+    for k, c in enumerate(gauss):
+        parities[c] = even if (k - first.setdefault(c, k)) % 2 else odd
+    return parities
+
+
+def reference_component_parity(word: BraidWord, partition: StrandPartition) -> dict[int, Parity]:
+    """Component parities by flipping one byte per letter on each strand of the first part, as
+    `component_parity` read them before its even sets; strands from `reference_crossings_by_strand`."""
+    on_strand, crosses = reference_crossings_by_strand(word), bytearray(len(word.letters))
+    for s in partition.first:  # a letter with both strands in the first part flips back
+        for t in on_strand[s]:
+            crosses[t] ^= 1
+    parity_of = (Parity.EVEN, Parity.ODD)
+    return {t: parity_of[crosses[t]] for t, x in enumerate(word.letters) if x > 0}
+
+
+def reference_bracket(word: BraidWord, parities: dict[int, Parity]) -> BracketResult:
+    """`bracket` as it was before it read the even set: one comprehension over the letters, looking each
+    classical one up in a parity dict."""
+    odd = Parity.ODD
+    kept = tuple([t for t, x in enumerate(word.letters) if x < 0 or parities[t] is odd])
+    return BracketResult(BraidWord._trusted(word.n, tuple([word.letters[t] for t in kept])), kept)
+
+
+def _refusal(call) -> str | None:
+    try:
+        call()
+    except PreconditionError as e:
+        return str(e)
+    return None
+
+
+def even_set_disagreements(n: int, max_length: int) -> tuple[int, int, list[tuple[BraidWord, str]]]:
+    """Every word on n strands of at most max_length letters under the Gaussian scheme, every completion
+    and every partition: the number of (word, scheme) checks, how many of them the reference walk refuses,
+    and the pairs where the package disagrees with the per-letter references.
+
+    A check compares the scheme's `ParityAssignment` (designation, values and key order) and its bracket
+    with `reference_linking_parities` over the reference Gauss sequence, or `reference_component_parity`,
+    and `reference_bracket`.  The bracket keeps every letter outside the scheme's even set, so its kept
+    positions pin that set.  Where the reference closure is not one circle, both must refuse in its words.
+    """
+    checks, refusals, disagreements = 0, 0, []
+    completions = [Permutation(image) for image in itertools.permutations(range(1, n + 1))]
+    partitions = [StrandPartition.from_first(n, first) for k in range(n + 1)
+                  for first in itertools.combinations(range(1, n + 1), k)]
+    alphabet = [x for i in range(1, n) for x in (i, -i)]
+    for length in range(max_length + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            word = BraidWord(n, letters)
+            perm, on_strand = reference_permutation(word), reference_crossings_by_strand(word)
+            cases = []
+            for q in [None, *completions]:
+                walk = perm if q is None else perm.compose(q)
+                count, expected = len(walk.cycles()), None
+                if count == 1:
+                    gauss, strand = [], 1
+                    for _ in range(n):
+                        gauss += on_strand[strand]
+                        strand = walk(strand)
+                    expected = reference_linking_parities(tuple(gauss))
+                if q is None:
+                    cases.append((GaussianScheme(), "gaussian", expected,
+                                  f"closure has {count} components; Gaussian parity requires a cyclic permutation"))
+                else:
+                    cases.append((QGaussianScheme(q), f"qgaussian:Q={','.join(map(str, q.image))}", expected,
+                                  f"completed permutation has {count} cycles; the completion must make it cyclic"))
+            for partition in partitions:
+                cases.append((ComponentScheme(partition), f"component:N1={','.join(map(str, sorted(partition.first)))}",
+                              reference_component_parity(word, partition), None))
+            for scheme, designation, expected, failure in cases:
+                checks += 1
+                if expected is None:
+                    refusals += 1
+                    agree = (_refusal(lambda: scheme.assignment(word)) == failure
+                             and _refusal(lambda: bracket(word, scheme)) == failure)
+                else:
+                    got, result = scheme.assignment(word), bracket(word, scheme)
+                    agree = (got.scheme == designation and got.parities == expected
+                             and list(got.parities) == list(expected)
+                             and result == reference_bracket(word, expected) and type(result.kept_positions) is tuple)
+                if not agree:
+                    disagreements.append((word, designation))
+    return checks, refusals, disagreements
 
 # Indices are ASCII digits only: `\d` and `int` would also take other scripts' digits.
 _LETTER_RE = re.compile(r"([zt])([0-9]+)\Z")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -78,6 +79,25 @@ def test_bracket_kept_positions_replay():
         for t, x in enumerate(word.letters):
             kept = t in result.kept_positions
             assert kept == (x < 0 or assignment.is_odd(t))
+
+
+@pytest.mark.parametrize("scheme", [GaussianScheme(), ComponentScheme(StrandPartition.from_first(4, {1, 2}))],
+                         ids=["gaussian", "component"])
+def test_bracket_leaves_no_tuples_behind(scheme):
+    # As for `canonical_code`: tuples built from an iterator are resized as they grow and,
+    # once freed, pile up on the free list of their final size.  Python 3.11 never reuses a
+    # freed 20-entry tuple either, and this word's Gauss sequence has 20 entries.
+    word = parse_word("n=4; z1 z2 z3 z1 z2 z3 z1 t2 z3 z2 z1")
+    bracket(word, scheme)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5000):
+            bracket(word, scheme)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024
 
 
 def test_bracket_requires_applicable_scheme():

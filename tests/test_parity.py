@@ -35,6 +35,7 @@ from helpers import (
     applicable_moves,
     check_parity_axioms,
     completion_for,
+    even_set_disagreements,
     permutation_braid,
     random_cycle,
     random_cyclic_word,
@@ -446,3 +447,11 @@ def test_axioms_on_planted_windows_of_the_other_relations():
                 report = check_parity_axioms(scheme, word, move, before)
                 assert report.passed, (kind, word, move, report)
                 counts[key] += 1
+
+
+@pytest.mark.parametrize("n, max_length, checks, refusals",
+                         [(2, 8, 3577, 852), (3, 6, 81_915, 24_449), (4, 4, 63_755, 29_497)])
+def test_even_sets_match_the_per_letter_references_on_every_short_word(n, max_length, checks, refusals):
+    """Every word at n = 2, 3 up to 8, 6 letters and n = 4 up to 4, under the Gaussian scheme, every
+    completion and every partition; CI runs n = 4 up to 5 letters."""
+    assert even_set_disagreements(n, max_length) == (checks, refusals, [])
